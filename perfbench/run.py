@@ -32,7 +32,8 @@ from spans import COUNT_METRICS, LAYER_METRICS, layer_metrics, read_spans
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SETUP_REPEATS = 8  # set-up-only processes, on top of the measured one
-DEADLINE_S = 170.0
+# the whole run must end within --seconds plus this: set-up processes, warm-up, checks
+DEADLINE_MARGIN_S = 145.0
 TAIL_BEYOND = 10
 WORKLOADS = ("train", "sample", "bench")
 
@@ -96,10 +97,16 @@ def run_child(args: list, deadline: float, ready: bool = True):
 
 
 def tail(durations) -> tuple:
-    """(value, percentile): the highest percentile with TAIL_BEYOND ops beyond it."""
+    """(value, percentile, ops beyond it): the highest percentile with TAIL_BEYOND ops beyond it.
+
+    With TAIL_BEYOND or fewer ops no such percentile exists; the slowest op is the
+    tail then, so a slower program never shows a smaller tail.
+    """
     ranked = sorted(durations)
-    k = max(len(ranked) - TAIL_BEYOND - 1, 0)
-    return ranked[k], 100.0 * (k + 1) / len(ranked)
+    k = len(ranked) - TAIL_BEYOND - 1
+    if k < 0:
+        k = len(ranked) - 1
+    return ranked[k], 100.0 * (k + 1) / len(ranked), len(ranked) - k - 1
 
 
 def source_record() -> dict:
@@ -158,7 +165,7 @@ def end_to_end(result: dict, setups: list) -> tuple:
     raw = result["durations_s"]
     factors = speed_factors(result)
     d = [t * f for t, f in zip(raw, factors)]
-    value, pct = tail(d)
+    value, pct, beyond = tail(d)
     metrics = {
         "setup_s": (statistics.median(setups), "s"),
         "items_per_s": (items_per_s(result, d), "1/s"),
@@ -167,7 +174,7 @@ def end_to_end(result: dict, setups: list) -> tuple:
         "peak_rss_mb": (result["peak_rss_kb"] / 1024.0, "MB"),
     }
     detail = {"ops_timed": len(d), "tail_percentile": round(pct, 2),
-              "tail_ops_beyond": min(TAIL_BEYOND, len(d) - 1),
+              "tail_ops_beyond": beyond,
               "setup_runs": len(setups), "speed_scale": statistics.median(factors),
               "measured_op_ms_p50": statistics.median(raw) * 1e3,
               "measured_items_per_s": items_per_s(result, raw)}
@@ -200,7 +207,7 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=int, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), required=True)
     args = p.parse_args(argv)
-    deadline = time.perf_counter() + DEADLINE_S
+    deadline = time.perf_counter() + args.seconds + DEADLINE_MARGIN_S
     if not (ROOT / "src" / "qdiff" / "__init__.py").is_file():
         print(f"perfbench: no qdiff source under {ROOT / 'src'}; run from a checkout "
               "of the repository", file=sys.stderr)

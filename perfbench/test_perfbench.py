@@ -97,6 +97,20 @@ def test_check_scores():
     assert wl.check_scores(fids, 0.7, math.inf)
 
 
+def test_check_bloch():
+    good = np.tile([[0.6, 0.0, 0.8]], (wl.BLOCH_SAMPLES, 1))
+    assert wl.check_bloch(good) == []
+    assert wl.check_bloch(good * 0.5) == []
+    nan = good.copy()
+    nan[1, 2] = np.nan
+    assert wl.check_bloch(nan)
+    long = good.copy()
+    long[0] *= 1.0 + 1e-9
+    assert wl.check_bloch(long)
+    assert wl.check_bloch(good[:-1])
+    assert wl.check_bloch(good[:, :2])
+
+
 def test_check_oracle():
     assert wl.check_oracle(0.25, 0.25 + 1e-15) == []
     assert wl.check_oracle(0.25, 0.25 + 1e-9)
@@ -134,9 +148,11 @@ def test_self_time_subtracts_direct_children():
 
 
 def test_tail_leaves_ten_ops_beyond():
-    value, pct = run.tail([float(i) for i in range(40, 0, -1)])
-    assert value == 30.0 and pct == pytest.approx(75.0)
-    assert run.tail([3.0, 1.0, 2.0]) == (1.0, pytest.approx(100 / 3))
+    value, pct, beyond = run.tail([float(i) for i in range(40, 0, -1)])
+    assert value == 30.0 and pct == pytest.approx(75.0) and beyond == 10
+    # too few ops for ten beyond: the slowest op, so slower ops never lower the tail
+    assert run.tail([3.0, 1.0, 2.0]) == (3.0, pytest.approx(100.0), 0)
+    assert run.tail([float(i) for i in range(11)]) == (0.0, pytest.approx(100 / 11), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +163,8 @@ SEED_COUNTS = {
               "cli.files_written": 0, "cli.bytes_written": 0},
     "sample": {"circuit.sims": 10, "circuit.gate_apps": 700, "measure.ancilla_sims": 10,
                "cli.files_written": 11, "cli.bytes_written": 2_959},
-    "bench": {"circuit.sims": wl.Bench.items_per_op,
-              "circuit.gate_apps": wl.Bench.items_per_op * 70,
+    # 2 * 125 pairs + 25 Meyer-Wallach + 5 Bloch states, 70 gates each
+    "bench": {"circuit.sims": 280, "circuit.gate_apps": 19_600,
               "measure.ancilla_sims": 0, "cli.files_written": 0, "cli.bytes_written": 0},
 }
 

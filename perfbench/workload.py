@@ -43,8 +43,11 @@ SETUP_CALIBRATIONS = 9
 # kernel passes after each op; a fixed count, so the estimate does not depend on op length
 OP_CALIBRATIONS = 3
 
-# bench op size: states simulated per op are 2 * N_PAIRS + MW_SAMPLES + BLOCH_SAMPLES
-N_PAIRS, MW_SAMPLES, BLOCH_SAMPLES = 100, 50, 20
+# bench op size: `qdiff bench`'s defaults (5000 pairs, 1000 Meyer-Wallach and 200
+# Bloch samples) scaled down by 40, so one op keeps their 25:5:1 mix of states.
+# States simulated per op are 2 * N_PAIRS + MW_SAMPLES + BLOCH_SAMPLES.
+N_PAIRS, MW_SAMPLES, BLOCH_SAMPLES = 125, 25, 5
+BLOCH_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +109,15 @@ def check_scores(fids, qbar: float, expr: float) -> list:
     if not (math.isfinite(expr) and expr >= 0.0):
         out.append(f"expressibility {expr} is not finite and >= 0")
     return out
+
+
+def check_bloch(points) -> list:
+    """BLOCH_SAMPLES finite Bloch vectors, none longer than 1 beyond rounding."""
+    points = np.asarray(points)
+    if points.shape != (BLOCH_SAMPLES, 3) or not np.all(np.isfinite(points)):
+        return ["Bloch points are not BLOCH_SAMPLES finite 3-vectors"]
+    longest = float(np.max(np.linalg.norm(points, axis=1)))
+    return [] if longest <= 1.0 + BLOCH_TOL else [f"Bloch vector of length {longest!r} > 1"]
 
 
 def check_oracle(fid: float, oracle: float) -> list:
@@ -225,18 +237,18 @@ class Bench(Workload):
         s = int(self.seeds.integers(2**32))
         fids = bench.sample_fidelities(c, psi0, N_PAIRS, s, threads=1)
         qbar = bench.entangling_capability(c, psi0, MW_SAMPLES, s + 1, threads=1)
-        bench.bloch_points(c, psi0, 0, BLOCH_SAMPLES, s + 2, threads=1)
+        points = bench.bloch_points(c, psi0, 0, BLOCH_SAMPLES, s + 2, threads=1)
         expr = bench.expressibility(fids, 2**c.n_qubits)
-        return s, fids, qbar, expr
+        return s, fids, qbar, expr, points
 
     def check(self, out) -> list:
         self.last = out
-        _, fids, qbar, expr = out
-        return check_scores(fids, qbar, expr)
+        _, fids, qbar, expr, points = out
+        return check_scores(fids, qbar, expr) + check_bloch(points)
 
     def final_checks(self) -> dict:
         """One pair of the last op, recomputed from the column-by-column unitary."""
-        s, fids, _, _ = self.last
+        s, fids = self.last[:2]
         c = self.circuit
         # sample_fidelities draws every pair's parameters up front from its seed
         params = np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, size=(N_PAIRS, 2, c.n_params))
