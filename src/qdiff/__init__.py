@@ -54,8 +54,6 @@ from .measure import (
     ano_features,
     expectation,
     grad_expectation_wrt_circuit,
-    grad_features_wrt_circuit,
-    grad_features_wrt_observables,
     grad_hadamard_wrt_probe,
     hadamard_test,
     hermitize,

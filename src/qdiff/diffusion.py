@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ParamCircuit, circuit_unitary, effective_angles, unitary_with_angles
-from .measure import _shift_plan
+from .circuit import ParamCircuit, circuit_unitary, unitary_with_angles
+from .measure import shift_gradient
 from .qcore import DensityMatrix, StateVector, state_fidelity
 
 
@@ -179,16 +179,9 @@ def infidelity_grad_wrt_circuit(
     """
     if rho.dim != 2**c.n_qubits or target.dim != rho.dim:
         raise ValueError("dimension mismatch between rho, circuit and target")
-    base = effective_angles(c, params)
-    tvec = target.amps
-    grad = np.zeros(c.n_params)
-    for i, ref, scale, shift, coeff in _shift_plan(c):
-        vals = []
-        for sgn in (+1.0, -1.0):
-            angles = base.copy()
-            angles[i] += sgn * shift
-            u = unitary_with_angles(c, angles)
-            w = u.conj().T @ tvec
-            vals.append(float((w.conj() @ (rho.mat @ w)).real))
-        grad[ref] += scale * coeff * (vals[0] - vals[1])
-    return -grad
+
+    def fidelity(angles):
+        w = unitary_with_angles(c, angles).conj().T @ target.amps
+        return float((w.conj() @ (rho.mat @ w)).real)
+
+    return -shift_gradient(c, params, fidelity)

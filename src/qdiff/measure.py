@@ -6,12 +6,18 @@ construction and every matrix entry is a valid trainable weight. A
 GlobalProbe supplies one extra scalar feature through an ancilla Hadamard
 test, Re<psi|U(theta)|psi>.
 
-Gradient routes:
-  * bank entries: analytic (features are linear in M),
-  * circuit angles under a two-sided expectation: parameter shift at
-    +-pi/2 on the gate angle, chained through the angle's affine map,
-  * probe angles (one-sided overlap, half-frequency in the angle):
-    parameter shift at +-pi with a 1/4 coefficient.
+Gradient routes: a feature is linear in its observable's matrix M, so the
+bank needs no rule. Every circuit angle is differentiated by the one
+parameter-shift rule, shift_gradient: a gate's resolved angle a is moved to
+a +- s, the parameter picks up c * (value(a + s) - value(a - s)) times the
+gate's scale (the chain rule through angle = offset + scale * param), and
+gates sharing a parameter add up. The pair (s, c) follows from how the
+value depends on the angle:
+  * two-sided <psi(theta)|H|psi(theta)> (ansatz angles, the diffusion
+    infidelity): s = pi/2, c = 1/2 for every rotation kind, PHASE included;
+  * one-sided Re<psi|U(phi)|psi> (probe angles): a rotation enters at half
+    frequency, so s = pi, c = 1/4; PHASE stays at full frequency and keeps
+    s = pi/2, c = 1/2.
 """
 from __future__ import annotations
 
@@ -22,7 +28,6 @@ import numpy as np
 
 from .circuit import (
     ParamCircuit,
-    ROTATION_KINDS,
     _apply_1q,
     _apply_cu,
     circuit_unitary,
@@ -202,101 +207,49 @@ def probe_hermitian_part(probe: GlobalProbe) -> np.ndarray:
     return 0.5 * (u + u.conj().T)
 
 
-def grad_features_wrt_observables(psi: StateVector, bank: ObservableBank):
-    """Per-observable (d y_k / d m_real, d y_k / d m_imag).
+def shift_gradient(c: ParamCircuit, params, value, one_sided: bool = False) -> np.ndarray:
+    """d value(effective_angles(c, params)) / d params by the parameter-shift rule.
 
-    y_k = Re(psi^dag M_k psi) is linear in M_k, so the gradient is the same
-    outer-product pattern for every k and never depends on M_k itself.
+    value maps a vector of per-gate angles to a float. one_sided selects the
+    rule for a value in which the circuit enters once, unconjugated; the
+    module docstring gives both rules.
     """
-    if bank.dim != psi.dim:
-        raise ValueError(f"bank dim {bank.dim} != state dim {psi.dim}")
-    outer = np.outer(psi.amps.conj(), psi.amps)
-    d_real = outer.real.copy()
-    d_imag = -outer.imag.copy()
-    return [(d_real.copy(), d_imag.copy()) for _ in range(bank.k)]
-
-
-def _shift_plan(c: ParamCircuit):
-    """(gate index, param_ref, scale, shift, coeff) rows for two-sided rules."""
-    plan = []
+    base = effective_angles(c, params)
+    grad = np.zeros(c.n_params)
     for i, g in enumerate(c.gates):
         if g.param_ref is None:
             continue
-        if g.kind not in ROTATION_KINDS:
-            raise ValueError(f"no shift rule for parameterized {g.kind}")
-        plan.append((i, g.param_ref, g.scale, np.pi / 2, 0.5))
-    return plan
+        if one_sided and g.kind != "PHASE":
+            shift, coeff = np.pi, 0.25
+        else:
+            shift, coeff = np.pi / 2, 0.5
+        vals = []
+        for sgn in (+1.0, -1.0):
+            angles = base.copy()
+            angles[i] += sgn * shift
+            vals.append(value(angles))
+        grad[g.param_ref] += g.scale * coeff * (vals[0] - vals[1])
+    return grad
 
 
 def grad_expectation_wrt_circuit(
     c: ParamCircuit, psi0: StateVector, params, h_mat: np.ndarray
 ) -> np.ndarray:
-    """d <psi(theta)|H|psi(theta)> / d theta by the parameter-shift rule.
+    """d <psi(theta)|H|psi(theta)> / d theta, psi(theta) = C(theta) psi0.
 
-    The +-pi/2 shift is applied on each gate's effective angle; the affine
-    angle map contributes its scale through the chain rule. Phase gates obey
-    the same rule because their global-phase mismatch with RZ cancels in the
-    two-sided expectation.
+    Phase gates take the two-sided rule too: their global-phase mismatch
+    with RZ cancels in the expectation.
     """
-    base = effective_angles(c, params)
-    grad = np.zeros(c.n_params)
-    for i, ref, scale, shift, coeff in _shift_plan(c):
-        vals = []
-        for sgn in (+1.0, -1.0):
-            angles = base.copy()
-            angles[i] += sgn * shift
-            out = run_with_angles(c, psi0.amps.copy(), angles)
-            vals.append(float((out.conj() @ (h_mat @ out)).real))
-        grad[ref] += scale * coeff * (vals[0] - vals[1])
-    return grad
+    def value(angles):
+        out = run_with_angles(c, psi0.amps.copy(), angles)
+        return float((out.conj() @ (h_mat @ out)).real)
 
-
-def grad_features_wrt_circuit(
-    c: ParamCircuit, psi0: StateVector, params, bank: ObservableBank
-) -> np.ndarray:
-    """K x n_params Jacobian of ano_features(run_circuit(...)) in theta."""
-    if bank.dim != psi0.dim:
-        raise ValueError(f"bank dim {bank.dim} != state dim {psi0.dim}")
-    h_mats = [hermitize(o) for o in bank.observables]
-    base = effective_angles(c, params)
-    jac = np.zeros((bank.k, c.n_params))
-    for i, ref, scale, shift, coeff in _shift_plan(c):
-        shifted = []
-        for sgn in (+1.0, -1.0):
-            angles = base.copy()
-            angles[i] += sgn * shift
-            out = run_with_angles(c, psi0.amps.copy(), angles)
-            shifted.append(out)
-        for k, h in enumerate(h_mats):
-            y_plus = float((shifted[0].conj() @ (h @ shifted[0])).real)
-            y_minus = float((shifted[1].conj() @ (h @ shifted[1])).real)
-            jac[k, ref] += scale * coeff * (y_plus - y_minus)
-    return jac
+    return shift_gradient(c, params, value)
 
 
 def grad_hadamard_wrt_probe(psi: StateVector, probe: GlobalProbe) -> np.ndarray:
-    """d Re<psi|U(phi)|psi> / d phi.
-
-    The probe enters once (not conjugated), so a rotation angle appears at
-    half frequency: the shift is +-pi with coefficient 1/4. Phase gates stay
-    at full frequency and keep the +-pi/2, 1/2 rule.
-    """
+    """d Re<psi|U(phi)|psi> / d phi, each value an ancilla Hadamard test."""
     c = probe.circuit
-    base = effective_angles(c, probe.params)
-    grad = np.zeros(c.n_params)
-    for i, g in enumerate(c.gates):
-        if g.param_ref is None:
-            continue
-        if g.kind not in ROTATION_KINDS:
-            raise ValueError(f"no shift rule for parameterized {g.kind}")
-        if g.kind == "PHASE":
-            shift, coeff = np.pi / 2, 0.5
-        else:
-            shift, coeff = np.pi, 0.25
-        vals = []
-        for sgn in (+1.0, -1.0):
-            angles = base.copy()
-            angles[i] += sgn * shift
-            vals.append(_hadamard_with_angles(psi, c, angles))
-        grad[g.param_ref] += g.scale * coeff * (vals[0] - vals[1])
-    return grad
+    return shift_gradient(
+        c, probe.params, lambda angles: _hadamard_with_angles(psi, c, angles), one_sided=True
+    )

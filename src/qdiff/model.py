@@ -47,19 +47,6 @@ CKPT_VERSION = 1
 PARAM_GROUPS = ("encoder", "theta", "bank", "probe", "decoder")
 
 
-def mod_relu(z: np.ndarray, tau: float = 0.0) -> np.ndarray:
-    """Modulus threshold activation z * max(0, |z| - tau)/|z|.
-
-    The model fixes tau = 0, which makes this the identity (including at
-    z = 0); the analytic backward pass relies on that default.
-    """
-    mag = np.abs(z)
-    out = np.zeros_like(z)
-    nz = mag > 0
-    out[nz] = z[nz] * (np.maximum(mag[nz] - tau, 0.0) / mag[nz])
-    return out
-
-
 def leaky_relu(x: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
     return np.where(x > 0, x, slope * x)
 
@@ -172,14 +159,16 @@ def init_model(
 
 
 def _encode_latent(model: HybridModel, x: np.ndarray, time_frac: float):
-    """Complex encoder stack on [x || time_frac]; returns latent and layer inputs."""
+    """Complex encoder stack on [x || time_frac]; returns latent and layer inputs.
+
+    No activation sits between the layers: a modulus threshold
+    z * max(0, |z| - tau)/|z| at the model's fixed tau = 0 is the identity.
+    """
     z = np.concatenate([x, [time_frac]]).astype(complex)
     inputs = []
-    for i, layer in enumerate(model.encoder):
+    for layer in model.encoder:
         inputs.append(z)
         z = layer.apply(z)
-        if i < len(model.encoder) - 1:
-            z = mod_relu(z)
     return z, inputs
 
 
@@ -266,25 +255,28 @@ def loss(model: HybridModel, x_t, t: int, target, lam: float) -> float:
     return (1.0 - lam) * mse + lam * infid
 
 
-def _zero_grads(model: HybridModel):
-    return {
-        "encoder": [
-            (
-                np.zeros_like(l.w_real),
-                np.zeros_like(l.w_imag),
-                np.zeros_like(l.b_real),
-                np.zeros_like(l.b_imag),
-            )
-            for l in model.encoder
-        ],
-        "theta": np.zeros_like(model.theta),
-        "bank": [
-            (np.zeros_like(o.m_real), np.zeros_like(o.m_imag))
-            for o in model.bank.observables
-        ],
-        "probe": np.zeros_like(model.probe.params),
-        "decoder": [(np.zeros_like(l.w), np.zeros_like(l.b)) for l in model.decoder],
-    }
+def param_tensors(model: HybridModel):
+    """(name, array) pairs in the fixed declaration order used everywhere.
+
+    This is the model's one parameter table: gradients, Adam moments,
+    checkpoint payloads and the gradient audit all follow it. A tensor's
+    group (one of PARAM_GROUPS) is the first dotted part of its name.
+    """
+    out = []
+    for i, l in enumerate(model.encoder):
+        out += [
+            (f"encoder.{i}.w_real", l.w_real),
+            (f"encoder.{i}.w_imag", l.w_imag),
+            (f"encoder.{i}.b_real", l.b_real),
+            (f"encoder.{i}.b_imag", l.b_imag),
+        ]
+    out.append(("theta", model.theta))
+    for i, o in enumerate(model.bank.observables):
+        out += [(f"bank.{i}.m_real", o.m_real), (f"bank.{i}.m_imag", o.m_imag)]
+    out.append(("probe", model.probe.params))
+    for i, l in enumerate(model.decoder):
+        out += [(f"decoder.{i}.w", l.w), (f"decoder.{i}.b", l.b)]
+    return out
 
 
 def _complex_affine_backward(layer: ComplexAffine, z_in: np.ndarray, g_out: np.ndarray):
@@ -299,20 +291,17 @@ def _complex_affine_backward(layer: ComplexAffine, z_in: np.ndarray, g_out: np.n
     return (dwr, dwi, gr.copy(), gi.copy()), g_in
 
 
-def _encoder_backward(model: HybridModel, enc_inputs, g_latent, enc_grads):
-    """Accumulate complex-stack gradients; activation is identity (tau = 0)."""
+def _encoder_backward(model: HybridModel, enc_inputs, g_latent, grads):
+    """Accumulate complex-stack gradients into grads; the stack is linear."""
     g = g_latent
     for i in reversed(range(len(model.encoder))):
-        (dwr, dwi, dbr, dbi), g = _complex_affine_backward(model.encoder[i], enc_inputs[i], g)
-        gwr, gwi, gbr, gbi = enc_grads[i]
-        gwr += dwr
-        gwi += dwi
-        gbr += dbr
-        gbi += dbi
+        parts, g = _complex_affine_backward(model.encoder[i], enc_inputs[i], g)
+        for part, d in zip(("w_real", "w_imag", "b_real", "b_imag"), parts):
+            grads[f"encoder.{i}.{part}"] += d
 
 
 def backward(model: HybridModel, batch, lam: float | None = None):
-    """Mean loss over the batch and gradients for all five parameter groups.
+    """Mean loss over the batch and its gradient, keyed like param_tensors.
 
     batch rows are (x_t, t, target) triples. The quantum segment uses one
     combined Hermitian matrix per sample, so a single parameter-shift sweep
@@ -326,7 +315,7 @@ def backward(model: HybridModel, batch, lam: float | None = None):
         raise ValueError("lam must lie in [0, 1]")
     t_steps = model.hyper["t_steps"]
     k = model.bank.k
-    grads = _zero_grads(model)
+    grads = {name: np.zeros_like(a) for name, a in param_tensors(model)}
     h_mats = [hermitize(o) for o in model.bank.observables]
     w_sym = probe_hermitian_part(model.probe)
     u_ansatz = circuit_unitary(model.ansatz, model.theta)
@@ -345,9 +334,8 @@ def backward(model: HybridModel, batch, lam: float | None = None):
         g = (1.0 - lam) * 2.0 * diff / INPUT_DIM
         for i in reversed(range(len(model.decoder))):
             layer = model.decoder[i]
-            dw, db = grads["decoder"][i]
-            dw += np.outer(g, tr["dec_inputs"][i])
-            db += g
+            grads[f"decoder.{i}.w"] += np.outer(g, tr["dec_inputs"][i])
+            grads[f"decoder.{i}.b"] += g
             g = layer.w.T @ g
             if i > 0:
                 mask = np.where(tr["pre_acts"][i - 1] > 0, 1.0, LEAKY_SLOPE)
@@ -374,76 +362,29 @@ def backward(model: HybridModel, batch, lam: float | None = None):
 
         outer = np.outer(psi_out.conj(), psi_out)
         for j in range(k):
-            dmr, dmi = grads["bank"][j]
-            dmr += u_feat[j] * outer.real
-            dmi += -u_feat[j] * outer.imag
+            grads[f"bank.{j}.m_real"] += u_feat[j] * outer.real
+            grads[f"bank.{j}.m_imag"] += -u_feat[j] * outer.imag
 
         # encoder main branch: g_psi = 2 C^dag (G psi_out), then the
         # normalization Jacobian of psi = z/r
         g_psi = 2.0 * (u_ansatz.conj().T @ (g_mat @ psi_out))
         z, r = tr["z"], tr["r"]
         g_z = g_psi / r - z * (np.real(np.vdot(z, g_psi)) / r**3)
-        _encoder_backward(model, tr["enc_inputs"], g_z, grads["encoder"])
+        _encoder_backward(model, tr["enc_inputs"], g_z, grads)
 
         if lam > 0.0:
             # target branch of the infidelity: d(1-|o|^2)/d tvec, tvec = z_t/r_t
             g_tlat = -lam * 2.0 * np.conj(np.vdot(tvec, psi_out)) * psi_out
             r_t = np.linalg.norm(z_tgt)
             g_zt = g_tlat / r_t - z_tgt * (np.real(np.vdot(z_tgt, g_tlat)) / r_t**3)
-            _encoder_backward(model, tgt_inputs, g_zt, grads["encoder"])
+            _encoder_backward(model, tgt_inputs, g_zt, grads)
 
     n = float(len(batch))
-    for name, g in _iter_grad_arrays(grads):
+    for name, g in grads.items():
         g /= n
         if not np.all(np.isfinite(g)):
-            raise RuntimeError(f"non-finite gradient in parameter group {name}")
+            raise RuntimeError(f"non-finite gradient in parameter {name}")
     return total_loss / n, grads
-
-
-def _iter_grad_arrays(grads):
-    for i, tup in enumerate(grads["encoder"]):
-        for arr in tup:
-            yield "encoder", arr
-    yield "theta", grads["theta"]
-    for i, tup in enumerate(grads["bank"]):
-        for arr in tup:
-            yield "bank", arr
-    yield "probe", grads["probe"]
-    for i, tup in enumerate(grads["decoder"]):
-        for arr in tup:
-            yield "decoder", arr
-
-
-def param_tensors(model: HybridModel):
-    """(name, array) pairs in the fixed declaration order used everywhere."""
-    out = []
-    for i, l in enumerate(model.encoder):
-        out += [
-            (f"encoder.{i}.w_real", l.w_real),
-            (f"encoder.{i}.w_imag", l.w_imag),
-            (f"encoder.{i}.b_real", l.b_real),
-            (f"encoder.{i}.b_imag", l.b_imag),
-        ]
-    out.append(("theta", model.theta))
-    for i, o in enumerate(model.bank.observables):
-        out += [(f"bank.{i}.m_real", o.m_real), (f"bank.{i}.m_imag", o.m_imag)]
-    out.append(("probe", model.probe.params))
-    for i, l in enumerate(model.decoder):
-        out += [(f"decoder.{i}.w", l.w), (f"decoder.{i}.b", l.b)]
-    return out
-
-
-def _grad_arrays_in_order(grads):
-    out = []
-    for tup in grads["encoder"]:
-        out.extend(tup)
-    out.append(grads["theta"])
-    for tup in grads["bank"]:
-        out.extend(tup)
-    out.append(grads["probe"])
-    for tup in grads["decoder"]:
-        out.extend(tup)
-    return out
 
 
 @dataclass
@@ -461,11 +402,10 @@ def init_adam(model: HybridModel) -> AdamState:
 def adam_step(model: HybridModel, grads, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
     state.step += 1
-    glist = _grad_arrays_in_order(grads)
-    tensors = [arr for _, arr in param_tensors(model)]
     bc1 = 1.0 - beta1**state.step
     bc2 = 1.0 - beta2**state.step
-    for p, g, m, v in zip(tensors, glist, state.m, state.v):
+    for (name, p), m, v in zip(param_tensors(model), state.m, state.v):
+        g = grads[name]
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
@@ -570,10 +510,6 @@ def sample(model: HybridModel, t_steps: int, seed: int, mode: str = "x_prev",
     return traj
 
 
-def _hyper_payload(model: HybridModel) -> dict:
-    return {k: v for k, v in model.hyper.items()}
-
-
 def save_checkpoint(path, model: HybridModel, opt: AdamState | None = None,
                     rng_state: dict | None = None, step: int = 0) -> None:
     """Single-file format: magic, version, JSON header, float64 tensors.
@@ -583,7 +519,7 @@ def save_checkpoint(path, model: HybridModel, opt: AdamState | None = None,
     """
     tensors = [arr for _, arr in param_tensors(model)]
     header = {
-        "hyper": _hyper_payload(model),
+        "hyper": model.hyper,
         "shapes": [list(a.shape) for a in tensors],
         "has_adam": opt is not None,
         "adam_step": opt.step if opt is not None else 0,
@@ -617,26 +553,29 @@ def load_checkpoint(path):
     (hlen,) = struct.unpack_from("<Q", raw, 8)
     try:
         header = json.loads(raw[16: 16 + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        hyper = header["hyper"]
+        shapes = [tuple(s) for s in header["shapes"]]
+        has_adam = bool(header["has_adam"])
+        adam_step = header["adam_step"] if has_adam else 0
+        model = init_model(
+            seed=hyper.get("seed", 0),
+            k=hyper["k"],
+            t_steps=hyper["t_steps"],
+            hidden_enc=hyper["hidden_enc"],
+            hidden_dec=hyper["hidden_dec"],
+            ansatz_layers=hyper["ansatz_layers"],
+            lr=hyper["lr"],
+            lam=hyper["lam"],
+        )
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
+            AttributeError) as e:
         raise ValueError("corrupt checkpoint header") from e
-    hyper = header["hyper"]
-    model = init_model(
-        seed=hyper.get("seed", 0),
-        k=hyper["k"],
-        t_steps=hyper["t_steps"],
-        hidden_enc=hyper["hidden_enc"],
-        hidden_dec=hyper["hidden_dec"],
-        ansatz_layers=hyper["ansatz_layers"],
-        lr=hyper["lr"],
-        lam=hyper["lam"],
-    )
     tensors = [arr for _, arr in param_tensors(model)]
-    shapes = [tuple(s) for s in header["shapes"]]
     if shapes != [a.shape for a in tensors]:
         raise ValueError("checkpoint shapes do not match its hyperparameters")
     offset = 16 + hlen
     counts = [int(np.prod(s)) if s else 1 for s in shapes]
-    need = sum(counts) * (3 if header["has_adam"] else 1) * 8
+    need = sum(counts) * (3 if has_adam else 1) * 8
     if len(raw) - offset != need:
         raise ValueError("corrupt checkpoint payload (size mismatch)")
 
@@ -649,8 +588,8 @@ def load_checkpoint(path):
     for arr, cnt, shape in zip(tensors, counts, shapes):
         arr[...] = take(cnt).reshape(shape)
     opt = None
-    if header["has_adam"]:
-        opt = AdamState(header["adam_step"], [], [])
+    if has_adam:
+        opt = AdamState(adam_step, [], [])
         for arr, cnt, shape in zip(tensors, counts, shapes):
             opt.m.append(take(cnt).reshape(shape))
         for arr, cnt, shape in zip(tensors, counts, shapes):
@@ -680,9 +619,7 @@ def gradient_audit(model: HybridModel, batch, lam: float | None = None,
     if fault_group is not None and fault_group not in PARAM_GROUPS:
         raise ValueError(f"unknown parameter group {fault_group!r}")
     _, grads = backward(model, batch, lam)
-    analytic = _grad_arrays_in_order(grads)
     tensors = param_tensors(model)
-    group_of = [g for g, _ in _iter_grad_arrays(grads)]
     rng = np.random.default_rng(seed)
 
     def batch_loss() -> float:
@@ -690,16 +627,16 @@ def gradient_audit(model: HybridModel, batch, lam: float | None = None,
 
     report = {}
     for group in PARAM_GROUPS:
-        idxs = [i for i, g in enumerate(group_of) if g == group]
+        idxs = [i for i, (name, _) in enumerate(tensors) if name.split(".")[0] == group]
         bounds = np.cumsum([tensors[i][1].size for i in idxs])
         total = int(bounds[-1])
         picks = rng.choice(total, size=min(n_probe, total), replace=False)
         worst = 0.0
         for pos in picks:
             which = int(np.searchsorted(bounds, pos, side="right"))
-            arr = tensors[idxs[which]][1]
+            name, arr = tensors[idxs[which]]
             flat = int(pos - (bounds[which - 1] if which else 0))
-            a = float(analytic[idxs[which]].flat[flat])
+            a = float(grads[name].flat[flat])
             if fault_group == group:
                 a = -a
             orig = arr.flat[flat]

@@ -42,7 +42,7 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
         _n_qubits_for(amps.shape[0])
-        if not np.all(np.isfinite(amps.view(float))):
+        if not np.all(np.isfinite(amps)):
             raise ValueError("state amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
@@ -64,13 +64,13 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
+        mat = np.array(self.mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
         _n_qubits_for(mat.shape[0])
-        if not np.all(np.isfinite(mat.view(float))):
+        if not np.all(np.isfinite(mat)):
             raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
             raise ValueError("density matrix is not Hermitian")

@@ -6,8 +6,22 @@ independent forward evaluation; tolerances follow |a - f| <= max(1e-5 |f|,
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdiff.circuit import ParamCircuit, build_ansatz, phase, run_circuit, rx, ry
+from qdiff.circuit import (
+    ROTATION_KINDS,
+    Gate,
+    ParamCircuit,
+    build_ansatz,
+    circuit_unitary,
+    cnot,
+    h,
+    phase,
+    run_circuit,
+    rx,
+    ry,
+)
 from qdiff.measure import (
     AdaptiveObservable,
     GlobalProbe,
@@ -15,8 +29,6 @@ from qdiff.measure import (
     ano_features,
     expectation,
     grad_expectation_wrt_circuit,
-    grad_features_wrt_circuit,
-    grad_features_wrt_observables,
     grad_hadamard_wrt_probe,
     hadamard_test,
     hermitize,
@@ -135,25 +147,6 @@ def test_hadamard_test_on_eigenstate():
     assert hadamard_test(basis_state(1), probe) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_grad_features_wrt_observables_matches_fd():
-    rng = np.random.default_rng(6)
-    bank = random_bank(2, 4, rng)
-    psi = random_state(2, rng)
-    grads = grad_features_wrt_observables(psi, bank)
-    eps = 1e-6
-    for k, obs in enumerate(bank.observables):
-        for mat, g in ((obs.m_real, grads[k][0]), (obs.m_imag, grads[k][1])):
-            for idx in [(0, 0), (1, 3), (2, 1)]:
-                orig = mat[idx]
-                mat[idx] = orig + eps
-                hi = expectation(psi, obs)
-                mat[idx] = orig - eps
-                lo = expectation(psi, obs)
-                mat[idx] = orig
-                fd = (hi - lo) / (2 * eps)
-                assert close(g[idx], fd), (k, idx, g[idx], fd)
-
-
 def expectation_forward(c, psi0, params, h_mat):
     out = run_circuit(c, psi0, params)
     return float(np.real(out.amps.conj() @ h_mat @ out.amps))
@@ -198,19 +191,6 @@ def test_grad_with_phase_gate_and_shared_ref():
         assert close(grad[j], (hi - lo) / (2 * eps))
 
 
-def test_grad_features_wrt_circuit_matches_per_row():
-    rng = np.random.default_rng(9)
-    c = build_ansatz(2, 1)
-    bank = random_bank(3, 4, rng)
-    psi0 = random_state(2, rng)
-    params = rng.uniform(0, 2 * np.pi, c.n_params)
-    jac = grad_features_wrt_circuit(c, psi0, params, bank)
-    assert jac.shape == (3, c.n_params)
-    for k, obs in enumerate(bank.observables):
-        row = grad_expectation_wrt_circuit(c, psi0, params, hermitize(obs))
-        assert np.max(np.abs(jac[k] - row)) < 1e-12
-
-
 def test_grad_hadamard_wrt_probe_matches_fd():
     rng = np.random.default_rng(10)
     c = build_ansatz(2, 1)
@@ -224,5 +204,61 @@ def test_grad_hadamard_wrt_probe_matches_fd():
         hi = hadamard_test(psi, GlobalProbe(c, p))
         p[j] -= 2 * eps
         lo = hadamard_test(psi, GlobalProbe(c, p))
+        fd = (hi - lo) / (2 * eps)
+        assert close(grad[j], fd), (j, grad[j], fd)
+
+
+def random_mixed_circuit(rng):
+    """1-3 qubits, 1-3 parameters shared across RX/RY/RZ/PHASE gates with
+    random scale/offset, interleaved with fixed H and CNOT gates. A PHASE
+    gate is always present so its own shift rule is always exercised."""
+    n = int(rng.integers(1, 4))
+    n_params = int(rng.integers(1, 4))
+    gates = []
+    for _ in range(int(rng.integers(2, 8))):
+        q = int(rng.integers(0, n))
+        pick = int(rng.integers(0, 6))
+        if pick < len(ROTATION_KINDS):
+            gates.append(Gate(ROTATION_KINDS[pick], (q,), param_ref=int(rng.integers(0, n_params)),
+                              scale=float(rng.uniform(-2, 2)),
+                              offset=float(rng.uniform(-np.pi, np.pi))))
+        elif pick == 4 or n == 1:
+            gates.append(h(q))
+        else:
+            gates.append(cnot(q, (q + int(rng.integers(1, n))) % n))
+    at = int(rng.integers(0, len(gates) + 1))
+    gates.insert(at, phase(int(rng.integers(0, n)), ref=int(rng.integers(0, n_params)),
+                           scale=float(rng.uniform(-2, 2))))
+    return ParamCircuit(n, tuple(gates), n_params)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_shift_rules_match_fd_on_random_circuits(seed, one_sided):
+    """shift_gradient, through its two-sided and one-sided callers."""
+    rng = np.random.default_rng(seed)
+    c = random_mixed_circuit(rng)
+    psi = random_state(c.n_qubits, rng)
+    params = rng.uniform(0, 2 * np.pi, c.n_params)
+    if one_sided:  # Re<psi|U(phi)|psi>, ancilla test against the dense unitary
+        grad = grad_hadamard_wrt_probe(psi, GlobalProbe(c, params))
+
+        def f(p):
+            return float(np.real(np.vdot(psi.amps, circuit_unitary(c, p) @ psi.amps)))
+    else:  # <psi(theta)|H|psi(theta)> for a random Hermitian H
+        d = 2**c.n_qubits
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h_mat = m + m.conj().T
+        grad = grad_expectation_wrt_circuit(c, psi, params, h_mat)
+
+        def f(p):
+            return expectation_forward(c, psi, p, h_mat)
+    eps = 1e-6
+    for j in range(c.n_params):
+        p = params.copy()
+        p[j] += eps
+        hi = f(p)
+        p[j] -= 2 * eps
+        lo = f(p)
         fd = (hi - lo) / (2 * eps)
         assert close(grad[j], fd), (j, grad[j], fd)

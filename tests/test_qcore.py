@@ -54,6 +54,24 @@ def test_density_matrix_validation():
     assert rho.n_qubits == 2
 
 
+def test_state_vector_accepts_non_contiguous_input():
+    sv = StateVector(np.eye(4, dtype=complex)[:, 1])
+    assert np.array_equal(sv.amps, [0, 1, 0, 0])
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(np.array([[0.0, np.inf], [1.0, 0.0]], dtype=complex)[:, 1])
+
+
+def test_density_matrix_accepts_transposed_input_and_copies_it():
+    m = np.array([[0.5, 0.2j], [-0.2j, 0.5]])
+    assert np.array_equal(DensityMatrix(m.T).mat, m.T)
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex).T)
+    dm = DensityMatrix(m)
+    assert m.flags.writeable  # the caller's array is left alone
+    m[0, 0] = 7.0
+    assert dm.mat[0, 0] == 0.5
+
+
 def test_basis_state_indexing():
     # qubit 0 is the most significant bit: |10> lives at index 2
     sv = basis_state(2, 2)
