@@ -1,7 +1,7 @@
 """Hybrid quantum-classical diffusion laboratory.
 
 A self-contained numpy stack: statevector circuit simulation with
-parameter-shift gradients, classical and depolarizing diffusion processes,
+adjoint-differentiation gradients, classical and depolarizing diffusion processes,
 trainable non-local measurements, a hybrid denoising model with a classical
 skip connection, and circuit quality benchmarks (expressibility,
 entangling capability).

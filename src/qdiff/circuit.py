@@ -175,11 +175,13 @@ def _apply_cz(amps: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
     return t.reshape(-1)
 
 
-def _apply_kq(amps: np.ndarray, mat: np.ndarray, qubits, n: int) -> np.ndarray:
+def _apply_kq(block: np.ndarray, mat: np.ndarray, qubits, n: int) -> np.ndarray:
+    """mat on `qubits` of every column of a (2^n, B) block of states."""
     k = len(qubits)
-    t = np.moveaxis(amps.reshape([2] * n), qubits, range(k)).reshape(2**k, -1)
+    shape = [2] * n + [block.shape[1]]
+    t = np.moveaxis(block.reshape(shape), qubits, range(k)).reshape(2**k, -1)
     t = mat @ t
-    return np.moveaxis(t.reshape([2] * n), range(k), qubits).reshape(-1)
+    return np.moveaxis(t.reshape(shape), range(k), qubits).reshape(block.shape)
 
 
 def _apply_cu(amps: np.ndarray, mat: np.ndarray, control: int, wires, n: int) -> np.ndarray:
@@ -193,6 +195,17 @@ def _apply_cu(amps: np.ndarray, mat: np.ndarray, control: int, wires, n: int) ->
     block = mat @ block
     sub[...] = np.moveaxis(block.reshape([2] * (n - 1)), range(k), adj)
     return t.reshape(-1)
+
+
+def full_gate_matrix(g: Gate, angle: float | None = None) -> np.ndarray:
+    """Dense matrix of the gate on all of g.targets, a CU gate's control included."""
+    mat = gate_matrix(g, angle)
+    if g.kind == "CU":
+        d = mat.shape[0]
+        full = np.eye(2 * d, dtype=complex)
+        full[d:, d:] = mat
+        return full
+    return mat
 
 
 def _apply_gate_raw(amps: np.ndarray, g: Gate, angle: float | None, n: int) -> np.ndarray:
@@ -235,6 +248,14 @@ def run_with_angles(c: ParamCircuit, amps: np.ndarray, angles: np.ndarray) -> np
     return amps
 
 
+def run_block(c: ParamCircuit, block: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """The circuit on every column of a (2^n, B) block, one kernel call per gate."""
+    n = c.n_qubits
+    for i, g in enumerate(c.gates):
+        block = _apply_kq(block, full_gate_matrix(g, angles[i]), g.targets, n)
+    return block
+
+
 def run_circuit(c: ParamCircuit, psi0: StateVector, params=()) -> StateVector:
     """Apply the circuit's gates in order to psi0."""
     if psi0.n_qubits != c.n_qubits:
@@ -243,22 +264,11 @@ def run_circuit(c: ParamCircuit, psi0: StateVector, params=()) -> StateVector:
     return StateVector(run_with_angles(c, psi0.amps.copy(), angles))
 
 
-def unitary_with_angles(c: ParamCircuit, angles: np.ndarray) -> np.ndarray:
-    """Dense unitary built column by column from pre-resolved angles."""
+def circuit_unitary(c: ParamCircuit, params=()) -> np.ndarray:
+    """Dense 2^n x 2^n unitary of the circuit (n_qubits <= 10), run on the identity block."""
     if c.n_qubits > 10:
         raise ValueError("circuit_unitary limited to 10 qubits")
-    dim = 2**c.n_qubits
-    u = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        col = np.zeros(dim, dtype=complex)
-        col[j] = 1.0
-        u[:, j] = run_with_angles(c, col, angles)
-    return u
-
-
-def circuit_unitary(c: ParamCircuit, params=()) -> np.ndarray:
-    """Dense 2^n x 2^n unitary of the circuit (n_qubits <= 10)."""
-    return unitary_with_angles(c, effective_angles(c, params))
+    return run_block(c, np.eye(2**c.n_qubits, dtype=complex), effective_angles(c, params))
 
 
 def vw_block(q0: int, q1: int, param_refs) -> list:

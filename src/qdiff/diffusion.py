@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ParamCircuit, circuit_unitary, unitary_with_angles
-from .measure import shift_gradient
+from .circuit import ParamCircuit, circuit_unitary
+from .measure import grad_expectation_wrt_circuit
 from .qcore import DensityMatrix, StateVector, state_fidelity
 
 
@@ -174,14 +174,13 @@ def infidelity_grad_wrt_circuit(
 ) -> np.ndarray:
     """d infidelity_loss(reverse_step(rho, c, theta), target) / d theta.
 
-    The fidelity is a two-sided expectation of |target><target| under
-    U(theta), so the standard +-pi/2 shift on gate angles applies.
+    With rho = sum_k p_k |v_k><v_k|, the fidelity <t|U rho U^dag|t> is
+    sum_k <psi_k|U^dag H U|psi_k> for H = |t><t| and psi_k = sqrt(p_k) v_k,
+    a two-sided expectation over the block of the psi_k.
     """
     if rho.dim != 2**c.n_qubits or target.dim != rho.dim:
         raise ValueError("dimension mismatch between rho, circuit and target")
-
-    def fidelity(angles):
-        w = unitary_with_angles(c, angles).conj().T @ target.amps
-        return float((w.conj() @ (rho.mat @ w)).real)
-
-    return -shift_gradient(c, params, fidelity)
+    p, v = np.linalg.eigh(rho.mat)
+    block = v * np.sqrt(np.clip(p, 0.0, None))
+    h_mat = np.outer(target.amps, target.amps.conj())
+    return -grad_expectation_wrt_circuit(c, block, params, h_mat)

@@ -7,17 +7,25 @@ GlobalProbe supplies one extra scalar feature through an ancilla Hadamard
 test, Re<psi|U(theta)|psi>.
 
 Gradient routes: a feature is linear in its observable's matrix M, so the
-bank needs no rule. Every circuit angle is differentiated by the one
-parameter-shift rule, shift_gradient: a gate's resolved angle a is moved to
-a +- s, the parameter picks up c * (value(a + s) - value(a - s)) times the
-gate's scale (the chain rule through angle = offset + scale * param), and
-gates sharing a parameter add up. The pair (s, c) follows from how the
-value depends on the angle:
+bank needs no rule. Every circuit angle is differentiated by one adjoint
+sweep (Jones & Gacon, arXiv:2009.02823), adjoint_gradient: the circuit's
+output block phi and a bra block lambda are walked back through the gates
+together, and each parameterized gate contributes
+coeff * scale * Re sum_b <lambda_b|dU_i phi_b> (the chain rule through
+angle = offset + scale * param; gates sharing a parameter add up). Two
+callers set (lambda, coeff):
   * two-sided <psi(theta)|H|psi(theta)> (ansatz angles, the diffusion
-    infidelity): s = pi/2, c = 1/2 for every rotation kind, PHASE included;
-  * one-sided Re<psi|U(phi)|psi> (probe angles): a rotation enters at half
-    frequency, so s = pi, c = 1/4; PHASE stays at full frequency and keeps
-    s = pi/2, c = 1/2.
+    infidelity): lambda = H C psi, coeff = 2;
+  * one-sided Re<psi|U(phi)|psi> (probe angles): lambda = psi, coeff = 1.
+Both take a (2^n, B) block of states, so one sweep serves a whole batch.
+
+The parameter-shift rule, shift_gradient, and the ancilla Hadamard test are
+the slow, circuit-level references the adjoint sweep is tested against. A
+gate's resolved angle a is moved to a +- s and the parameter picks up
+c * (value(a + s) - value(a - s)) times the gate's scale:
+  * two-sided: s = pi/2, c = 1/2 for every rotation kind, PHASE included;
+  * one-sided: a rotation enters at half frequency, so s = pi, c = 1/4;
+    PHASE stays at full frequency and keeps s = pi/2, c = 1/2.
 """
 from __future__ import annotations
 
@@ -30,14 +38,24 @@ from .circuit import (
     ParamCircuit,
     _apply_1q,
     _apply_cu,
+    _apply_kq,
     circuit_unitary,
     effective_angles,
-    gate_matrix,
-    run_with_angles,
+    full_gate_matrix,
+    run_block,
 )
-from .qcore import StateVector
+from .circuit import run_with_angles  # unused here; perfbench/spans.py's tracer wraps this name
+from .qcore import PAULI_X, PAULI_Y, PAULI_Z, StateVector
 
 _H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+# dU(a)/da = G U(a) for each rotation kind: RX/RY/RZ are exp(-i a P / 2),
+# PHASE is diag(1, e^{ia}).
+_GENERATORS = {
+    "RX": -0.5j * PAULI_X,
+    "RY": -0.5j * PAULI_Y,
+    "RZ": -0.5j * PAULI_Z,
+    "PHASE": np.diag([0.0, 1.0j]),
+}
 REAL_TOL = 1e-10
 
 _BANK_HEADER = struct.Struct("<II")
@@ -163,17 +181,6 @@ def ano_features(psi: StateVector, bank: ObservableBank) -> np.ndarray:
     return np.array([expectation(psi, o) for o in bank.observables])
 
 
-def _controlled_payload(g, angle):
-    """Matrix for the ancilla-controlled version of g, on g.targets."""
-    mat = gate_matrix(g, angle)
-    if g.kind == "CU":
-        d = mat.shape[0]
-        full = np.eye(2 * d, dtype=complex)
-        full[d:, d:] = mat
-        return full
-    return mat
-
-
 def _hadamard_with_angles(psi: StateVector, c: ParamCircuit, angles: np.ndarray) -> float:
     """Ancilla-qubit Hadamard-test circuit with pre-resolved probe angles."""
     n = psi.n_qubits
@@ -182,7 +189,7 @@ def _hadamard_with_angles(psi: StateVector, c: ParamCircuit, angles: np.ndarray)
     amps[:dim] = psi.amps
     amps = _apply_1q(amps, _H2, 0, n + 1)
     for i, g in enumerate(c.gates):
-        payload = _controlled_payload(g, angles[i])
+        payload = full_gate_matrix(g, angles[i])
         wires = tuple(t + 1 for t in g.targets)
         amps = _apply_cu(amps, payload, 0, wires, n + 1)
     amps = _apply_1q(amps, _H2, 0, n + 1)
@@ -232,24 +239,69 @@ def shift_gradient(c: ParamCircuit, params, value, one_sided: bool = False) -> n
     return grad
 
 
-def grad_expectation_wrt_circuit(
-    c: ParamCircuit, psi0: StateVector, params, h_mat: np.ndarray
-) -> np.ndarray:
-    """d <psi(theta)|H|psi(theta)> / d theta, psi(theta) = C(theta) psi0.
+def adjoint_gradient(c: ParamCircuit, params, phi_out: np.ndarray, bra_out: np.ndarray,
+                     coeff: float):
+    """coeff * Re sum_b <bra_out_b| dC/dparams |phi_in_b> by one reverse sweep.
 
-    Phase gates take the two-sided rule too: their global-phase mismatch
-    with RZ cancels in the expectation.
+    phi_out = C(params) phi_in and bra_out are (2^n, B) blocks. Walking back
+    from the last gate, both blocks hold the states just after gate i, where
+    <lambda|dU_i phi_before> = <lambda|G_i phi> with dU_i = G_i U_i; then U_i^dag
+    is un-applied to both at once. Returns (grad, C^dag bra_out).
     """
-    def value(angles):
-        out = run_with_angles(c, psi0.amps.copy(), angles)
-        return float((out.conj() @ (h_mat @ out)).real)
+    angles = effective_angles(c, params)
+    n = c.n_qubits
+    b = phi_out.shape[1]
+    both = np.concatenate([phi_out, bra_out], axis=1)
+    grad = np.zeros(c.n_params)
+    for i in reversed(range(len(c.gates))):
+        g = c.gates[i]
+        if g.param_ref is not None:
+            d_phi = _apply_kq(both[:, :b], _GENERATORS[g.kind], g.targets, n)
+            grad[g.param_ref] += coeff * g.scale * float(np.vdot(both[:, b:], d_phi).real)
+        both = _apply_kq(both, full_gate_matrix(g, angles[i]).conj().T, g.targets, n)
+    return grad, both[:, b:]
 
-    return shift_gradient(c, params, value)
+
+def _as_block(psi, n_qubits: int) -> np.ndarray:
+    """A StateVector as a one-column block, or a (2^n, B) array checked as one."""
+    block = psi.amps[:, None] if isinstance(psi, StateVector) else np.asarray(psi, dtype=complex)
+    if block.ndim != 2 or block.shape[0] != 2**n_qubits:
+        raise ValueError(f"expected a ({2**n_qubits}, B) block of states, got {block.shape}")
+    return block
 
 
-def grad_hadamard_wrt_probe(psi: StateVector, probe: GlobalProbe) -> np.ndarray:
-    """d Re<psi|U(phi)|psi> / d phi, each value an ancilla Hadamard test."""
+def grad_expectation_wrt_circuit(
+    c: ParamCircuit, psi0, params, h_mat: np.ndarray
+) -> np.ndarray:
+    """d sum_b <psi_b(theta)|H_b|psi_b(theta)> / d theta, psi_b(theta) = C(theta) psi0_b.
+
+    psi0 is one StateVector or a (2^n, B) block with one state per column;
+    h_mat is one Hermitian (D, D) matrix for every column or a (B, D, D)
+    stack with one per column.
+    """
+    block = _as_block(psi0, c.n_qubits)
+    phi_out = run_block(c, block, effective_angles(c, params))
+    h = np.asarray(h_mat)
+    d, b = block.shape
+    if h.shape == (d, d):
+        lam = h @ phi_out
+    elif h.shape == (b, d, d):
+        lam = np.einsum("bij,jb->ib", h, phi_out)
+    else:
+        raise ValueError(f"expected H of shape ({d}, {d}) or ({b}, {d}, {d}), got {h.shape}")
+    return adjoint_gradient(c, params, phi_out, lam, 2.0)[0]
+
+
+def grad_hadamard_wrt_probe(psi, probe: GlobalProbe, weights=None) -> np.ndarray:
+    """d sum_b w_b Re<psi_b|U(phi)|psi_b> / d phi, the probe's Hadamard-test values.
+
+    psi is one StateVector or a (2^n, B) block with one state per column;
+    weights holds one w_b per column and defaults to all ones.
+    """
     c = probe.circuit
-    return shift_gradient(
-        c, probe.params, lambda angles: _hadamard_with_angles(psi, c, angles), one_sided=True
-    )
+    block = _as_block(psi, c.n_qubits)
+    w = np.ones(block.shape[1]) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (block.shape[1],):
+        raise ValueError(f"expected {block.shape[1]} weights, got shape {w.shape}")
+    phi_out = run_block(c, block, effective_angles(c, probe.params))
+    return adjoint_gradient(c, probe.params, phi_out, block * w, 1.0)[0]

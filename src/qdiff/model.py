@@ -8,8 +8,8 @@ Hadamard-test feature, and decodes [features || input] back to pixel space.
 Training minimizes (1-lam) * MSE(prediction, target) + lam * infidelity
 between the post-ansatz state and the amplitude-encoded latent of the
 target. Gradients are exact: reverse-mode through the classical stacks and
-the amplitude normalization, parameter-shift sweeps for ansatz and probe
-angles, and the linear rule for observable entries.
+the amplitude normalization, one batched adjoint sweep each for the ansatz
+and the probe angles per step, and the linear rule for observable entries.
 """
 from __future__ import annotations
 
@@ -134,7 +134,21 @@ def init_model(
     lam: float = 0.25,
 ) -> HybridModel:
     """Fresh model; all draw order is fixed so a seed pins every weight."""
-    rng = np.random.default_rng(seed)
+    return _build_model(seed, k, t_steps, hidden_enc, hidden_dec, ansatz_layers, lr, lam,
+                        np.random.default_rng(seed))
+
+
+class _ZeroDraws:
+    """Stands in for the generator where a checkpoint payload supplies every weight."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
+
+
+def _build_model(seed, k, t_steps, hidden_enc, hidden_dec, ansatz_layers, lr, lam,
+                 rng) -> HybridModel:
+    """The model's structure with every weight from rng.uniform, in a fixed order."""
     enc_dims = [INPUT_DIM + 1, hidden_enc, LATENT_DIM]
     dec_dims = [k + 1 + INPUT_DIM, hidden_dec, INPUT_DIM]
     encoder = [_init_complex_affine(rng, a, b) for a, b in zip(enc_dims, enc_dims[1:])]
@@ -303,9 +317,12 @@ def _encoder_backward(model: HybridModel, enc_inputs, g_latent, grads):
 def backward(model: HybridModel, batch, lam: float | None = None):
     """Mean loss over the batch and its gradient, keyed like param_tensors.
 
-    batch rows are (x_t, t, target) triples. The quantum segment uses one
-    combined Hermitian matrix per sample, so a single parameter-shift sweep
-    covers the K features, the Hadamard feature, and the infidelity term.
+    batch rows are (x_t, t, target) triples. The per-sample loop backpropagates
+    the classical stacks and collects, per sample, the ansatz input and output
+    states, one combined Hermitian G_b (the K features, the Hadamard feature
+    and the infidelity term) and the Hadamard feature's cotangent. Then one
+    adjoint sweep over the whole batch gives the theta gradient, and one more
+    the probe gradient, without any ancilla simulation.
     """
     if len(batch) == 0:
         raise ValueError("backward needs a non-empty batch")
@@ -320,6 +337,7 @@ def backward(model: HybridModel, batch, lam: float | None = None):
     w_sym = probe_hermitian_part(model.probe)
     u_ansatz = circuit_unitary(model.ansatz, model.theta)
     total_loss = 0.0
+    psi_ins, psi_outs, g_mats, u_probe = [], [], [], []
 
     for idx, (x_t, t, target) in enumerate(batch):
         try:
@@ -355,10 +373,10 @@ def backward(model: HybridModel, batch, lam: float | None = None):
             total_loss += lam * float(1.0 - min(abs(overlap) ** 2, 1.0))
             g_mat -= lam * np.outer(tvec, tvec.conj())
 
-        grads["theta"] += grad_expectation_wrt_circuit(
-            model.ansatz, tr["psi_in"], model.theta, g_mat
-        )
-        grads["probe"] += u_feat[k] * grad_hadamard_wrt_probe(tr["psi_out"], model.probe)
+        psi_ins.append(tr["psi_in"].amps)
+        psi_outs.append(psi_out)
+        g_mats.append(g_mat)
+        u_probe.append(u_feat[k])
 
         outer = np.outer(psi_out.conj(), psi_out)
         for j in range(k):
@@ -378,6 +396,13 @@ def backward(model: HybridModel, batch, lam: float | None = None):
             r_t = np.linalg.norm(z_tgt)
             g_zt = g_tlat / r_t - z_tgt * (np.real(np.vdot(z_tgt, g_tlat)) / r_t**3)
             _encoder_backward(model, tgt_inputs, g_zt, grads)
+
+    grads["theta"] += grad_expectation_wrt_circuit(
+        model.ansatz, np.stack(psi_ins, axis=1), model.theta, np.stack(g_mats)
+    )
+    grads["probe"] += grad_hadamard_wrt_probe(
+        np.stack(psi_outs, axis=1), model.probe, u_probe
+    )
 
     n = float(len(batch))
     for name, g in grads.items():
@@ -557,20 +582,15 @@ def load_checkpoint(path):
         shapes = [tuple(s) for s in header["shapes"]]
         has_adam = bool(header["has_adam"])
         adam_step = header["adam_step"] if has_adam else 0
-        model = init_model(
-            seed=hyper.get("seed", 0),
-            k=hyper["k"],
-            t_steps=hyper["t_steps"],
-            hidden_enc=hyper["hidden_enc"],
-            hidden_dec=hyper["hidden_dec"],
-            ansatz_layers=hyper["ansatz_layers"],
-            lr=hyper["lr"],
-            lam=hyper["lam"],
+        model = _build_model(
+            hyper.get("seed", 0), hyper["k"], hyper["t_steps"], hyper["hidden_enc"],
+            hyper["hidden_dec"], hyper["ansatz_layers"], hyper["lr"], hyper["lam"],
+            _ZeroDraws(),
         )
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
             AttributeError) as e:
         raise ValueError("corrupt checkpoint header") from e
-    tensors = [arr for _, arr in param_tensors(model)]
+    names, tensors = zip(*param_tensors(model))
     if shapes != [a.shape for a in tensors]:
         raise ValueError("checkpoint shapes do not match its hyperparameters")
     offset = 16 + hlen
@@ -579,21 +599,23 @@ def load_checkpoint(path):
     if len(raw) - offset != need:
         raise ValueError("corrupt checkpoint payload (size mismatch)")
 
-    def take(n):
+    def take(n, what):
         nonlocal offset
         vals = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).copy()
         offset += n * 8
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"checkpoint tensor {what} holds non-finite values")
         return vals
 
-    for arr, cnt, shape in zip(tensors, counts, shapes):
-        arr[...] = take(cnt).reshape(shape)
+    for name, arr, cnt, shape in zip(names, tensors, counts, shapes):
+        arr[...] = take(cnt, name).reshape(shape)
     opt = None
     if has_adam:
         opt = AdamState(adam_step, [], [])
-        for arr, cnt, shape in zip(tensors, counts, shapes):
-            opt.m.append(take(cnt).reshape(shape))
-        for arr, cnt, shape in zip(tensors, counts, shapes):
-            opt.v.append(take(cnt).reshape(shape))
+        for name, cnt, shape in zip(names, counts, shapes):
+            opt.m.append(take(cnt, f"adam.m.{name}").reshape(shape))
+        for name, cnt, shape in zip(names, counts, shapes):
+            opt.v.append(take(cnt, f"adam.v.{name}").reshape(shape))
     return {
         "model": model,
         "opt": opt,

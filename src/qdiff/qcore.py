@@ -38,7 +38,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex).reshape(-1)
+        amps = np.array(self.amps, dtype=complex).reshape(-1)
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
         _n_qubits_for(amps.shape[0])

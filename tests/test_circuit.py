@@ -110,6 +110,13 @@ def full_unitary_oracle(c, params):
     return u
 
 
+def column_unitary_oracle(c, params):
+    """The unitary built column by column, one per-vector simulation per basis state."""
+    angles = effective_angles(c, params)
+    cols = [run_with_angles(c, col.copy(), angles) for col in np.eye(2**c.n_qubits, dtype=complex)]
+    return np.stack(cols, axis=1)
+
+
 def embed(m, targets, n):
     """Place a k-qubit matrix on the given wires of an n-qubit register."""
     dim = 2**n
@@ -176,6 +183,7 @@ def test_apply_gates_matches_full_unitary(n):
 
     lib_unitary = circuit_unitary(c, params)
     assert np.max(np.abs(lib_unitary - full_unitary_oracle(c, params))) < 1e-12
+    assert np.max(np.abs(lib_unitary - column_unitary_oracle(c, params))) < 1e-12
 
 
 def test_vw_block_synthesizes_canonical_two_qubit_unitary():

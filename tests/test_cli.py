@@ -7,6 +7,7 @@ files written under --out can all be checked directly.
 import json
 import logging
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -251,6 +252,18 @@ def test_sample_corrupt_checkpoint_exits_1(tmp_path, capsys):
                         "--checkpoint", str(bad)], capsys)
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_sample_non_finite_checkpoint_exits_1(trained_dir, tmp_path, capsys):
+    raw = (trained_dir / "checkpoint.qdc").read_bytes()
+    (hlen,) = struct.unpack_from("<Q", raw, 8)
+    first = 16 + hlen  # the first float64 of encoder.0.w_real
+    bad = tmp_path / "nan.qdc"
+    bad.write_bytes(raw[:first] + struct.pack("<d", np.inf) + raw[first + 8:])
+    code, _, err = run(["sample", "--out", str(tmp_path / "out"),
+                        "--checkpoint", str(bad)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "encoder.0.w_real" in err
 
 
 def test_sample_writes_frames_and_metrics(trained_dir, tmp_path, capsys):

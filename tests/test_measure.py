@@ -1,8 +1,10 @@
-"""Trainable observables, the Hadamard test, and parameter-shift gradients.
+"""Trainable observables, the Hadamard test, and circuit-angle gradients.
 
-Gradient routes are always checked against central finite differences of an
-independent forward evaluation; tolerances follow |a - f| <= max(1e-5 |f|,
-1e-8) since FD itself carries truncation noise.
+Gradient routes are checked against central finite differences of an
+independent forward evaluation, with |a - f| <= max(1e-5 |f|, 1e-8) since
+FD itself carries truncation noise, and the adjoint sweep is checked against
+the parameter-shift rule, which re-simulates the circuit (and, one-sided,
+the ancilla Hadamard test) for every shifted angle, to 1e-12.
 """
 import numpy as np
 import pytest
@@ -16,9 +18,12 @@ from qdiff.circuit import (
     build_ansatz,
     circuit_unitary,
     cnot,
+    controlled,
+    cz,
     h,
     phase,
     run_circuit,
+    run_with_angles,
     rx,
     ry,
 )
@@ -26,6 +31,8 @@ from qdiff.measure import (
     AdaptiveObservable,
     GlobalProbe,
     ObservableBank,
+    _hadamard_with_angles,
+    adjoint_gradient,
     ano_features,
     expectation,
     grad_expectation_wrt_circuit,
@@ -36,6 +43,7 @@ from qdiff.measure import (
     probe_hermitian_part,
     random_bank,
     save_bank,
+    shift_gradient,
 )
 from qdiff.qcore import StateVector, basis_state
 
@@ -208,24 +216,53 @@ def test_grad_hadamard_wrt_probe_matches_fd():
         assert close(grad[j], fd), (j, grad[j], fd)
 
 
+def shift_expectation_grad(c, psi, params, h_mat):
+    """Parameter-shift oracle for grad_expectation_wrt_circuit on one state."""
+    def value(angles):
+        out = run_with_angles(c, psi.amps.copy(), angles)
+        return float((out.conj() @ (h_mat @ out)).real)
+
+    return shift_gradient(c, params, value)
+
+
+def shift_hadamard_grad(psi, probe):
+    """Parameter-shift oracle for grad_hadamard_wrt_probe: ancilla test per shift."""
+    c = probe.circuit
+    return shift_gradient(
+        c, probe.params, lambda angles: _hadamard_with_angles(psi, c, angles), one_sided=True
+    )
+
+
+def random_hermitian(d, rng):
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return m + m.conj().T
+
+
 def random_mixed_circuit(rng):
     """1-3 qubits, 1-3 parameters shared across RX/RY/RZ/PHASE gates with
-    random scale/offset, interleaved with fixed H and CNOT gates. A PHASE
-    gate is always present so its own shift rule is always exercised."""
+    random scale/offset, interleaved with fixed H, CNOT, CZ and controlled-U
+    gates. A PHASE gate is always present so its own shift rule is always
+    exercised."""
     n = int(rng.integers(1, 4))
     n_params = int(rng.integers(1, 4))
     gates = []
     for _ in range(int(rng.integers(2, 8))):
         q = int(rng.integers(0, n))
-        pick = int(rng.integers(0, 6))
+        pick = int(rng.integers(0, 8))
         if pick < len(ROTATION_KINDS):
             gates.append(Gate(ROTATION_KINDS[pick], (q,), param_ref=int(rng.integers(0, n_params)),
                               scale=float(rng.uniform(-2, 2)),
                               offset=float(rng.uniform(-np.pi, np.pi))))
         elif pick == 4 or n == 1:
             gates.append(h(q))
-        else:
+        elif pick == 5:
             gates.append(cnot(q, (q + int(rng.integers(1, n))) % n))
+        elif pick == 6:
+            gates.append(cz(q, (q + int(rng.integers(1, n))) % n))
+        else:  # controlled-U on one wire, or on two when there are three qubits
+            wires = [w for w in rng.permutation(n) if w != q][: int(rng.integers(1, n))]
+            u, _ = np.linalg.qr(random_hermitian(2 ** len(wires), rng))
+            gates.append(controlled(q, tuple(int(w) for w in wires), u))
     at = int(rng.integers(0, len(gates) + 1))
     gates.insert(at, phase(int(rng.integers(0, n)), ref=int(rng.integers(0, n_params)),
                            scale=float(rng.uniform(-2, 2))))
@@ -235,21 +272,19 @@ def random_mixed_circuit(rng):
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_shift_rules_match_fd_on_random_circuits(seed, one_sided):
-    """shift_gradient, through its two-sided and one-sided callers."""
+    """shift_gradient, the reference for the adjoint sweep, two- and one-sided."""
     rng = np.random.default_rng(seed)
     c = random_mixed_circuit(rng)
     psi = random_state(c.n_qubits, rng)
     params = rng.uniform(0, 2 * np.pi, c.n_params)
     if one_sided:  # Re<psi|U(phi)|psi>, ancilla test against the dense unitary
-        grad = grad_hadamard_wrt_probe(psi, GlobalProbe(c, params))
+        grad = shift_hadamard_grad(psi, GlobalProbe(c, params))
 
         def f(p):
             return float(np.real(np.vdot(psi.amps, circuit_unitary(c, p) @ psi.amps)))
     else:  # <psi(theta)|H|psi(theta)> for a random Hermitian H
-        d = 2**c.n_qubits
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h_mat = m + m.conj().T
-        grad = grad_expectation_wrt_circuit(c, psi, params, h_mat)
+        h_mat = random_hermitian(2**c.n_qubits, rng)
+        grad = shift_expectation_grad(c, psi, params, h_mat)
 
         def f(p):
             return expectation_forward(c, psi, p, h_mat)
@@ -262,3 +297,67 @@ def test_shift_rules_match_fd_on_random_circuits(seed, one_sided):
         lo = f(p)
         fd = (hi - lo) / (2 * eps)
         assert close(grad[j], fd), (j, grad[j], fd)
+
+
+def assert_same_gradient(got, want, tol=1e-12):
+    assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want))), (got, want)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_adjoint_matches_shift_rule_on_random_circuits(seed):
+    """Both adjoint callers against their parameter-shift oracles."""
+    rng = np.random.default_rng(seed)
+    c = random_mixed_circuit(rng)
+    psi = random_state(c.n_qubits, rng)
+    params = rng.uniform(0, 2 * np.pi, c.n_params)
+    h_mat = random_hermitian(2**c.n_qubits, rng)
+    assert_same_gradient(grad_expectation_wrt_circuit(c, psi, params, h_mat),
+                         shift_expectation_grad(c, psi, params, h_mat))
+    probe = GlobalProbe(c, params)
+    assert_same_gradient(grad_hadamard_wrt_probe(psi, probe), shift_hadamard_grad(psi, probe))
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_block_gradients_equal_sum_of_single_states(seed, b):
+    """A B-column block with per-column H and weights is the sum of B single calls."""
+    rng = np.random.default_rng(seed)
+    c = random_mixed_circuit(rng)
+    params = rng.uniform(0, 2 * np.pi, c.n_params)
+    d = 2**c.n_qubits
+    states = [random_state(c.n_qubits, rng) for _ in range(b)]
+    block = np.stack([s.amps for s in states], axis=1)
+    h_stack = np.stack([random_hermitian(d, rng) for _ in range(b)])
+    weights = rng.standard_normal(b)
+    probe = GlobalProbe(c, params)
+
+    assert_same_gradient(
+        grad_expectation_wrt_circuit(c, block, params, h_stack),
+        sum(grad_expectation_wrt_circuit(c, s, params, hb) for s, hb in zip(states, h_stack)))
+    assert_same_gradient(
+        grad_expectation_wrt_circuit(c, block, params, h_stack[0]),
+        sum(grad_expectation_wrt_circuit(c, s, params, h_stack[0]) for s in states))
+    assert_same_gradient(
+        grad_hadamard_wrt_probe(block, probe, weights),
+        sum(w * grad_hadamard_wrt_probe(s, probe) for s, w in zip(states, weights)))
+
+    # the sweep's second output is the bra block pulled back through the circuit
+    u = circuit_unitary(c, params)
+    bra = rng.standard_normal((d, b)) + 1j * rng.standard_normal((d, b))
+    _, pulled = adjoint_gradient(c, params, u @ block, bra, 1.0)
+    assert np.max(np.abs(pulled - u.conj().T @ bra)) < 1e-12
+
+
+def test_gradient_callers_reject_mismatched_shapes():
+    c = build_ansatz(2, 1)
+    params = np.zeros(c.n_params)
+    block = np.eye(4, 3, dtype=complex)
+    with pytest.raises(ValueError, match="block of states"):
+        grad_expectation_wrt_circuit(c, np.eye(8, 2), params, np.eye(8))
+    with pytest.raises(ValueError, match="block of states"):
+        grad_expectation_wrt_circuit(c, np.ones(4), params, np.eye(4))
+    with pytest.raises(ValueError, match="expected H"):
+        grad_expectation_wrt_circuit(c, block, params, np.stack([np.eye(4)] * 2))
+    with pytest.raises(ValueError, match="weights"):
+        grad_hadamard_wrt_probe(block, GlobalProbe(c, params), np.ones(2))

@@ -288,6 +288,30 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(tmp_path / "ver.qdc")
 
 
+def test_checkpoint_rejects_non_finite_weights(tmp_path):
+    path = tmp_path / "ck.qdc"
+    save_checkpoint(path, small_model(5))
+    raw = path.read_bytes()
+    (tmp_path / "nan.qdc").write_bytes(raw[:-8] + struct.pack("<d", np.nan))
+    with pytest.raises(ValueError, match="decoder.1.b"):
+        load_checkpoint(tmp_path / "nan.qdc")
+
+
+def test_checkpoint_load_draws_no_weights(tmp_path, monkeypatch):
+    m = small_model(5)
+    path = tmp_path / "ck.qdc"
+    save_checkpoint(path, m)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random weights")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded = load_checkpoint(path)["model"]
+    assert loaded.hyper == m.hyper
+    for (_, a), (_, b) in zip(param_tensors(m), param_tensors(loaded)):
+        assert np.array_equal(a, b)
+
+
 def _with_header(raw, header):
     """The checkpoint bytes `raw` with its JSON header replaced by `header`."""
     (hlen,) = struct.unpack_from("<Q", raw, 8)

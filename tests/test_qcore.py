@@ -61,6 +61,14 @@ def test_state_vector_accepts_non_contiguous_input():
         StateVector(np.array([[0.0, np.inf], [1.0, 0.0]], dtype=complex)[:, 1])
 
 
+def test_state_vector_copies_its_input():
+    v = np.array([1.0, 0.0], dtype=complex)
+    sv = StateVector(v)
+    assert v.flags.writeable  # the caller's array is left alone
+    v[0] = 5.0
+    assert np.array_equal(sv.amps, [1.0, 0.0])
+
+
 def test_density_matrix_accepts_transposed_input_and_copies_it():
     m = np.array([[0.5, 0.2j], [-0.2j, 0.5]])
     assert np.array_equal(DensityMatrix(m.T).mat, m.T)
