@@ -9,7 +9,6 @@ two sample sets stands in for feature-space FID at desk scale.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,32 +108,24 @@ def haar_fidelities(dim: int, n_pairs: int, seed: int) -> np.ndarray:
     return out
 
 
-def _thread_map(fn, n_tasks: int, threads: int):
-    if threads <= 1:
-        return [fn(i) for i in range(n_tasks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_tasks)))
-
-
 def sample_fidelities(
     c: ParamCircuit, psi0: StateVector, n_pairs: int, seed: int, threads: int = 1
 ) -> np.ndarray:
     """|<psi_theta|psi_phi>|^2 for i.i.d. uniform parameter pairs in [0, 2pi).
 
-    All random draws happen up front in one stream, so the result is bitwise
-    identical for any thread count.
+    All random draws happen up front in one stream. threads is accepted for
+    the CLI's --threads; it changes neither the results nor the work done.
     """
     if n_pairs < 1:
         raise ValueError("need at least one pair")
     rng = np.random.default_rng(seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=(n_pairs, 2, c.n_params))
-
-    def one(i: int) -> float:
-        a = run_with_angles(c, psi0.amps.copy(), effective_angles(c, params[i, 0]))
-        b = run_with_angles(c, psi0.amps.copy(), effective_angles(c, params[i, 1]))
-        return min(abs(np.vdot(a, b)) ** 2, 1.0)
-
-    return np.array(_thread_map(one, n_pairs, threads))
+    fids = np.empty(n_pairs)
+    for i in range(n_pairs):
+        a = run_with_angles(c, psi0.amps, effective_angles(c, params[i, 0]))
+        b = run_with_angles(c, psi0.amps, effective_angles(c, params[i, 1]))
+        fids[i] = min(abs(np.vdot(a, b)) ** 2, 1.0)
+    return fids
 
 
 def expressibility(fids, n_dim: int) -> float:
@@ -162,18 +153,17 @@ def meyer_wallach(psi: StateVector) -> float:
 def entangling_capability(
     c: ParamCircuit, psi0: StateVector, n_samples: int, seed: int, threads: int = 1
 ) -> float:
-    """Mean Meyer-Wallach Q over uniform [0, 2pi) parameter draws."""
+    """Mean Meyer-Wallach Q over uniform [0, 2pi) parameter draws.
+
+    threads is accepted for the CLI's --threads; it changes neither the
+    result nor the work done.
+    """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=(n_samples, c.n_params))
-
-    def one(i: int) -> float:
-        amps = run_with_angles(c, psi0.amps.copy(), effective_angles(c, params[i]))
-        return meyer_wallach(StateVector(amps))
-
-    vals = _thread_map(one, n_samples, threads)
-    return float(np.mean(vals))
+    states = (run_with_angles(c, psi0.amps, effective_angles(c, p)) for p in params)
+    return float(np.mean([meyer_wallach(StateVector(amps)) for amps in states]))
 
 
 def bloch_points_of_state(amps, qubit: int) -> list:
@@ -190,19 +180,19 @@ def bloch_points_of_state(amps, qubit: int) -> list:
 def bloch_points(
     c: ParamCircuit, psi0: StateVector, qubit: int, n_samples: int, seed: int, threads: int = 1
 ) -> np.ndarray:
-    """Bloch coordinates of one qubit, one row per parameter draw."""
+    """Bloch coordinates of one qubit, one row per parameter draw.
+
+    threads is accepted for the CLI's --threads; it changes neither the
+    result nor the work done.
+    """
     if not 0 <= qubit < c.n_qubits:
         raise ValueError(f"qubit {qubit} out of range")
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=(n_samples, c.n_params))
-
-    def one(i: int):
-        amps = run_with_angles(c, psi0.amps.copy(), effective_angles(c, params[i]))
-        return bloch_points_of_state(amps, qubit)
-
-    return np.array(_thread_map(one, n_samples, threads))
+    states = (run_with_angles(c, psi0.amps, effective_angles(c, p)) for p in params)
+    return np.array([bloch_points_of_state(amps, qubit) for amps in states])
 
 
 def frechet_gaussian(set_a, set_b) -> float:

@@ -4,11 +4,17 @@ Gate angles may be bound to a trainable parameter through an affine map
 angle = offset + scale * params[param_ref], which lets structural blocks bake
 fixed angle offsets into the gate while keeping the underlying parameter
 trainable.
+
+Every simulation runs through one kernel, `_apply_kq`: it applies a gate's
+dense matrix (a CU gate's control included, `full_gate_matrix`) to a
+(2^n, B) block of states, one column per state. A single state is a
+one-column block, and the dense unitary is the circuit run on the identity.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,82 +156,50 @@ def gate_matrix(g: Gate, angle: float | None = None) -> np.ndarray:
     return g.matrix
 
 
-def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    t = np.moveaxis(amps.reshape([2] * n), q, 0).reshape(2, -1)
-    t = mat @ t
-    return np.moveaxis(t.reshape([2] * n), 0, q).reshape(-1)
-
-
-def _apply_cnot(amps: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    t = amps.reshape([2] * n).copy()
-    sl = [slice(None)] * n
-    sl[control] = 1
-    sub = t[tuple(sl)]
-    ax = target - 1 if target > control else target
-    sub[...] = np.flip(sub, axis=ax)
-    return t.reshape(-1)
-
-
-def _apply_cz(amps: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    t = amps.reshape([2] * n).copy()
-    sl = [slice(None)] * n
-    sl[a] = 1
-    sl[b] = 1
-    t[tuple(sl)] *= -1
-    return t.reshape(-1)
+@lru_cache(maxsize=None)
+def _axis_orders(qubits: tuple, n: int):
+    """Axis order that puts `qubits` first, the other wires next and the batch
+    axis last, and its inverse."""
+    order = qubits + tuple(a for a in range(n + 1) if a not in qubits)
+    inverse = tuple(sorted(range(n + 1), key=order.__getitem__))
+    return order, inverse
 
 
 def _apply_kq(block: np.ndarray, mat: np.ndarray, qubits, n: int) -> np.ndarray:
-    """mat on `qubits` of every column of a (2^n, B) block of states."""
-    k = len(qubits)
-    shape = [2] * n + [block.shape[1]]
-    t = np.moveaxis(block.reshape(shape), qubits, range(k)).reshape(2**k, -1)
-    t = mat @ t
-    return np.moveaxis(t.reshape(shape), range(k), qubits).reshape(block.shape)
+    """mat on `qubits` of every column of a (2^n, B) block of states.
+
+    The block is viewed as a (2,)*n + (B,) tensor; one transpose brings the
+    target axes to the front, so mat acts on the leading 2^k rows, and the
+    inverse transpose puts every axis back. The only code that applies a gate.
+    """
+    order, inverse = _axis_orders(tuple(qubits), n)
+    t = block.reshape((2,) * n + (-1,)).transpose(order).reshape(mat.shape[1], -1)
+    t = (mat @ t).reshape((2,) * n + (-1,))
+    return t.transpose(inverse).reshape(block.shape)
 
 
-def _apply_cu(amps: np.ndarray, mat: np.ndarray, control: int, wires, n: int) -> np.ndarray:
-    t = amps.reshape([2] * n).copy()
-    sl = [slice(None)] * n
-    sl[control] = 1
-    sub = t[tuple(sl)]
-    adj = [w - 1 if w > control else w for w in wires]
-    k = len(adj)
-    block = np.moveaxis(sub, adj, range(k)).reshape(2**k, -1)
-    block = mat @ block
-    sub[...] = np.moveaxis(block.reshape([2] * (n - 1)), range(k), adj)
-    return t.reshape(-1)
+def control_embed(mat: np.ndarray) -> np.ndarray:
+    """diag(1, mat): mat on the wires after a leading control, applied where it is 1."""
+    d = mat.shape[0]
+    full = np.eye(2 * d, dtype=complex)
+    full[d:, d:] = mat
+    return full
 
 
 def full_gate_matrix(g: Gate, angle: float | None = None) -> np.ndarray:
     """Dense matrix of the gate on all of g.targets, a CU gate's control included."""
     mat = gate_matrix(g, angle)
-    if g.kind == "CU":
-        d = mat.shape[0]
-        full = np.eye(2 * d, dtype=complex)
-        full[d:, d:] = mat
-        return full
-    return mat
-
-
-def _apply_gate_raw(amps: np.ndarray, g: Gate, angle: float | None, n: int) -> np.ndarray:
-    if g.kind in ROTATION_KINDS:
-        return _apply_1q(amps, rotation_matrix(g.kind, angle), g.targets[0], n)
-    if g.kind == "H":
-        return _apply_1q(amps, _H_MAT, g.targets[0], n)
-    if g.kind == "X":
-        return _apply_1q(amps, _X_MAT, g.targets[0], n)
-    if g.kind == "CNOT":
-        return _apply_cnot(amps, g.targets[0], g.targets[1], n)
-    if g.kind == "CZ":
-        return _apply_cz(amps, g.targets[0], g.targets[1], n)
-    return _apply_cu(amps, g.matrix, g.targets[0], g.targets[1:], n)
+    return control_embed(mat) if g.kind == "CU" else mat
 
 
 def apply_gate(psi: StateVector, g: Gate, params=()) -> StateVector:
     """Apply one gate to a state; norm is preserved by unitarity."""
+    n = psi.n_qubits
+    if not all(0 <= t < n for t in g.targets):
+        raise ValueError(f"gate on qubits {g.targets} does not fit a {n}-qubit state")
     angle = g.angle(np.asarray(params, dtype=float)) if g.kind in ROTATION_KINDS else None
-    return StateVector(_apply_gate_raw(psi.amps.copy(), g, angle, psi.n_qubits))
+    block = _apply_kq(psi.amps[:, None], full_gate_matrix(g, angle), g.targets, n)
+    return StateVector(block[:, 0])
 
 
 def effective_angles(c: ParamCircuit, params) -> np.ndarray:
@@ -241,11 +215,8 @@ def effective_angles(c: ParamCircuit, params) -> np.ndarray:
 
 
 def run_with_angles(c: ParamCircuit, amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Simulation kernel on a raw amplitude array with pre-resolved angles."""
-    n = c.n_qubits
-    for i, g in enumerate(c.gates):
-        amps = _apply_gate_raw(amps, g, angles[i], n)
-    return amps
+    """The circuit on one raw amplitude array with pre-resolved angles, as a one-column block."""
+    return run_block(c, amps[:, None], angles)[:, 0]
 
 
 def run_block(c: ParamCircuit, block: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -261,7 +232,7 @@ def run_circuit(c: ParamCircuit, psi0: StateVector, params=()) -> StateVector:
     if psi0.n_qubits != c.n_qubits:
         raise ValueError(f"state has {psi0.n_qubits} qubits, circuit {c.n_qubits}")
     angles = effective_angles(c, params)
-    return StateVector(run_with_angles(c, psi0.amps.copy(), angles))
+    return StateVector(run_with_angles(c, psi0.amps, angles))
 
 
 def circuit_unitary(c: ParamCircuit, params=()) -> np.ndarray:

@@ -36,10 +36,10 @@ import numpy as np
 
 from .circuit import (
     ParamCircuit,
-    _apply_1q,
-    _apply_cu,
+    _H_MAT,
     _apply_kq,
     circuit_unitary,
+    control_embed,
     effective_angles,
     full_gate_matrix,
     run_block,
@@ -47,7 +47,6 @@ from .circuit import (
 from .circuit import run_with_angles  # unused here; perfbench/spans.py's tracer wraps this name
 from .qcore import PAULI_X, PAULI_Y, PAULI_Z, StateVector
 
-_H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 # dU(a)/da = G U(a) for each rotation kind: RX/RY/RZ are exp(-i a P / 2),
 # PHASE is diag(1, e^{ia}).
 _GENERATORS = {
@@ -182,17 +181,20 @@ def ano_features(psi: StateVector, bank: ObservableBank) -> np.ndarray:
 
 
 def _hadamard_with_angles(psi: StateVector, c: ParamCircuit, angles: np.ndarray) -> float:
-    """Ancilla-qubit Hadamard-test circuit with pre-resolved probe angles."""
+    """Ancilla-qubit Hadamard-test circuit with pre-resolved probe angles.
+
+    The ancilla is wire 0 of an (n+1)-qubit one-column block; each probe gate
+    acts on the wires after it, controlled by it.
+    """
     n = psi.n_qubits
     dim = psi.dim
-    amps = np.zeros(2 * dim, dtype=complex)
-    amps[:dim] = psi.amps
-    amps = _apply_1q(amps, _H2, 0, n + 1)
+    block = np.zeros((2 * dim, 1), dtype=complex)
+    block[:dim, 0] = psi.amps
+    block = _apply_kq(block, _H_MAT, (0,), n + 1)
     for i, g in enumerate(c.gates):
-        payload = full_gate_matrix(g, angles[i])
-        wires = tuple(t + 1 for t in g.targets)
-        amps = _apply_cu(amps, payload, 0, wires, n + 1)
-    amps = _apply_1q(amps, _H2, 0, n + 1)
+        payload = control_embed(full_gate_matrix(g, angles[i]))
+        block = _apply_kq(block, payload, (0, *(t + 1 for t in g.targets)), n + 1)
+    amps = _apply_kq(block, _H_MAT, (0,), n + 1)[:, 0]
     p0 = float(np.sum(np.abs(amps[:dim]) ** 2))
     p1 = float(np.sum(np.abs(amps[dim:]) ** 2))
     return p0 - p1

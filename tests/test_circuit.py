@@ -27,6 +27,7 @@ from qdiff.circuit import (
     mixing_layer,
     phase,
     rotation_matrix,
+    run_block,
     run_circuit,
     run_with_angles,
     rx,
@@ -74,6 +75,13 @@ def test_cnot_and_cz_truth_tables():
         assert out[idx] == sign
 
 
+def test_apply_gate_rejects_gate_wider_than_state():
+    with pytest.raises(ValueError, match=r"\(0, 1\).*1-qubit"):
+        apply_gate(basis_state(1), cnot(0, 1))
+    with pytest.raises(ValueError, match=r"\(2,\).*2-qubit"):
+        apply_gate(basis_state(2), h(2))
+
+
 def test_gate_validation():
     with pytest.raises(ValueError):
         rx(0)  # neither ref nor angle
@@ -111,7 +119,11 @@ def full_unitary_oracle(c, params):
 
 
 def column_unitary_oracle(c, params):
-    """The unitary built column by column, one per-vector simulation per basis state."""
+    """The unitary built column by column, one single-state simulation per basis state.
+
+    It runs the same kernel as circuit_unitary, so it checks the block layout;
+    full_unitary_oracle is the independent reference.
+    """
     angles = effective_angles(c, params)
     cols = [run_with_angles(c, col.copy(), angles) for col in np.eye(2**c.n_qubits, dtype=complex)]
     return np.stack(cols, axis=1)
@@ -146,6 +158,13 @@ def test_apply_gates_matches_full_unitary(n):
     kinds = ["h", "x", "rx", "ry", "rz", "phase"]
     if n >= 2:
         kinds += ["cnot", "cz", "cu"]
+
+    def random_controlled(q, q2, n_wires):
+        wires = [q2] + [int(w) for w in rng.permutation(n) if w not in (q, q2)][:n_wires - 1]
+        d = 2 ** len(wires)
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        return controlled(q, wires, u)
+
     for _ in range(12):
         kind = rng.choice(kinds)
         q = int(rng.integers(n))
@@ -170,20 +189,40 @@ def test_apply_gates_matches_full_unitary(n):
             elif kind == "cz":
                 gates.append(cz(q, q2))
             else:
-                m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                u, _ = np.linalg.qr(m)
-                gates.append(controlled(q, (q2,), u))
+                gates.append(random_controlled(q, q2, int(rng.integers(1, min(n - 1, 2) + 1))))
+    if n >= 2:
+        # every multi-qubit draw ends on a controlled gate, with two target wires when n >= 3
+        q, q2 = (int(w) for w in rng.permutation(n)[:2])
+        gates.append(random_controlled(q, q2, min(n - 1, 2)))
     c = ParamCircuit(n, tuple(gates), n_params)
     params = rng.uniform(-np.pi, np.pi, n_params)
     psi0 = random_state_vec(n, rng)
 
-    stepped = run_with_angles(c, psi0.copy(), effective_angles(c, params))
-    direct = full_unitary_oracle(c, params) @ psi0
-    assert np.max(np.abs(stepped - direct)) < 1e-12
+    angles = effective_angles(c, params)
+    oracle = full_unitary_oracle(c, params)
+    stepped = run_with_angles(c, psi0.copy(), angles)
+    assert np.max(np.abs(stepped - oracle @ psi0)) < 1e-12
+
+    block = np.stack([random_state_vec(n, rng) for _ in range(3)], axis=1)
+    out = run_block(c, block, angles)
+    for j in range(3):
+        assert np.max(np.abs(out[:, j] - oracle @ block[:, j])) < 1e-12
 
     lib_unitary = circuit_unitary(c, params)
-    assert np.max(np.abs(lib_unitary - full_unitary_oracle(c, params))) < 1e-12
+    assert np.max(np.abs(lib_unitary - oracle)) < 1e-12
     assert np.max(np.abs(lib_unitary - column_unitary_oracle(c, params))) < 1e-12
+
+
+@pytest.mark.parametrize("n,layers", [(4, 2), (3, 3)])
+@pytest.mark.parametrize("n_cols", [1, 2, 8, 64])
+def test_block_columns_equal_single_state_runs_bitwise(n, layers, n_cols):
+    rng = np.random.default_rng(100 * n + n_cols)
+    c = build_ansatz(n, layers)
+    angles = effective_angles(c, rng.uniform(0, 2 * np.pi, c.n_params))
+    block = np.stack([random_state_vec(n, rng) for _ in range(n_cols)], axis=1)
+    out = run_block(c, block, angles)
+    for j in range(n_cols):
+        assert np.array_equal(out[:, j], run_with_angles(c, block[:, j].copy(), angles))
 
 
 def test_vw_block_synthesizes_canonical_two_qubit_unitary():
