@@ -5,6 +5,11 @@ against the Haar fidelity law P(F) = (N-1)(1-F)^(N-2) through a binned KL
 divergence. Entangling capability averages the Meyer-Wallach measure over
 uniformly drawn parameters. The Frechet distance between Gaussian fits of
 two sample sets stands in for feature-space FID at desk scale.
+
+Every parameter draw is one column of a (2^n, N) block that one run_block
+call simulates, with per-column angles; the per-state meyer_wallach and
+bloch_points_of_state stay as the definitions the block reductions are
+tested against.
 """
 from __future__ import annotations
 
@@ -13,11 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ParamCircuit, effective_angles, run_with_angles
+from .circuit import ParamCircuit, effective_angles, run_block
+from .circuit import run_with_angles  # unused here; perfbench/spans.py's tracer wraps this name
 from .qcore import DensityMatrix, PAULI_X, PAULI_Y, PAULI_Z, StateVector, partial_trace, purity, sqrtm_psd
 
 N_BINS = 75
 FRECHET_EPS = 1e-6
+# Amplitudes per simulated block (4 MB of complex128): the draws are split
+# into blocks of whole rows, so memory stays flat in the qubit count.
+# Columns are independent, so the split changes no result.
+BLOCK_AMPS = 2**18
 
 
 @dataclass(frozen=True)
@@ -41,6 +51,10 @@ class FidelityHistogram:
     @classmethod
     def from_samples(cls, fids) -> "FidelityHistogram":
         fids = np.asarray(fids, dtype=float)
+        bad = ~((fids >= 0.0) & (fids <= 1.0))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ValueError(f"fidelity {float(fids[i])!r} at index {i} is not in [0, 1]")
         counts, edges = np.histogram(fids, bins=N_BINS, range=(0.0, 1.0))
         return cls(edges, counts, len(fids))
 
@@ -108,6 +122,24 @@ def haar_fidelities(dim: int, n_pairs: int, seed: int) -> np.ndarray:
     return out
 
 
+def _final_states(c: ParamCircuit, psi0: StateVector, draws: np.ndarray):
+    """The circuit on psi0 at every draw of an (N, k, n_params) array.
+
+    Yields one (2^n, m * k) block per m consecutive rows, draw (i, j) of
+    those rows in column i * k + j; a block holds at most BLOCK_AMPS
+    amplitudes, or one row.
+    """
+    if psi0.n_qubits != c.n_qubits:
+        raise ValueError(f"state has {psi0.n_qubits} qubits, circuit {c.n_qubits}")
+    n_rows, k = draws.shape[:2]
+    step = max(1, BLOCK_AMPS // (k * psi0.dim))
+    for lo in range(0, n_rows, step):
+        rows = draws[lo:lo + step]
+        flat = rows.reshape(len(rows) * k, c.n_params)
+        block = np.repeat(psi0.amps[:, None], len(flat), axis=1)
+        yield run_block(c, block, effective_angles(c, flat))
+
+
 def sample_fidelities(
     c: ParamCircuit, psi0: StateVector, n_pairs: int, seed: int, threads: int = 1
 ) -> np.ndarray:
@@ -120,12 +152,10 @@ def sample_fidelities(
         raise ValueError("need at least one pair")
     rng = np.random.default_rng(seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=(n_pairs, 2, c.n_params))
-    fids = np.empty(n_pairs)
-    for i in range(n_pairs):
-        a = run_with_angles(c, psi0.amps, effective_angles(c, params[i, 0]))
-        b = run_with_angles(c, psi0.amps, effective_angles(c, params[i, 1]))
-        fids[i] = min(abs(np.vdot(a, b)) ** 2, 1.0)
-    return fids
+    # column-wise vdot of each pair's two states, adjacent columns of a block
+    overlaps = [np.einsum("ij,ij->j", out[:, 0::2].conj(), out[:, 1::2])
+                for out in _final_states(c, psi0, params)]
+    return np.minimum(np.abs(np.concatenate(overlaps)) ** 2, 1.0)
 
 
 def expressibility(fids, n_dim: int) -> float:
@@ -150,6 +180,40 @@ def meyer_wallach(psi: StateVector) -> float:
     return float(min(max(2.0 * total / n, 0.0), 1.0))
 
 
+def qubit_reductions(block: np.ndarray) -> np.ndarray:
+    """Every column's n single-qubit reduced density matrices, (B, n, 2, 2).
+
+    block is (2^n, B), qubit 0 the most significant bit, as in partial_trace:
+    rho_k = M M^dag with M the column's amplitudes as (qubit k, other wires).
+    """
+    dim, b = block.shape
+    n = dim.bit_length() - 1
+    t = block.reshape((2,) * n + (b,))
+    out = np.empty((b, n, 2, 2), dtype=complex)
+    for k in range(n):
+        m = np.ascontiguousarray(np.moveaxis(t, (n, k), (0, 1)).reshape(b, 2, -1))
+        out[:, k] = m @ m.conj().transpose(0, 2, 1)
+    return out
+
+
+def meyer_wallach_values(rhos: np.ndarray) -> np.ndarray:
+    """meyer_wallach of every column, from its qubit_reductions."""
+    n = rhos.shape[1]
+    if n < 2:
+        raise ValueError("entanglement measure needs at least 2 qubits")
+    purities = np.sum(np.abs(rhos) ** 2, axis=(2, 3))
+    return np.clip(2.0 * np.sum(1.0 - purities, axis=1) / n, 0.0, 1.0)
+
+
+def bloch_values(rhos: np.ndarray, qubit: int) -> np.ndarray:
+    """bloch_points_of_state of every column, one (x, y, z) row each."""
+    if not 0 <= qubit < rhos.shape[1]:
+        raise ValueError(f"qubit {qubit} out of range")
+    rho = rhos[:, qubit]
+    return np.stack([np.einsum("bij,ji->b", rho, p).real for p in (PAULI_X, PAULI_Y, PAULI_Z)],
+                    axis=1)
+
+
 def entangling_capability(
     c: ParamCircuit, psi0: StateVector, n_samples: int, seed: int, threads: int = 1
 ) -> float:
@@ -162,8 +226,9 @@ def entangling_capability(
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=(n_samples, c.n_params))
-    states = (run_with_angles(c, psi0.amps, effective_angles(c, p)) for p in params)
-    return float(np.mean([meyer_wallach(StateVector(amps)) for amps in states]))
+    qs = [meyer_wallach_values(qubit_reductions(out))
+          for out in _final_states(c, psi0, params[:, None])]
+    return float(np.mean(np.concatenate(qs)))
 
 
 def bloch_points_of_state(amps, qubit: int) -> list:
@@ -185,14 +250,12 @@ def bloch_points(
     threads is accepted for the CLI's --threads; it changes neither the
     result nor the work done.
     """
-    if not 0 <= qubit < c.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=(n_samples, c.n_params))
-    states = (run_with_angles(c, psi0.amps, effective_angles(c, p)) for p in params)
-    return np.array([bloch_points_of_state(amps, qubit) for amps in states])
+    return np.concatenate([bloch_values(qubit_reductions(out), qubit)
+                           for out in _final_states(c, psi0, params[:, None])])
 
 
 def frechet_gaussian(set_a, set_b) -> float:

@@ -9,6 +9,8 @@ Every simulation runs through one kernel, `_apply_kq`: it applies a gate's
 dense matrix (a CU gate's control included, `full_gate_matrix`) to a
 (2^n, B) block of states, one column per state. A single state is a
 one-column block, and the dense unitary is the circuit run on the identity.
+A block may also carry one parameter draw per column: (G, B) angles give
+each rotation a (B, 2, 2) stack of matrices, one per column.
 """
 from __future__ import annotations
 
@@ -127,7 +129,10 @@ class ParamCircuit:
                 raise ValueError(f"param_ref {g.param_ref} out of range for {self.n_params} params")
 
 
-def rotation_matrix(kind: str, angle: float) -> np.ndarray:
+def rotation_matrix(kind: str, angle: float | np.ndarray) -> np.ndarray:
+    """2x2 matrix of a rotation; a 1-D array of angles gives a (B, 2, 2) stack."""
+    if isinstance(angle, np.ndarray) and angle.ndim:  # not np.ndim: a scalar's gate stays fast
+        return _rotation_stack(kind, angle.astype(float, copy=False))
     half = angle / 2.0
     c, s = math.cos(half), math.sin(half)
     if kind == "RX":
@@ -139,6 +144,26 @@ def rotation_matrix(kind: str, angle: float) -> np.ndarray:
     if kind == "PHASE":
         return np.array([[1, 0], [0, np.exp(1j * angle)]])
     raise ValueError(f"{kind} is not a rotation kind")
+
+
+def _rotation_stack(kind: str, angles: np.ndarray) -> np.ndarray:
+    """rotation_matrix for each angle of a 1-D array, as a (B, 2, 2) stack."""
+    half = angles / 2.0
+    out = np.zeros((len(angles), 2, 2), dtype=complex)
+    if kind in ("RX", "RY"):
+        c, s = np.cos(half), np.sin(half)
+        out[:, 0, 0] = out[:, 1, 1] = c
+        if kind == "RX":
+            out[:, 0, 1] = out[:, 1, 0] = -1j * s
+        else:
+            out[:, 0, 1], out[:, 1, 0] = -s, s
+    elif kind == "RZ":
+        out[:, 0, 0], out[:, 1, 1] = np.exp(-1j * half), np.exp(1j * half)
+    elif kind == "PHASE":
+        out[:, 0, 0], out[:, 1, 1] = 1.0, np.exp(1j * angles)
+    else:
+        raise ValueError(f"{kind} is not a rotation kind")
+    return out
 
 
 def gate_matrix(g: Gate, angle: float | None = None) -> np.ndarray:
@@ -170,11 +195,21 @@ def _apply_kq(block: np.ndarray, mat: np.ndarray, qubits, n: int) -> np.ndarray:
 
     The block is viewed as a (2,)*n + (B,) tensor; one transpose brings the
     target axes to the front, so mat acts on the leading 2^k rows, and the
-    inverse transpose puts every axis back. The only code that applies a gate.
+    inverse transpose puts every axis back. A (d, d) mat acts on every
+    column; a (B, d, d) stack acts column by column, as one batched matmul
+    on the (B, d, R) view. The only code that applies a gate.
     """
     order, inverse = _axis_orders(tuple(qubits), n)
-    t = block.reshape((2,) * n + (-1,)).transpose(order).reshape(mat.shape[1], -1)
-    t = (mat @ t).reshape((2,) * n + (-1,))
+    t = block.reshape((2,) * n + (-1,)).transpose(order)
+    if mat.ndim == 2:
+        t = mat @ t.reshape(mat.shape[1], -1)
+    else:
+        if len(mat) != block.shape[1]:
+            raise ValueError(f"{len(mat)} gate matrices for a block of {block.shape[1]} columns")
+        # contiguous per column, so a column's product does not depend on B
+        cols = np.ascontiguousarray(t.reshape(mat.shape[1], -1, len(mat)).transpose(2, 0, 1))
+        t = (mat @ cols).transpose(1, 2, 0)
+    t = t.reshape((2,) * n + (-1,))
     return t.transpose(inverse).reshape(block.shape)
 
 
@@ -203,8 +238,19 @@ def apply_gate(psi: StateVector, g: Gate, params=()) -> StateVector:
 
 
 def effective_angles(c: ParamCircuit, params) -> np.ndarray:
-    """Per-gate resolved angles (nan for gates without one)."""
+    """Per-gate resolved angles (nan for gates without one).
+
+    A (B, n_params) array of parameter draws gives (G, B) angles, one column
+    per draw.
+    """
     params = np.asarray(params, dtype=float)
+    if params.ndim == 2 and params.shape[1] == c.n_params:
+        out = np.full((len(c.gates), len(params)), np.nan)
+        for i, g in enumerate(c.gates):
+            if g.kind in ROTATION_KINDS:
+                out[i] = (g.fixed_angle if g.param_ref is None
+                          else g.offset + g.scale * params[:, g.param_ref])
+        return out
     if params.shape != (c.n_params,):
         raise ValueError(f"expected {c.n_params} parameters, got {params.shape}")
     out = np.full(len(c.gates), np.nan)
@@ -220,7 +266,11 @@ def run_with_angles(c: ParamCircuit, amps: np.ndarray, angles: np.ndarray) -> np
 
 
 def run_block(c: ParamCircuit, block: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """The circuit on every column of a (2^n, B) block, one kernel call per gate."""
+    """The circuit on every column of a (2^n, B) block, one kernel call per gate.
+
+    (G,) angles are shared by every column; (G, B) angles give each column
+    its own, as effective_angles returns them for B parameter draws.
+    """
     n = c.n_qubits
     for i, g in enumerate(c.gates):
         block = _apply_kq(block, full_gate_matrix(g, angles[i]), g.targets, n)

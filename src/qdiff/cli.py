@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bench, data, model
 from .circuit import ParamCircuit, build_ansatz, ry, rz
-from .qcore import StateVector, basis_state
+from .qcore import basis_state
 
 log = logging.getLogger("qdiff")
 
@@ -220,10 +220,10 @@ def _bench_targets(cfg: dict, seed: int, threads: int):
         dim = 2 ** n
         fids = bench.haar_fidelities(dim, cfg["n_pairs"], seed)
         rng = np.random.default_rng(seed + 1)
-        states = [bench.haar_state(dim, rng) for _ in range(cfg["mw_samples"])]
-        qbar = float(np.mean([bench.meyer_wallach(StateVector(s)) for s in states]))
-        points = np.array([bench.bloch_points_of_state(s, cfg["bloch_qubit"])
-                           for s in states[: cfg["bloch_samples"]]])
+        states = np.stack([bench.haar_state(dim, rng) for _ in range(cfg["mw_samples"])], axis=1)
+        rhos = bench.qubit_reductions(states)
+        qbar = float(np.mean(bench.meyer_wallach_values(rhos)))
+        points = bench.bloch_values(rhos[: cfg["bloch_samples"]], cfg["bloch_qubit"])
         return fids, qbar, points
 
     if kind == "ansatz":

@@ -1,0 +1,101 @@
+"""Test helpers shared by the circuit, measure and bench tests.
+
+full_unitary_oracle multiplies out a circuit from each gate's matrix
+embedded on the full register by explicit index arithmetic; it never runs
+the gate kernel (`circuit._apply_kq`), so it stays an independent reference
+for everything that does. random_mixed_circuit draws small circuits that
+exercise every gate kind and angle binding.
+"""
+import numpy as np
+
+from qdiff.circuit import (
+    ROTATION_KINDS,
+    Gate,
+    ParamCircuit,
+    cnot,
+    controlled,
+    cz,
+    effective_angles,
+    gate_matrix,
+    h,
+    phase,
+)
+
+
+def embed(m, targets, n):
+    """Place a k-qubit matrix on the given wires of an n-qubit register."""
+    dim = 2**n
+    full = np.zeros((dim, dim), dtype=complex)
+    rest = [q for q in range(n) if q not in targets]
+    for i in range(dim):
+        bi = [(i >> (n - 1 - q)) & 1 for q in range(n)]
+        row = 0
+        for t in targets:
+            row = (row << 1) | bi[t]
+        for j in range(dim):
+            bj = [(j >> (n - 1 - q)) & 1 for q in range(n)]
+            if any(bi[q] != bj[q] for q in rest):
+                continue
+            col = 0
+            for t in targets:
+                col = (col << 1) | bj[t]
+            full[i, j] = m[row, col]
+    return full
+
+
+def full_unitary_oracle(c, params):
+    """Independent route: embed each gate's full matrix and multiply."""
+    dim = 2**c.n_qubits
+    u = np.eye(dim, dtype=complex)
+    angles = effective_angles(c, params)
+    for g, ang in zip(c.gates, angles):
+        m = gate_matrix(g, ang)
+        if g.kind == "CU":
+            k = m.shape[0]
+            m = np.block([[np.eye(k), np.zeros((k, k))],
+                          [np.zeros((k, k)), m]]).astype(complex)
+        full = embed(m, g.targets, c.n_qubits)
+        u = full @ u
+    return u
+
+
+def random_hermitian(d, rng):
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return m + m.conj().T
+
+
+def random_mixed_circuit(rng, fixed_angles=False):
+    """1-3 qubits, 1-3 parameters shared across RX/RY/RZ/PHASE gates with
+    random scale/offset, interleaved with fixed H, CNOT, CZ and controlled-U
+    gates. A PHASE gate is always present so its own shift rule is always
+    exercised. With fixed_angles, about half the rotations carry a fixed
+    angle instead of a parameter."""
+    n = int(rng.integers(1, 4))
+    n_params = int(rng.integers(1, 4))
+    gates = []
+    for _ in range(int(rng.integers(2, 8))):
+        q = int(rng.integers(0, n))
+        pick = int(rng.integers(0, 8))
+        if pick < len(ROTATION_KINDS):
+            if fixed_angles and rng.uniform() < 0.5:
+                gates.append(Gate(ROTATION_KINDS[pick], (q,),
+                                  fixed_angle=float(rng.uniform(-np.pi, np.pi))))
+            else:
+                gates.append(Gate(ROTATION_KINDS[pick], (q,),
+                                  param_ref=int(rng.integers(0, n_params)),
+                                  scale=float(rng.uniform(-2, 2)),
+                                  offset=float(rng.uniform(-np.pi, np.pi))))
+        elif pick == 4 or n == 1:
+            gates.append(h(q))
+        elif pick == 5:
+            gates.append(cnot(q, (q + int(rng.integers(1, n))) % n))
+        elif pick == 6:
+            gates.append(cz(q, (q + int(rng.integers(1, n))) % n))
+        else:  # controlled-U on one wire, or on two when there are three qubits
+            wires = [w for w in rng.permutation(n) if w != q][: int(rng.integers(1, n))]
+            u, _ = np.linalg.qr(random_hermitian(2 ** len(wires), rng))
+            gates.append(controlled(q, tuple(int(w) for w in wires), u))
+    at = int(rng.integers(0, len(gates) + 1))
+    gates.insert(at, phase(int(rng.integers(0, n)), ref=int(rng.integers(0, n_params)),
+                           scale=float(rng.uniform(-2, 2))))
+    return ParamCircuit(n, tuple(gates), n_params)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qdiff import bench
 from qdiff.bench import (
     N_BINS,
     BenchReport,
@@ -20,9 +21,12 @@ from qdiff.bench import (
     haar_pdf,
     haar_state,
     meyer_wallach,
+    meyer_wallach_values,
+    bloch_values,
+    qubit_reductions,
     sample_fidelities,
 )
-from qdiff.circuit import ParamCircuit, build_ansatz, rx, ry, rz
+from qdiff.circuit import ParamCircuit, build_ansatz, run_circuit, rx, ry, rz
 from qdiff.qcore import StateVector, basis_state
 
 
@@ -224,3 +228,82 @@ def test_csv_round_trips():
     assert lines[0] == "x,y,z"
     back = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert np.array_equal(back, pts)
+
+
+def test_descriptors_reject_a_state_of_another_qubit_count():
+    c, psi0 = build_ansatz(4, 1), basis_state(3)
+    for run in (lambda: sample_fidelities(c, psi0, 4, seed=1),
+                lambda: entangling_capability(c, psi0, 4, seed=1),
+                lambda: bloch_points(c, psi0, 0, 4, seed=1)):
+        with pytest.raises(ValueError, match="state has 3 qubits, circuit 4"):
+            run()
+    with pytest.raises(ValueError, match="qubit 4 out of range"):
+        bloch_points(c, basis_state(4), 4, 4, seed=1)
+
+
+@pytest.mark.parametrize("fids,bad", [([float("nan"), 0.5], "nan at index 0"),
+                                      ([0.25, 1.5, 0.5], "1.5 at index 1"),
+                                      ([0.5, -0.125], "-0.125 at index 1"),
+                                      ([0.5, float("inf")], "inf at index 1")])
+def test_expressibility_rejects_fidelities_outside_the_unit_interval(fids, bad):
+    with pytest.raises(ValueError, match=f"fidelity {bad} is not in"):
+        expressibility(fids, 16)
+    with pytest.raises(ValueError, match=f"fidelity {bad} is not in"):
+        FidelityHistogram.from_samples(fids)
+
+
+@pytest.mark.parametrize("n,layers", [(2, 2), (3, 1), (4, 2), (5, 1)])
+def test_block_descriptors_match_per_state_oracles(n, layers):
+    """Fidelities, Meyer-Wallach and Bloch values of a block against one
+    simulation per draw with np.vdot, meyer_wallach and bloch_points_of_state."""
+    c, psi0 = build_ansatz(n, layers), basis_state(n)
+    pairs = np.random.default_rng(40 + n).uniform(0.0, 2.0 * np.pi, size=(30, 2, c.n_params))
+    oracle = [abs(np.vdot(run_circuit(c, psi0, a).amps, run_circuit(c, psi0, b).amps)) ** 2
+              for a, b in pairs]
+    assert np.max(np.abs(sample_fidelities(c, psi0, 30, seed=40 + n) - oracle)) < 1e-12
+
+    draws = np.random.default_rng(50 + n).uniform(0.0, 2.0 * np.pi, size=(30, c.n_params))
+    states = [run_circuit(c, psi0, p) for p in draws]
+    assert entangling_capability(c, psi0, 30, seed=50 + n) == pytest.approx(
+        np.mean([meyer_wallach(s) for s in states]), abs=1e-12)
+    pts = bloch_points(c, psi0, n - 1, 30, seed=50 + n)
+    oracle = np.array([bloch_points_of_state(s.amps, n - 1) for s in states])
+    assert np.max(np.abs(pts - oracle)) < 1e-12
+
+    rng = np.random.default_rng(60 + n)
+    states += [random_state(n, rng) for _ in range(10)] + [basis_state(n, 1)]
+    rhos = qubit_reductions(np.stack([s.amps for s in states], axis=1))
+    assert rhos.shape == (len(states), n, 2, 2)
+    qs = meyer_wallach_values(rhos)
+    for j, s in enumerate(states):
+        assert abs(qs[j] - meyer_wallach(s)) < 1e-12
+        for k in range(n):
+            assert np.max(np.abs(bloch_values(rhos, k)[j] - bloch_points_of_state(s.amps, k))) < 1e-12
+    with pytest.raises(ValueError, match="qubit 5 out of range"):
+        bloch_values(rhos, 5)
+
+
+def test_block_layout_pins_the_results(monkeypatch):
+    """A draw's value does not depend on how many draws share its block."""
+    c, psi0, s = build_ansatz(4, 2), basis_state(4), 21
+    fids = sample_fidelities(c, psi0, 125, s)
+    pts = bloch_points(c, psi0, 1, 125, s)
+    qbar = entangling_capability(c, psi0, 125, s)
+    assert np.array_equal(sample_fidelities(c, psi0, 40, s), fids[:40])
+    assert np.array_equal(bloch_points(c, psi0, 1, 40, s), pts[:40])
+
+    widths = []
+
+    def recording_run_block(circ, block, angles):
+        widths.append(block.shape[1])
+        return run_block(circ, block, angles)
+
+    run_block = bench.run_block
+    monkeypatch.setattr(bench, "run_block", recording_run_block)
+    monkeypatch.setattr(bench, "BLOCK_AMPS", 3 * 16)
+    assert np.array_equal(sample_fidelities(c, psi0, 125, s), fids)
+    assert widths == [2] * 125  # one pair per block
+    widths.clear()
+    assert np.array_equal(bloch_points(c, psi0, 1, 125, s), pts)
+    assert entangling_capability(c, psi0, 125, s) == qbar
+    assert widths == 2 * ([3] * 41 + [2])

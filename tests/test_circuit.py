@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qdiff.circuit import (
     Gate,
     ParamCircuit,
+    _apply_kq,
     apply_gate,
     build_ansatz,
     circuit_unitary,
@@ -22,7 +23,6 @@ from qdiff.circuit import (
     cz,
     dump_circuit,
     effective_angles,
-    gate_matrix,
     h,
     mixing_layer,
     phase,
@@ -37,6 +37,8 @@ from qdiff.circuit import (
     x,
 )
 from qdiff.qcore import PAULI_X, PAULI_Y, PAULI_Z, basis_state, expm_hermitian
+
+from circuit_oracles import full_unitary_oracle, random_mixed_circuit
 
 H2 = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
@@ -58,6 +60,17 @@ def test_rotation_conventions():
                         [-1j * math.sin(th / 2), math.cos(th / 2)]])
     assert np.allclose(rotation_matrix("PHASE", th),
                        np.diag([1.0, np.exp(1j * th)]))
+
+
+@pytest.mark.parametrize("kind", ["RX", "RY", "RZ", "PHASE"])
+def test_rotation_matrix_stacks_one_matrix_per_angle(kind):
+    angles = np.random.default_rng(3).uniform(-2 * np.pi, 2 * np.pi, 9)
+    stack = rotation_matrix(kind, angles)
+    assert stack.shape == (9, 2, 2)
+    for a, m in zip(angles, stack):
+        assert np.max(np.abs(m - rotation_matrix(kind, float(a)))) < 1e-15
+    with pytest.raises(ValueError):
+        rotation_matrix("H", angles)
 
 
 def test_ry_on_zero_gives_cos_sin():
@@ -102,20 +115,16 @@ def test_effective_angles_affine_map():
     assert angles[1] == pytest.approx(1.0)
 
 
-def full_unitary_oracle(c, params):
-    """Independent route: embed each gate's full matrix and multiply."""
-    dim = 2**c.n_qubits
-    u = np.eye(dim, dtype=complex)
-    angles = effective_angles(c, params)
-    for g, ang in zip(c.gates, angles):
-        m = gate_matrix(g, ang)
-        if g.kind == "CU":
-            k = m.shape[0]
-            m = np.block([[np.eye(k), np.zeros((k, k))],
-                          [np.zeros((k, k)), m]]).astype(complex)
-        full = embed(m, g.targets, c.n_qubits)
-        u = full @ u
-    return u
+def test_effective_angles_one_column_per_draw():
+    c = ParamCircuit(2, (ry(0, ref=1, scale=-2.0, offset=0.5), cnot(0, 1),
+                         rz(1, angle=1.0), phase(0, ref=0)), 2)
+    draws = np.random.default_rng(4).uniform(0, 2 * np.pi, (5, 2))
+    angles = effective_angles(c, draws)
+    assert angles.shape == (4, 5)
+    for j, p in enumerate(draws):
+        assert np.array_equal(angles[:, j], effective_angles(c, p), equal_nan=True)
+    with pytest.raises(ValueError, match="expected 2 parameters"):
+        effective_angles(c, np.zeros((5, 3)))
 
 
 def column_unitary_oracle(c, params):
@@ -127,27 +136,6 @@ def column_unitary_oracle(c, params):
     angles = effective_angles(c, params)
     cols = [run_with_angles(c, col.copy(), angles) for col in np.eye(2**c.n_qubits, dtype=complex)]
     return np.stack(cols, axis=1)
-
-
-def embed(m, targets, n):
-    """Place a k-qubit matrix on the given wires of an n-qubit register."""
-    dim = 2**n
-    full = np.zeros((dim, dim), dtype=complex)
-    rest = [q for q in range(n) if q not in targets]
-    for i in range(dim):
-        bi = [(i >> (n - 1 - q)) & 1 for q in range(n)]
-        row = 0
-        for t in targets:
-            row = (row << 1) | bi[t]
-        for j in range(dim):
-            bj = [(j >> (n - 1 - q)) & 1 for q in range(n)]
-            if any(bi[q] != bj[q] for q in rest):
-                continue
-            col = 0
-            for t in targets:
-                col = (col << 1) | bj[t]
-            full[i, j] = m[row, col]
-    return full
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -223,6 +211,29 @@ def test_block_columns_equal_single_state_runs_bitwise(n, layers, n_cols):
     out = run_block(c, block, angles)
     for j in range(n_cols):
         assert np.array_equal(out[:, j], run_with_angles(c, block[:, j].copy(), angles))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_per_column_angles_match_single_state_runs(seed, b):
+    """Column j of a block run with (G, B) angles is column j's state run alone."""
+    rng = np.random.default_rng(seed)
+    c = random_mixed_circuit(rng, fixed_angles=True)
+    draws = rng.uniform(0, 2 * np.pi, (b, c.n_params))
+    block = np.stack([random_state_vec(c.n_qubits, rng) for _ in range(b)], axis=1)
+    out = run_block(c, block, effective_angles(c, draws))
+    for j in range(b):
+        alone = run_with_angles(c, block[:, j].copy(), effective_angles(c, draws[j]))
+        assert np.max(np.abs(out[:, j] - alone)) < 1e-12
+
+
+def test_stacked_gate_matrices_must_match_the_block_width():
+    c = ParamCircuit(2, (cnot(0, 1), ry(1, ref=0)), 1)
+    block = np.eye(4, 2, dtype=complex)
+    with pytest.raises(ValueError, match="3 gate matrices for a block of 2 columns"):
+        run_block(c, block, effective_angles(c, np.zeros((3, 1))))
+    with pytest.raises(ValueError, match="1 gate matrices for a block of 2 columns"):
+        _apply_kq(block, rotation_matrix("RX", np.zeros(1)), (0,), 2)
 
 
 def test_vw_block_synthesizes_canonical_two_qubit_unitary():

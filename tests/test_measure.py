@@ -4,7 +4,9 @@ Gradient routes are checked against central finite differences of an
 independent forward evaluation, with |a - f| <= max(1e-5 |f|, 1e-8) since
 FD itself carries truncation noise, and the adjoint sweep is checked against
 the parameter-shift rule, which re-simulates the circuit (and, one-sided,
-the ancilla Hadamard test) for every shifted angle, to 1e-12.
+the ancilla Hadamard test) for every shifted angle, to 1e-12. All of these
+run through the one gate kernel, so one test also checks the measure routes
+against dense unitaries that never touch it (tests/circuit_oracles.py).
 """
 import numpy as np
 import pytest
@@ -12,15 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdiff.circuit import (
-    ROTATION_KINDS,
-    Gate,
     ParamCircuit,
     build_ansatz,
     circuit_unitary,
-    cnot,
-    controlled,
-    cz,
-    h,
     phase,
     run_circuit,
     run_with_angles,
@@ -46,6 +42,8 @@ from qdiff.measure import (
     shift_gradient,
 )
 from qdiff.qcore import StateVector, basis_state
+
+from circuit_oracles import full_unitary_oracle, random_hermitian, random_mixed_circuit
 
 REL, FLOOR = 1e-5, 1e-8
 
@@ -216,6 +214,41 @@ def test_grad_hadamard_wrt_probe_matches_fd():
         assert close(grad[j], fd), (j, grad[j], fd)
 
 
+def test_measure_matches_kernel_free_dense_unitaries():
+    """probe_hermitian_part, hadamard_test and both gradient callers against
+    unitaries multiplied out from embedded gate matrices, which never run the
+    gate kernel that every measure route shares; gradients against central
+    differences of the dense values."""
+    rng = np.random.default_rng(50)
+    c = build_ansatz(4, 1)
+    params = rng.uniform(0, 2 * np.pi, c.n_params)
+    psi = random_state(4, rng)
+    h_mat = random_hermitian(16, rng)
+    probe = GlobalProbe(c, params)
+
+    def dense_values(p):
+        """(<psi|U^dag H U|psi>, Re<psi|U|psi>) from the dense oracle U(p)."""
+        out = full_unitary_oracle(c, p) @ psi.amps
+        return float(np.real(np.vdot(out, h_mat @ out))), float(np.real(np.vdot(psi.amps, out)))
+
+    u = full_unitary_oracle(c, params)
+    assert np.max(np.abs(probe_hermitian_part(probe) - 0.5 * (u + u.conj().T))) < 1e-12
+    assert hadamard_test(psi, probe) == pytest.approx(dense_values(params)[1], abs=1e-12)
+
+    grad_e = grad_expectation_wrt_circuit(c, psi, params, h_mat)
+    grad_h = grad_hadamard_wrt_probe(psi, probe)
+    eps = 1e-6
+    for j in range(c.n_params):
+        p = params.copy()
+        p[j] += eps
+        hi = dense_values(p)
+        p[j] -= 2 * eps
+        lo = dense_values(p)
+        fd_e, fd_h = ((a - b) / (2 * eps) for a, b in zip(hi, lo))
+        assert close(grad_e[j], fd_e), (j, grad_e[j], fd_e)
+        assert close(grad_h[j], fd_h), (j, grad_h[j], fd_h)
+
+
 def shift_expectation_grad(c, psi, params, h_mat):
     """Parameter-shift oracle for grad_expectation_wrt_circuit on one state."""
     def value(angles):
@@ -231,42 +264,6 @@ def shift_hadamard_grad(psi, probe):
     return shift_gradient(
         c, probe.params, lambda angles: _hadamard_with_angles(psi, c, angles), one_sided=True
     )
-
-
-def random_hermitian(d, rng):
-    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return m + m.conj().T
-
-
-def random_mixed_circuit(rng):
-    """1-3 qubits, 1-3 parameters shared across RX/RY/RZ/PHASE gates with
-    random scale/offset, interleaved with fixed H, CNOT, CZ and controlled-U
-    gates. A PHASE gate is always present so its own shift rule is always
-    exercised."""
-    n = int(rng.integers(1, 4))
-    n_params = int(rng.integers(1, 4))
-    gates = []
-    for _ in range(int(rng.integers(2, 8))):
-        q = int(rng.integers(0, n))
-        pick = int(rng.integers(0, 8))
-        if pick < len(ROTATION_KINDS):
-            gates.append(Gate(ROTATION_KINDS[pick], (q,), param_ref=int(rng.integers(0, n_params)),
-                              scale=float(rng.uniform(-2, 2)),
-                              offset=float(rng.uniform(-np.pi, np.pi))))
-        elif pick == 4 or n == 1:
-            gates.append(h(q))
-        elif pick == 5:
-            gates.append(cnot(q, (q + int(rng.integers(1, n))) % n))
-        elif pick == 6:
-            gates.append(cz(q, (q + int(rng.integers(1, n))) % n))
-        else:  # controlled-U on one wire, or on two when there are three qubits
-            wires = [w for w in rng.permutation(n) if w != q][: int(rng.integers(1, n))]
-            u, _ = np.linalg.qr(random_hermitian(2 ** len(wires), rng))
-            gates.append(controlled(q, tuple(int(w) for w in wires), u))
-    at = int(rng.integers(0, len(gates) + 1))
-    gates.insert(at, phase(int(rng.integers(0, n)), ref=int(rng.integers(0, n_params)),
-                           scale=float(rng.uniform(-2, 2))))
-    return ParamCircuit(n, tuple(gates), n_params)
 
 
 @settings(deadline=None, max_examples=40)
