@@ -332,6 +332,10 @@ def cmd_train(cfg: dict, seed: int, threads: int, out: str) -> int:
 def cmd_sample(cfg: dict, seed: int, threads: int, out: str) -> int:
     if not cfg["checkpoint"]:
         raise ConfigError("sample requires a checkpoint path")
+    if cfg["mode"] not in model.TARGET_MODES:
+        raise ConfigError(f"unknown sampling mode {cfg['mode']!r}")
+    if cfg["n_trajectories"] < 1:
+        raise ConfigError("n_trajectories must be >= 1")
     ck = model.load_checkpoint(cfg["checkpoint"])
     m = ck["model"]
     t_steps = m.hyper["t_steps"]

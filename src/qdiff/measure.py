@@ -3,8 +3,8 @@
 An AdaptiveObservable stores a free complex matrix M; the measured operator
 is its Hermitian part H = (M + M^dag)/2, so expectation values are real by
 construction and every matrix entry is a valid trainable weight. A
-GlobalProbe supplies one extra scalar feature through an ancilla Hadamard
-test, Re<psi|U(theta)|psi>.
+GlobalProbe adds Re<psi|U(theta)|psi>, which the model reads as <psi|(U+U^dag)/2|psi>
+(probe_hermitian_part); the ancilla Hadamard test, hadamard_test, is its reference.
 
 Gradient routes: a feature is linear in its observable's matrix M, so the
 bank needs no rule. Every circuit angle is differentiated by one adjoint
@@ -13,7 +13,7 @@ output block phi and a bra block lambda are walked back through the gates
 together, and each parameterized gate contributes
 coeff * scale * Re sum_b <lambda_b|dU_i phi_b> (the chain rule through
 angle = offset + scale * param; gates sharing a parameter add up). Two
-callers set (lambda, coeff):
+callers set (lambda, coeff), and the sweep also returns C^dag lambda:
   * two-sided <psi(theta)|H|psi(theta)> (ansatz angles, the diffusion
     infidelity): lambda = H C psi, coeff = 2;
   * one-sided Re<psi|U(phi)|psi> (probe angles): lambda = psi, coeff = 1.

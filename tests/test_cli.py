@@ -266,6 +266,24 @@ def test_sample_non_finite_checkpoint_exits_1(trained_dir, tmp_path, capsys):
     assert err.startswith("error:") and "encoder.0.w_real" in err
 
 
+def test_sample_unknown_mode_exits_2_before_loading(tmp_path, capsys):
+    # the checkpoint does not exist: the mode must be rejected first
+    code, _, err = run(["sample", "--out", str(tmp_path), "--mode", "zigzag",
+                        "--checkpoint", str(tmp_path / "missing.qdc")], capsys)
+    assert code == 2
+    assert "zigzag" in err
+    assert not (tmp_path / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_sample_needs_at_least_one_trajectory(trained_dir, tmp_path, capsys, n):
+    code, _, err = run(["sample", "--out", str(tmp_path), "--n-trajectories", n,
+                        "--checkpoint", str(trained_dir / "checkpoint.qdc")], capsys)
+    assert code == 2
+    assert "n_trajectories" in err
+    assert not (tmp_path / "metrics.json").exists()
+
+
 def test_sample_writes_frames_and_metrics(trained_dir, tmp_path, capsys):
     code, out_text, _ = run(["sample", "--out", str(tmp_path),
                              "--checkpoint", str(trained_dir / "checkpoint.qdc"),

@@ -1,13 +1,14 @@
 """Hybrid denoiser: forward composition, gradients, Adam, checkpoints."""
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from qdiff.circuit import run_circuit
 from qdiff.diffusion import linear_schedule
-from qdiff.measure import ano_features, hadamard_test
+from qdiff.measure import ano_features, hadamard_test, hermitize, probe_hermitian_part
 from qdiff.model import (
     INPUT_DIM,
     LATENT_DIM,
@@ -90,27 +91,31 @@ def test_forward_trace_matches_manual_composition():
     m = small_model()
     x_t = rng.standard_normal(INPUT_DIM)
     t = 3
-    out, tr = forward_trace(m, x_t, t)
+    out, tr = forward_trace(m, x_t[None], [t])
 
-    # encoder: complex affine stack on [x ; t/T]
-    z = np.concatenate([x_t, [t / m.hyper["t_steps"]]]).astype(complex)
+    # encoder: complex affine stack on the row [x ; t/T]
+    z = np.concatenate([x_t, [t / m.hyper["t_steps"]]])[None].astype(complex)
     for layer in m.encoder:  # linear layers, no activation between them
-        z = (layer.w_real + 1j * layer.w_imag) @ z + (layer.b_real + 1j * layer.b_imag)
-    r = np.linalg.norm(z)
-    psi_in = StateVector(z / r)
+        z = z @ (layer.w_real + 1j * layer.w_imag).T + (layer.b_real + 1j * layer.b_imag)
+    r = np.linalg.norm(z, axis=1)
+    psi_in = StateVector(z[0] / r[0])
 
     psi_out = run_circuit(m.ansatz, psi_in, m.theta)
-    feats = np.concatenate([ano_features(psi_out, m.bank),
-                            [hadamard_test(psi_out, m.probe)]])
-    d = np.concatenate([feats, x_t])
+    # the bank's Hermitian parts and the probe's (U + U^dag)/2, one contraction
+    obs = np.stack([hermitize(o) for o in m.bank.observables] + [probe_hermitian_part(m.probe)])
+    col = psi_out.amps[:, None]
+    feats = np.einsum("ib,kij,jb->bk", col.conj(), obs, col).real
+    d = np.concatenate([feats, x_t[None]], axis=1)
     for i, layer in enumerate(m.decoder):
-        d = layer.w @ d + layer.b
+        d = d @ layer.w.T + layer.b
         if i + 1 < len(m.decoder):
             d = leaky_relu(d)
 
     assert np.max(np.abs(out - d)) == 0.0
-    assert np.max(np.abs(tr["psi_out"].amps - psi_out.amps)) == 0.0
+    assert np.max(np.abs(tr["psi_out"][:, 0] - psi_out.amps)) == 0.0
     assert np.max(np.abs(tr["feats"] - feats)) == 0.0
+    # the probe feature is the ancilla Hadamard test's value
+    assert abs(tr["feats"][0, -1] - hadamard_test(psi_out, m.probe)) < 1e-12
 
 
 def test_forward_rejects_zero_latent():
@@ -358,3 +363,118 @@ def test_sample_other_modes_accept_schedule():
         traj = sample(m, t_steps=5, seed=1, mode=mode, sched=sched)
         assert len(traj) == 6
         assert np.all(np.isfinite(traj[-1]))
+
+
+def test_sample_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="zigzag"):
+        sample(small_model(7), t_steps=5, seed=1, mode="zigzag")
+
+
+# ---------------------------------------------------------------------------
+# the batched model path against single rows and the circuit-level oracles
+
+def test_forward_trace_rows_match_single_forward_calls():
+    rng = np.random.default_rng(20)
+    m = small_model(3)
+    X = rng.standard_normal((5, INPUT_DIM))
+    ts = [0, 1, 3, 5, 2]
+    out, tr = forward_trace(m, X, ts)
+    assert out.shape == (5, INPUT_DIM)
+    assert tr["psi_out"].shape == (LATENT_DIM, 5)
+    for b in range(5):
+        assert np.max(np.abs(out[b] - forward(m, X[b], ts[b]))) < 1e-12
+        psi = StateVector(tr["psi_out"][:, b])
+        oracle = np.concatenate([ano_features(psi, m.bank), [hadamard_test(psi, m.probe)]])
+        assert np.max(np.abs(tr["feats"][b] - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+def test_batched_backward_is_the_mean_of_single_row_calls(lam):
+    rng = np.random.default_rng(21)
+    m = small_model(4)
+    batch = small_batch(rng, n=4)
+    total, grads = backward(m, batch, lam)
+    singles = [backward(m, [row], lam) for row in batch]
+    assert total == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12, abs=0.0)
+    for name, g in grads.items():
+        mean = np.mean([s[1][name] for s in singles], axis=0)
+        scale = max(np.max(np.abs(mean)), 1e-300)
+        assert np.max(np.abs(g - mean)) <= 1e-12 * scale, name
+
+
+def test_batch_losses_agree_with_backward():
+    rng = np.random.default_rng(22)
+    m = small_model(5)
+    batch = small_batch(rng, n=3)
+    total, _ = backward(m, batch, 0.4)
+    per_row = [loss(m, x_t, t, target, 0.4) for x_t, t, target in batch]
+    assert total == pytest.approx(np.mean(per_row), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# boundary errors of the batched path
+
+def test_backward_rejects_misshapen_target_naming_its_row():
+    batch = small_batch(np.random.default_rng(23), n=3)
+    x_t, t, target = batch[2]
+    batch[2] = (x_t, t, target[:-1])
+    with pytest.raises(ValueError, match=r"target.*\(255,\).*batch index 2"):
+        backward(small_model(), batch, 0.25)
+    with pytest.raises(ValueError, match=r"target.*\(255,\)"):
+        loss(small_model(), x_t, t, target[:-1], 0.25)
+
+
+def test_backward_rejects_misshapen_input_naming_its_row():
+    batch = small_batch(np.random.default_rng(24), n=2)
+    x_t, t, target = batch[1]
+    batch[1] = (np.zeros((16, 16)), t, target)
+    with pytest.raises(ValueError, match=r"input.*\(16, 16\).*batch index 1"):
+        backward(small_model(), batch, 0.25)
+
+
+def test_timesteps_must_be_integers_in_range():
+    m = small_model()
+    x_t = np.zeros(INPUT_DIM)
+    target = np.zeros(INPUT_DIM)
+    with pytest.raises(ValueError, match=r"timestep 1.5 .*batch index 0"):
+        forward(m, x_t, 1.5)
+    with pytest.raises(ValueError, match=r"timestep 6 .*0\.\.5"):
+        forward(m, x_t, 6)
+    forward(m, x_t, 0)  # the forward path accepts t = 0
+    batch = [(x_t, 2, target), (x_t, 0, target)]
+    with pytest.raises(ValueError, match=r"timestep 0 .*1\.\.5.*batch index 1"):
+        backward(m, batch, 0.25)
+    with pytest.raises(ValueError, match=r"timestep 0 .*1\.\.5"):
+        loss(m, x_t, 0, target, 0.25)
+    with pytest.raises(ValueError, match=r"timestep 2.5 "):
+        loss_components(m, x_t, 2.5, target, 0.25)
+
+
+def test_non_finite_inputs_are_named_without_a_numpy_warning():
+    m = small_model()
+    batch = small_batch(np.random.default_rng(25), n=3)
+    x_t, t, target = batch[1]
+    bad_x = x_t.copy()
+    bad_x[7] = np.nan
+    bad_target = target.copy()
+    bad_target[0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"non-finite input.*batch index 1"):
+            backward(m, [batch[0], (bad_x, t, target), batch[2]], 0.25)
+        with pytest.raises(ValueError, match=r"non-finite target.*batch index 2"):
+            backward(m, [batch[0], batch[1], (x_t, t, bad_target)], 0.25)
+        with pytest.raises(ValueError, match=r"non-finite input"):
+            forward(m, bad_x, t)
+
+
+def test_zero_latent_names_its_batch_index():
+    m = small_model()
+    X = np.random.default_rng(26).standard_normal((3, INPUT_DIM))
+    # with a zero first layer the latent is the second layer's bias alone
+    for part in ("w_real", "w_imag", "b_real", "b_imag"):
+        getattr(m.encoder[0], part)[:] = 0.0
+    for part in ("b_real", "b_imag"):
+        getattr(m.encoder[1], part)[:] = 0.0
+    with pytest.raises(ValueError, match=r"all zero.*batch index 0"):
+        forward_trace(m, X, [1, 2, 3])
