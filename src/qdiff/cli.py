@@ -220,9 +220,10 @@ def _bench_targets(cfg: dict, seed: int, threads: int):
         dim = 2 ** n
         fids = bench.haar_fidelities(dim, cfg["n_pairs"], seed)
         rng = np.random.default_rng(seed + 1)
-        states = np.stack([bench.haar_state(dim, rng) for _ in range(cfg["mw_samples"])], axis=1)
+        n_states = max(cfg["mw_samples"], cfg["bloch_samples"])
+        states = np.stack([bench.haar_state(dim, rng) for _ in range(n_states)], axis=1)
         rhos = bench.qubit_reductions(states)
-        qbar = float(np.mean(bench.meyer_wallach_values(rhos)))
+        qbar = float(np.mean(bench.meyer_wallach_values(rhos[: cfg["mw_samples"]])))
         points = bench.bloch_values(rhos[: cfg["bloch_samples"]], cfg["bloch_qubit"])
         return fids, qbar, points
 
@@ -281,11 +282,17 @@ def cmd_grad_check(cfg: dict, seed: int, threads: int, out: str) -> int:
     return EXIT_OK if ok else EXIT_RUNTIME
 
 
+def _synthetic_spec(cfg: dict) -> data.SyntheticSpec:
+    try:
+        return data.SyntheticSpec(cfg["n_modes"], cfg["pattern_seed"],
+                                  cfg["noise_sigma"], cfg["per_mode"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _load_dataset(cfg: dict, seed: int) -> np.ndarray:
     if cfg["dataset"] == "synthetic":
-        spec = data.SyntheticSpec(cfg["n_modes"], cfg["pattern_seed"],
-                                  cfg["noise_sigma"], cfg["per_mode"])
-        return data.synth_modes(spec, seed + 1).images
+        return data.synth_modes(_synthetic_spec(cfg), seed + 1).images
     if cfg["dataset"] == "idx":
         if not cfg["images_path"]:
             raise ConfigError("dataset=idx requires images_path")
@@ -299,6 +306,14 @@ def _load_dataset(cfg: dict, seed: int) -> np.ndarray:
 
 
 def cmd_train(cfg: dict, seed: int, threads: int, out: str) -> int:
+    try:
+        tc = model.TrainConfig(
+            epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
+            seed=seed, lam=cfg["lam"], target_mode=cfg["target_mode"],
+            beta_start=cfg["beta_start"], beta_end=cfg["beta_end"],
+            max_steps=cfg["max_steps"] or None)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     images = _load_dataset(cfg, seed)
     log.info("training on %d images", len(images))
     opt = rng = None
@@ -314,11 +329,6 @@ def cmd_train(cfg: dict, seed: int, threads: int, out: str) -> int:
                              hidden_enc=cfg["hidden_enc"], hidden_dec=cfg["hidden_dec"],
                              ansatz_layers=cfg["ansatz_layers"], lr=cfg["lr"],
                              lam=cfg["lam"])
-    tc = model.TrainConfig(
-        epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
-        seed=seed, lam=cfg["lam"], target_mode=cfg["target_mode"],
-        beta_start=cfg["beta_start"], beta_end=cfg["beta_end"],
-        max_steps=cfg["max_steps"] or None)
     train_log, opt, rng = model.train(m, tc, images, opt=opt, rng=rng,
                                       step_offset=step_offset)
     _save_checkpoint_atomic(os.path.join(out, "checkpoint.qdc"), m, opt,
@@ -336,6 +346,7 @@ def cmd_sample(cfg: dict, seed: int, threads: int, out: str) -> int:
         raise ConfigError(f"unknown sampling mode {cfg['mode']!r}")
     if cfg["n_trajectories"] < 1:
         raise ConfigError("n_trajectories must be >= 1")
+    spec = _synthetic_spec(cfg)
     ck = model.load_checkpoint(cfg["checkpoint"])
     m = ck["model"]
     t_steps = m.hyper["t_steps"]
@@ -347,8 +358,6 @@ def cmd_sample(cfg: dict, seed: int, threads: int, out: str) -> int:
         finals.append(traj[-1])
     finals = np.array(finals)
 
-    spec = data.SyntheticSpec(cfg["n_modes"], cfg["pattern_seed"],
-                              cfg["noise_sigma"], cfg["per_mode"])
     real = data.synth_modes(spec, seed + 10_000).images
     templates = data.mode_templates(spec)
     cosines = [data.nearest_mode(img, templates)[1] for img in finals]

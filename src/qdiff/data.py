@@ -51,6 +51,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_modes < 2:
             raise ValueError("need at least two modes")
+        if self.n_modes > len(_template_family()):
+            raise ValueError(f"at most {len(_template_family())} modes supported")
         if self.noise_sigma < 0:
             raise ValueError("noise sigma must be non-negative")
         if self.per_mode < 1:
@@ -170,8 +172,6 @@ def _template_family() -> list:
 def mode_templates(spec: SyntheticSpec) -> np.ndarray:
     """Templates for a SyntheticSpec: a seeded pick from the fixed family."""
     family = _template_family()
-    if spec.n_modes > len(family):
-        raise ValueError(f"at most {len(family)} modes supported")
     order = np.random.default_rng(spec.pattern_seed).permutation(len(family))
     return np.stack([family[i] for i in order[: spec.n_modes]])
 

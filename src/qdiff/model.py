@@ -28,13 +28,13 @@ from .circuit import ParamCircuit, build_ansatz, effective_angles, run_block
 from .diffusion import NoiseSchedule, forward_sample, linear_schedule
 from .measure import (
     REAL_TOL,
+    AdaptiveObservable,
     GlobalProbe,
     ObservableBank,
     adjoint_gradient,
     grad_hadamard_wrt_probe,
     hermitize,
     probe_hermitian_part,
-    random_bank,
 )
 # unused here; perfbench/spans.py's tracer wraps these names
 from .circuit import circuit_unitary, run_circuit
@@ -49,6 +49,10 @@ CKPT_MAGIC = b"QDFC"
 CKPT_VERSION = 1
 
 PARAM_GROUPS = ("encoder", "theta", "bank", "probe", "decoder")
+# a checkpoint's hyper must hold each of these, though the structure reads only
+# some; its "seed" is optional
+_HYPER_KEYS = ("n_qubits", "k", "t_steps", "lr", "lam", "hidden_enc", "hidden_dec",
+               "ansatz_layers")
 TARGET_MODES = ("x_prev", "eps", "x0")
 
 
@@ -107,80 +111,60 @@ class TrainConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.lr < 0:
-            raise ValueError("epochs/batch_size/lr must be non-negative sizes")
+        if self.epochs < 0 or self.batch_size < 1 or self.lr < 0 or (self.max_steps or 0) < 0:
+            raise ValueError("epochs/batch_size/lr/max_steps must be non-negative sizes")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("loss mix lam must lie in [0, 1]")
         if self.target_mode not in TARGET_MODES:
             raise ValueError(f"unknown target mode {self.target_mode!r}")
 
 
-def _uniform(rng, bound, shape):
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def _init_complex_affine(rng, n_in: int, n_out: int) -> ComplexAffine:
-    b = 1.0 / np.sqrt(n_in)
-    return ComplexAffine(
-        _uniform(rng, b, (n_out, n_in)),
-        _uniform(rng, b, (n_out, n_in)),
-        _uniform(rng, b, n_out),
-        _uniform(rng, b, n_out),
-    )
-
-
-def _init_real_affine(rng, n_in: int, n_out: int) -> RealAffine:
-    b = 1.0 / np.sqrt(n_in)
-    return RealAffine(_uniform(rng, b, (n_out, n_in)), _uniform(rng, b, n_out))
-
-
-def init_model(
-    seed: int,
-    k: int = 16,
-    t_steps: int = 10,
-    hidden_enc: int = 64,
-    hidden_dec: int = 256,
-    ansatz_layers: int = 2,
-    lr: float = 1e-3,
-    lam: float = 0.25,
-) -> HybridModel:
-    """Fresh model; all draw order is fixed so a seed pins every weight."""
-    return _build_model(seed, k, t_steps, hidden_enc, hidden_dec, ansatz_layers, lr, lam,
-                        np.random.default_rng(seed))
-
-
-class _ZeroDraws:
-    """Stands in for the generator where a checkpoint payload supplies every weight."""
-
-    @staticmethod
-    def uniform(low, high, size):
-        return np.zeros(size)
-
-
-def _build_model(seed, k, t_steps, hidden_enc, hidden_dec, ansatz_layers, lr, lam,
-                 rng) -> HybridModel:
-    """The model's structure with every weight from rng.uniform, in a fixed order."""
-    enc_dims = [INPUT_DIM + 1, hidden_enc, LATENT_DIM]
-    dec_dims = [k + 1 + INPUT_DIM, hidden_dec, INPUT_DIM]
-    encoder = [_init_complex_affine(rng, a, b) for a, b in zip(enc_dims, enc_dims[1:])]
-    ansatz = build_ansatz(N_QUBITS, ansatz_layers)
-    theta = rng.uniform(0.0, 2.0 * np.pi, ansatz.n_params)
-    bank = random_bank(k, LATENT_DIM, rng)
+def _build_model(hyper: dict) -> HybridModel:
+    """The model's structure from its hyper dict alone, with every weight zero."""
+    k = hyper["k"]
+    enc_dims = [INPUT_DIM + 1, hyper["hidden_enc"], LATENT_DIM]
+    dec_dims = [k + 1 + INPUT_DIM, hyper["hidden_dec"], INPUT_DIM]
+    encoder = [ComplexAffine(np.zeros((b, a)), np.zeros((b, a)), np.zeros(b), np.zeros(b))
+               for a, b in zip(enc_dims, enc_dims[1:])]
+    ansatz = build_ansatz(N_QUBITS, hyper["ansatz_layers"])
+    square = (LATENT_DIM, LATENT_DIM)
+    bank = ObservableBank(tuple(AdaptiveObservable(np.zeros(square), np.zeros(square))
+                                for _ in range(k)))
     probe_circ = build_ansatz(N_QUBITS, 1)
-    probe = GlobalProbe(probe_circ, rng.uniform(0.0, 2.0 * np.pi, probe_circ.n_params))
-    decoder = [_init_real_affine(rng, a, b) for a, b in zip(dec_dims, dec_dims[1:])]
-    hyper = {
-        "n_qubits": N_QUBITS,
-        "k": k,
-        "t_steps": t_steps,
-        "lr": lr,
-        "lam": lam,
-        "hidden_enc": hidden_enc,
-        "hidden_dec": hidden_dec,
-        "ansatz_layers": ansatz_layers,
-        "seed": seed,
-    }
-    return HybridModel(encoder, ansatz, theta, bank, probe, decoder, hyper)
+    probe = GlobalProbe(probe_circ, np.zeros(probe_circ.n_params))
+    decoder = [RealAffine(np.zeros((b, a)), np.zeros(b))
+               for a, b in zip(dec_dims, dec_dims[1:])]
+    return HybridModel(encoder, ansatz, np.zeros(ansatz.n_params), bank, probe, decoder,
+                       hyper)
+
+
+def _init_range(model: HybridModel, name: str):
+    """(low, high) of the uniform draw for the table tensor `name`: angles in
+    [0, 2 pi), bank entries in +-1/D, a layer's weights and biases in +-1/sqrt(fan-in)."""
+    group, *rest = name.split(".")
+    if group in ("theta", "probe"):
+        return 0.0, 2.0 * np.pi
+    if group == "bank":
+        bound = 1.0 / LATENT_DIM
+    else:
+        layer = getattr(model, group)[int(rest[0])]
+        bound = 1.0 / np.sqrt((layer.w_real if group == "encoder" else layer.w).shape[1])
+    return -bound, bound
+
+
+def init_model(seed: int, k: int = 16, t_steps: int = 10, hidden_enc: int = 64,
+               hidden_dec: int = 256, ansatz_layers: int = 2, lr: float = 1e-3,
+               lam: float = 0.25) -> HybridModel:
+    """Fresh model: the structure comes from its hyper dict, then one walk over
+    param_tensors fills each tensor from rng.uniform in table order, so a seed
+    pins every weight."""
+    model = _build_model(dict(n_qubits=N_QUBITS, k=k, t_steps=t_steps, lr=lr, lam=lam,
+                              hidden_enc=hidden_enc, hidden_dec=hidden_dec,
+                              ansatz_layers=ansatz_layers, seed=seed))
+    rng = np.random.default_rng(seed)
+    for name, arr in param_tensors(model):
+        arr[...] = rng.uniform(*_init_range(model, name), arr.shape)
+    return model
 
 
 def _timesteps(ts, n_rows: int, t_min: int, t_steps: int) -> np.ndarray:
@@ -584,11 +568,9 @@ def load_checkpoint(path):
         shapes = [tuple(s) for s in header["shapes"]]
         has_adam = bool(header["has_adam"])
         adam_step = header["adam_step"] if has_adam else 0
-        model = _build_model(
-            hyper.get("seed", 0), hyper["k"], hyper["t_steps"], hyper["hidden_enc"],
-            hyper["hidden_dec"], hyper["ansatz_layers"], hyper["lr"], hyper["lam"],
-            _ZeroDraws(),
-        )
+        if any(key not in hyper for key in _HYPER_KEYS) or hyper["n_qubits"] != N_QUBITS:
+            raise KeyError("hyper")
+        model = _build_model(hyper)
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
             AttributeError) as e:
         raise ValueError("corrupt checkpoint header") from e

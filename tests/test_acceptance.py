@@ -240,8 +240,8 @@ def test_10_cli_outputs_bitwise_deterministic(tmp_path):
     assert cli.main(["bench", "--out", str(tmp_path / "b4"),
                      "--threads", "4"] + bench_args) == 0
     for name in ("report.json", "fidelities.csv", "bloch.csv"):
-        one = open(tmp_path / "b1" / name, "rb").read()
-        four = open(tmp_path / "b4" / name, "rb").read()
+        one = (tmp_path / "b1" / name).read_bytes()
+        four = (tmp_path / "b4" / name).read_bytes()
         assert one == four, name
 
     train_args = ["--per-mode", "5", "--max-steps", "6", "--batch-size", "4",
@@ -251,14 +251,14 @@ def test_10_cli_outputs_bitwise_deterministic(tmp_path):
                      "--threads", "1"] + train_args) == 0
     assert cli.main(["train", "--out", str(tmp_path / "t4"),
                      "--threads", "4"] + train_args) == 0
-    ck1 = open(tmp_path / "t1" / "checkpoint.qdc", "rb").read()
-    ck4 = open(tmp_path / "t4" / "checkpoint.qdc", "rb").read()
+    ck1 = (tmp_path / "t1" / "checkpoint.qdc").read_bytes()
+    ck4 = (tmp_path / "t4" / "checkpoint.qdc").read_bytes()
     assert ck1 == ck4
     # wall-clock timing lives in its own trailing column; every other field
     # must agree byte for byte
-    for line1, line4 in zip(open(tmp_path / "t1" / "log.csv"),
-                            open(tmp_path / "t4" / "log.csv")):
+    for line1, line4 in zip((tmp_path / "t1" / "log.csv").read_text().splitlines(),
+                            (tmp_path / "t4" / "log.csv").read_text().splitlines()):
         assert line1.rsplit(",", 1)[0] == line4.rsplit(",", 1)[0]
 
-    report = json.loads(open(tmp_path / "b1" / "report.json").read())
+    report = json.loads((tmp_path / "b1" / "report.json").read_text())
     assert report["seed"] == 9

@@ -42,7 +42,7 @@ def train_args(out, **extra):
 
 
 def read_log_rows(path, strip_wall=True):
-    lines = open(path).read().strip().split("\n")
+    lines = path.read_text().strip().split("\n")
     rows = [line.split(",") for line in lines[1:]]
     if strip_wall:
         rows = [row[:-1] for row in rows]
@@ -94,7 +94,7 @@ def test_override_beats_config_file(tmp_path, capsys):
     code, _, _ = run(["bench", "--config", str(path), "--out", str(out),
                       "--n-pairs=80"], capsys)
     assert code == 0
-    n_rows = len(open(out / "fidelities.csv").read().strip().split("\n")) - 1
+    n_rows = len((out / "fidelities.csv").read_text().strip().split("\n")) - 1
     assert n_rows == 80
 
 
@@ -108,16 +108,28 @@ def test_bench_idle_circuit(tmp_path, capsys):
                             capsys)
     assert code == 0
     assert "bench:" in out_text
-    report = json.loads(open(tmp_path / "report.json").read())
+    report = json.loads((tmp_path / "report.json").read_text())
     # an idle circuit always returns |0...0>, so every fidelity is 1 and the
     # histogram piles into one bin: huge divergence, zero entanglement
     assert report["expressibility"] > 10.0
     assert report["entangling_capability"] == 0.0
-    fids = open(tmp_path / "fidelities.csv").read().strip().split("\n")
+    fids = (tmp_path / "fidelities.csv").read_text().strip().split("\n")
     assert fids[0] == "fidelity"
     assert all(float(v) == 1.0 for v in fids[1:])
-    bloch = open(tmp_path / "bloch.csv").read().strip().split("\n")
+    bloch = (tmp_path / "bloch.csv").read_text().strip().split("\n")
     assert bloch[0] == "x,y,z"
+
+
+def test_bench_haar_bloch_cloud_is_not_capped_by_mw_samples(tmp_path, capsys):
+    args = ["--circuit", "haar", "--n-pairs", "100", "--bloch-samples", "200"]
+    assert run(["bench", "--out", str(tmp_path / "few"), "--mw-samples", "50"] + args,
+               capsys)[0] == 0
+    assert run(["bench", "--out", str(tmp_path / "many"), "--mw-samples", "1000"] + args,
+               capsys)[0] == 0
+    few = (tmp_path / "few" / "bloch.csv").read_text()
+    assert len(few.strip().split("\n")) == 1 + 200
+    # the first draws are the same states whatever mw_samples is
+    assert few == (tmp_path / "many" / "bloch.csv").read_text()
 
 
 def test_bench_ansatz_beats_idle(tmp_path, capsys):
@@ -129,8 +141,8 @@ def test_bench_ansatz_beats_idle(tmp_path, capsys):
                       "--circuit", "idle", "--n-pairs", "400",
                       "--mw-samples", "60", "--bloch-samples", "20"], capsys)
     assert code == 0
-    e_ansatz = json.loads(open(tmp_path / "a" / "report.json").read())
-    e_idle = json.loads(open(tmp_path / "b" / "report.json").read())
+    e_ansatz = json.loads((tmp_path / "a" / "report.json").read_text())
+    e_idle = json.loads((tmp_path / "b" / "report.json").read_text())
     assert e_ansatz["expressibility"] < e_idle["expressibility"]
     assert e_ansatz["entangling_capability"] > 0.5
 
@@ -141,8 +153,8 @@ def test_bench_bitwise_deterministic_across_threads(tmp_path, capsys):
     run(["bench", "--out", str(tmp_path / "t1"), "--threads", "1"] + base, capsys)
     run(["bench", "--out", str(tmp_path / "t4"), "--threads", "4"] + base, capsys)
     for name in ("report.json", "fidelities.csv", "bloch.csv"):
-        a = open(tmp_path / "t1" / name, "rb").read()
-        b = open(tmp_path / "t4" / name, "rb").read()
+        a = (tmp_path / "t1" / name).read_bytes()
+        b = (tmp_path / "t4" / name).read_bytes()
         assert a == b, name
 
 
@@ -158,7 +170,7 @@ def test_grad_check_passes_on_small_model(tmp_path, capsys):
                             capsys)
     assert code == 0
     assert "grad-check: PASS (5 parameter groups)" in out_text
-    report = json.loads(open(tmp_path / "grad_check.json").read())
+    report = json.loads((tmp_path / "grad_check.json").read_text())
     assert report["pass"] is True
     assert len(report["groups"]) == 5
     assert all(err < report["threshold"] for err in report["groups"].values())
@@ -208,8 +220,8 @@ def test_train_resume_matches_uninterrupted(tmp_path, capsys):
                                 resume=str(tmp_path / "half" / "checkpoint.qdc")),
                      capsys)
     assert code == 0
-    full = open(tmp_path / "full" / "checkpoint.qdc", "rb").read()
-    rest = open(tmp_path / "rest" / "checkpoint.qdc", "rb").read()
+    full = (tmp_path / "full" / "checkpoint.qdc").read_bytes()
+    rest = (tmp_path / "rest" / "checkpoint.qdc").read_bytes()
     assert full == rest
     _, rows_full = read_log_rows(tmp_path / "full" / "log.csv")
     _, rows_half = read_log_rows(tmp_path / "half" / "log.csv")
@@ -220,12 +232,19 @@ def test_train_resume_matches_uninterrupted(tmp_path, capsys):
 def test_train_same_seed_bitwise_identical(tmp_path, capsys):
     run(train_args(tmp_path / "a", seed=3), capsys)
     run(train_args(tmp_path / "b", seed=3, threads=4), capsys)
-    a = open(tmp_path / "a" / "checkpoint.qdc", "rb").read()
-    b = open(tmp_path / "b" / "checkpoint.qdc", "rb").read()
+    a = (tmp_path / "a" / "checkpoint.qdc").read_bytes()
+    b = (tmp_path / "b" / "checkpoint.qdc").read_bytes()
     assert a == b
     _, rows_a = read_log_rows(tmp_path / "a" / "log.csv")
     _, rows_b = read_log_rows(tmp_path / "b" / "log.csv")
     assert rows_a == rows_b
+
+
+def test_train_negative_max_steps_exits_2_writing_nothing(tmp_path, capsys):
+    code, _, err = run(train_args(tmp_path, max_steps=-5), capsys)
+    assert code == 2
+    assert "max_steps" in err
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +294,16 @@ def test_sample_unknown_mode_exits_2_before_loading(tmp_path, capsys):
     assert not (tmp_path / "metrics.json").exists()
 
 
+def test_too_many_modes_exits_2_writing_nothing(trained_dir, tmp_path, capsys):
+    code, _, err = run(train_args(tmp_path / "train", n_modes=9), capsys)
+    assert code == 2 and "at most 8 modes" in err
+    assert os.listdir(tmp_path / "train") == []
+    code, _, err = run(["sample", "--out", str(tmp_path / "sample"), "--n-modes", "9",
+                        "--checkpoint", str(trained_dir / "checkpoint.qdc")], capsys)
+    assert code == 2 and "at most 8 modes" in err
+    assert os.listdir(tmp_path / "sample") == []
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_sample_needs_at_least_one_trajectory(trained_dir, tmp_path, capsys, n):
     code, _, err = run(["sample", "--out", str(tmp_path), "--n-trajectories", n,
@@ -295,10 +324,10 @@ def test_sample_writes_frames_and_metrics(trained_dir, tmp_path, capsys):
     assert len(pgms) == 12
     assert pgms[0] == "traj000_step00.pgm"
     assert pgms[-1] == "traj001_step05.pgm"
-    blob = open(tmp_path / pgms[0], "rb").read()
+    blob = (tmp_path / pgms[0]).read_bytes()
     assert blob.startswith(b"P5\n16 16\n255\n")
     assert len(blob) == len(b"P5\n16 16\n255\n") + 256
-    metrics = json.loads(open(tmp_path / "metrics.json").read())
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
     assert metrics["n_trajectories"] == 2
     assert metrics["t_steps"] == 5
     assert 0.0 <= metrics["nearest_mode_frac_above_0.8"] <= 1.0
@@ -312,8 +341,8 @@ def test_sample_deterministic(trained_dir, tmp_path, capsys):
     run(["sample", "--out", str(tmp_path / "a")] + argv, capsys)
     run(["sample", "--out", str(tmp_path / "b")] + argv, capsys)
     for name in sorted(os.listdir(tmp_path / "a")):
-        a = open(tmp_path / "a" / name, "rb").read()
-        b = open(tmp_path / "b" / name, "rb").read()
+        a = (tmp_path / "a" / name).read_bytes()
+        b = (tmp_path / "b" / name).read_bytes()
         assert a == b, name
 
 
@@ -325,7 +354,7 @@ def test_write_pgm_clamps(tmp_path):
     img[0], img[1] = -3.0, 7.0
     path = tmp_path / "x.pgm"
     cli.write_pgm(str(path), img)
-    body = open(path, "rb").read()[len(b"P5\n16 16\n255\n"):]
+    body = path.read_bytes()[len(b"P5\n16 16\n255\n"):]
     assert body[0] == 0 and body[1] == 255
     assert body[2] == 128
 

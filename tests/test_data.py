@@ -162,6 +162,12 @@ def test_synthetic_spec_validation():
         SyntheticSpec(per_mode=0)
 
 
+def test_synthetic_spec_rejects_more_modes_than_templates():
+    SyntheticSpec(n_modes=8, per_mode=1)
+    with pytest.raises(ValueError, match="at most 8 modes"):
+        SyntheticSpec(n_modes=9, per_mode=1)
+
+
 def test_synth_modes_sigma_zero_equals_templates():
     spec = SyntheticSpec(n_modes=3, pattern_seed=1, noise_sigma=0.0, per_mode=4)
     batch = synth_modes(spec, seed=0)

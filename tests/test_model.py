@@ -62,6 +62,31 @@ def test_init_model_is_seed_deterministic():
     assert not np.array_equal(a.theta, c.theta)
 
 
+@pytest.mark.parametrize("config", [{}, dict(k=4, t_steps=5, hidden_enc=16, hidden_dec=32,
+                                              ansatz_layers=1)], ids=["default", "small"])
+def test_init_model_draws_the_table_in_order_from_fixed_ranges(config):
+    # an independent walk: layer weights and biases in +-1/sqrt(fan-in), angles in
+    # [0, 2 pi), bank entries in +-1/16, drawn in the parameter table's order
+    k = config.get("k", 16)
+    enc, dec = config.get("hidden_enc", 64), config.get("hidden_dec", 256)
+    rng = np.random.default_rng(11)
+    want = []
+    for n_in, n_out in ((257, enc), (enc, 16)):
+        bound = 1.0 / np.sqrt(n_in)
+        want += [rng.uniform(-bound, bound, shape)
+                 for shape in ((n_out, n_in), (n_out, n_in), n_out, n_out)]
+    want.append(rng.uniform(0.0, 2.0 * np.pi, 13 * config.get("ansatz_layers", 2)))
+    want += [rng.uniform(-1 / 16, 1 / 16, (16, 16)) for _ in range(2 * k)]
+    want.append(rng.uniform(0.0, 2.0 * np.pi, 13))
+    for n_in, n_out in ((k + 257, dec), (dec, 256)):
+        bound = 1.0 / np.sqrt(n_in)
+        want += [rng.uniform(-bound, bound, (n_out, n_in)), rng.uniform(-bound, bound, n_out)]
+    got = param_tensors(init_model(11, **config))
+    assert len(got) == len(want)
+    for (name, a), b in zip(got, want):
+        assert np.array_equal(a, b), name
+
+
 def test_default_model_shapes():
     m = init_model(0)
     assert m.encoder[0].w_real.shape == (64, 257)
@@ -251,6 +276,12 @@ def test_train_rejects_bad_dataset_and_config():
         TrainConfig(target_mode="zigzag")
 
 
+def test_train_config_rejects_negative_max_steps():
+    with pytest.raises(ValueError, match="max_steps"):
+        TrainConfig(max_steps=-5)
+    assert TrainConfig(max_steps=0).max_steps == 0
+
+
 def test_checkpoint_round_trip_and_resume(tmp_path):
     rng = np.random.default_rng(11)
     data = rng.uniform(0, 1, (10, INPUT_DIM))
@@ -334,14 +365,20 @@ def test_checkpoint_rejects_incomplete_header(tmp_path):
     broken = [[1, 2, 3], "hyper", {"hyper": [], "shapes": [], "has_adam": False}]
     for key in ("hyper", "shapes", "has_adam"):
         broken.append({k: v for k, v in header.items() if k != key})
-    broken.append(dict(header, hyper={k: v for k, v in header["hyper"].items()
-                                      if k != "hidden_dec"}))
+    for key in ("n_qubits", "k", "t_steps", "lr", "lam", "hidden_enc", "hidden_dec",
+                "ansatz_layers"):
+        broken.append(dict(header, hyper={k: v for k, v in header["hyper"].items()
+                                          if k != key}))
+    broken.append(dict(header, hyper=dict(header["hyper"], n_qubits=5)))
     for i, bad in enumerate(broken):
         (tmp_path / f"bad{i}.qdc").write_bytes(_with_header(raw, bad))
         with pytest.raises(ValueError, match="corrupt checkpoint header"):
             load_checkpoint(tmp_path / f"bad{i}.qdc")
     (tmp_path / "same.qdc").write_bytes(_with_header(raw, header))
     load_checkpoint(tmp_path / "same.qdc")
+    seedless = dict(header, hyper={k: v for k, v in header["hyper"].items() if k != "seed"})
+    (tmp_path / "seedless.qdc").write_bytes(_with_header(raw, seedless))
+    load_checkpoint(tmp_path / "seedless.qdc")
 
 
 def test_sample_trajectory_shape_and_determinism():
