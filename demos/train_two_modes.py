@@ -42,17 +42,14 @@ def main():
         print(f"  steps {i:>2d}-{i + 9:<2d} mean loss {np.mean(chunk):.4f}")
 
     print("\nsampling 4 trajectories...")
-    finals = []
-    for j in range(4):
-        traj = model.sample(m, m.hyper["t_steps"], 500 + j)
-        finals.append(traj[-1])
-        mode, cos = nearest_mode(traj[-1], templates)
+    finals = model.sample_block(m, m.hyper["t_steps"], [500 + j for j in range(4)])[:, -1]
+    for j, final in enumerate(finals):
+        mode, cos = nearest_mode(final, templates)
         print(f"  trajectory {j}: nearest mode {mode}, cosine {cos:.3f}")
 
     print("\nfirst generated image:")
     print(ascii_image(np.clip(finals[0], 0, 1)))
 
-    finals = np.array(finals)
     noise = np.random.default_rng(9).standard_normal(finals.shape)
     d_gen = frechet_gaussian(finals, batch.images)
     d_noise = frechet_gaussian(noise, batch.images)

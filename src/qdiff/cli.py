@@ -82,11 +82,12 @@ TRAIN_DEFAULTS = {
     "hidden_dec": 256,
     "resume": "",
 }
+# the train keys that set the model's structure; a resumed checkpoint must match them
+STRUCTURE_KEYS = ("k", "t_steps", "hidden_enc", "hidden_dec", "ansatz_layers")
 
 SAMPLE_DEFAULTS = {
     "checkpoint": "",
     "n_trajectories": 8,
-    "mode": "x_prev",
     "n_modes": 2,
     "pattern_seed": 0,
     "noise_sigma": 0.05,
@@ -203,12 +204,6 @@ def write_pgm(path: str, img) -> None:
     atomic_write(path, b"P5\n16 16\n255\n" + body.tobytes())
 
 
-def _save_checkpoint_atomic(path, m, opt, rng_state, step) -> None:
-    tmp = path + ".partial"
-    model.save_checkpoint(tmp, m, opt, rng_state, step)
-    os.replace(tmp, path)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -258,6 +253,9 @@ def cmd_bench(cfg: dict, seed: int, threads: int, out: str) -> int:
 
 
 def cmd_grad_check(cfg: dict, seed: int, threads: int, out: str) -> int:
+    for key in ("batch_size", "n_probe"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1")
     m = model.init_model(seed, k=cfg["k"], t_steps=cfg["t_steps"],
                          hidden_enc=cfg["hidden_enc"], hidden_dec=cfg["hidden_dec"],
                          ansatz_layers=cfg["ansatz_layers"], lam=cfg["lam"])
@@ -314,25 +312,27 @@ def cmd_train(cfg: dict, seed: int, threads: int, out: str) -> int:
             max_steps=cfg["max_steps"] or None)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    images = _load_dataset(cfg, seed)
-    log.info("training on %d images", len(images))
     opt = rng = None
     step_offset = 0
     if cfg["resume"]:
         ck = model.load_checkpoint(cfg["resume"])
         m, opt, step_offset = ck["model"], ck["opt"], ck["step"]
+        for key in STRUCTURE_KEYS:
+            if m.hyper[key] != cfg[key]:
+                raise ConfigError(f"resume checkpoint has {key}={m.hyper[key]!r}, "
+                                  f"the config asks for {key}={cfg[key]!r}")
         if ck["rng_state"] is not None:
             rng = np.random.default_rng()
             rng.bit_generator.state = ck["rng_state"]
     else:
-        m = model.init_model(seed, k=cfg["k"], t_steps=cfg["t_steps"],
-                             hidden_enc=cfg["hidden_enc"], hidden_dec=cfg["hidden_dec"],
-                             ansatz_layers=cfg["ansatz_layers"], lr=cfg["lr"],
-                             lam=cfg["lam"])
+        m = model.init_model(seed, **{key: cfg[key] for key in STRUCTURE_KEYS})
+    images = _load_dataset(cfg, seed)
+    log.info("training on %d images", len(images))
     train_log, opt, rng = model.train(m, tc, images, opt=opt, rng=rng,
                                       step_offset=step_offset)
-    _save_checkpoint_atomic(os.path.join(out, "checkpoint.qdc"), m, opt,
-                            rng.bit_generator.state, step_offset + len(train_log))
+    atomic_write(os.path.join(out, "checkpoint.qdc"),
+                 model.checkpoint_bytes(m, opt, rng.bit_generator.state,
+                                        step_offset + len(train_log)))
     atomic_write(os.path.join(out, "log.csv"), model.train_log_csv(train_log))
     last = train_log[-1][1] if train_log else float("nan")
     print(f"train: {len(train_log)} steps, final loss {last:.6f} -> {out}")
@@ -342,21 +342,17 @@ def cmd_train(cfg: dict, seed: int, threads: int, out: str) -> int:
 def cmd_sample(cfg: dict, seed: int, threads: int, out: str) -> int:
     if not cfg["checkpoint"]:
         raise ConfigError("sample requires a checkpoint path")
-    if cfg["mode"] not in model.TARGET_MODES:
-        raise ConfigError(f"unknown sampling mode {cfg['mode']!r}")
     if cfg["n_trajectories"] < 1:
         raise ConfigError("n_trajectories must be >= 1")
     spec = _synthetic_spec(cfg)
     ck = model.load_checkpoint(cfg["checkpoint"])
     m = ck["model"]
     t_steps = m.hyper["t_steps"]
-    finals = []
-    for j in range(cfg["n_trajectories"]):
-        traj = model.sample(m, t_steps, seed + j, mode=cfg["mode"])
+    frames = model.sample_block(m, t_steps, [seed + j for j in range(cfg["n_trajectories"])])
+    for j, traj in enumerate(frames):
         for i, img in enumerate(traj):
             write_pgm(os.path.join(out, f"traj{j:03d}_step{i:02d}.pgm"), img)
-        finals.append(traj[-1])
-    finals = np.array(finals)
+    finals = frames[:, -1]
 
     real = data.synth_modes(spec, seed + 10_000).images
     templates = data.mode_templates(spec)
@@ -364,7 +360,7 @@ def cmd_sample(cfg: dict, seed: int, threads: int, out: str) -> int:
     metrics = {
         "n_trajectories": int(len(finals)),
         "t_steps": int(t_steps),
-        "mode": cfg["mode"],
+        "mode": m.hyper.get("target_mode", model.TrainConfig.target_mode),
         "nearest_mode_cosine_mean": float(np.mean(cosines)),
         "nearest_mode_frac_above_0.8": float(np.mean([c > 0.8 for c in cosines])),
         "frechet_generated": None,

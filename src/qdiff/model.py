@@ -117,6 +117,8 @@ class TrainConfig:
             raise ValueError("loss mix lam must lie in [0, 1]")
         if self.target_mode not in TARGET_MODES:
             raise ValueError(f"unknown target mode {self.target_mode!r}")
+        if not 0.0 < self.beta_start <= self.beta_end < 1.0:
+            raise ValueError("need 0 < beta_start <= beta_end < 1")
 
 
 def _build_model(hyper: dict) -> HybridModel:
@@ -437,18 +439,22 @@ def train(model: HybridModel, config: TrainConfig, dataset,
           step_offset: int = 0):
     """Adam training over noised (x_t, target) pairs drawn from the dataset.
 
-    Returns (log, opt, rng): log rows are (step, loss, wall_ms); passing the
-    returned opt and rng back in (with step_offset) continues a run exactly
-    as if it had never stopped. wall_ms is the single nondeterministic
-    field; everything else is pinned by the seed. All random draws happen
-    per step (batch indices without replacement, then per-sample t and
-    noise), so a checkpoint taken after any step resumes bitwise.
+    The config's lr, lam, target_mode and betas are recorded in model.hyper, so
+    a checkpoint carries the rule sample_block steps by. Returns (log, opt, rng):
+    log rows are (step, loss, wall_ms); passing the returned opt and rng back in
+    (with step_offset) continues a run exactly as if it had never stopped.
+    wall_ms is the single nondeterministic field; everything else is pinned by
+    the seed. All random draws happen per step (batch indices without
+    replacement, then per-sample t and noise), so a checkpoint taken after any
+    step resumes bitwise.
     """
     data = np.asarray(dataset, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] != INPUT_DIM:
         raise ValueError(f"dataset must be (n, {INPUT_DIM}), got {data.shape}")
+    model.hyper.update(lr=config.lr, lam=config.lam, target_mode=config.target_mode,
+                       beta_start=config.beta_start, beta_end=config.beta_end)
     t_steps = model.hyper["t_steps"]
-    sched = linear_schedule(t_steps, config.beta_start, config.beta_end)
+    sched = _noise_schedule(model)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     if opt is None:
@@ -487,23 +493,38 @@ def train_log_csv(log) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sample(model: HybridModel, t_steps: int, seed: int, mode: str = "x_prev",
-           sched: NoiseSchedule | None = None):
-    """Iterative generation from pure noise; returns [x_T, ..., x_0].
+def _trained(model: HybridModel, key: str):
+    """A setting train() records in hyper; a header written before it did reads as
+    TrainConfig's default, which qdiff sample used for it."""
+    return model.hyper.get(key, getattr(TrainConfig, key))
 
-    In the default mode each network call directly predicts the previous
-    step. The eps and x0 modes reconstruct the posterior mean instead; they
-    exist for experimentation and share no tuning with the default.
+
+def _noise_schedule(model: HybridModel) -> NoiseSchedule:
+    return linear_schedule(model.hyper["t_steps"], _trained(model, "beta_start"),
+                           _trained(model, "beta_end"))
+
+
+def sample_block(model: HybridModel, t_steps: int, seeds) -> np.ndarray:
+    """Reverse diffusion of one trajectory per seed; returns (N, t_steps+1, 256) frames,
+    row j being trajectory j's [x_T, ..., x_0].
+
+    Trajectory j draws x_T from default_rng(seeds[j]) and is row j of one (N, 256)
+    block, so each step is one forward_trace call and a row's frames do not depend
+    on N. The step follows the model's target_mode: x_prev takes the prediction as
+    the previous step; eps and x0 form the DDPM posterior mean on the schedule the
+    model was trained with.
     """
+    mode = _trained(model, "target_mode")
     if mode not in TARGET_MODES:
-        raise ValueError(f"unknown sampling mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(INPUT_DIM)
-    traj = [x.copy()]
-    if mode != "x_prev" and sched is None:
-        sched = linear_schedule(t_steps, 1e-4, 0.02)
-    for t in range(t_steps, 0, -1):
-        pred = forward(model, x, t)
+        raise ValueError(f"unknown target mode {mode!r}")
+    if len(seeds) == 0:
+        raise ValueError("sample_block needs at least one seed")
+    sched = _noise_schedule(model)
+    x = np.stack([np.random.default_rng(s).standard_normal(INPUT_DIM) for s in seeds])
+    frames = np.empty((len(x), t_steps + 1, INPUT_DIM))
+    frames[:, 0] = x
+    for i, t in enumerate(range(t_steps, 0, -1), 1):
+        pred = forward_trace(model, x, np.full(len(x), t))[0]  # drop the trace at once
         if mode == "x_prev":
             x = pred
         elif mode == "eps":
@@ -517,12 +538,18 @@ def sample(model: HybridModel, t_steps: int, seed: int, mode: str = "x_prev",
             coef0 = np.sqrt(ab_prev) * beta / (1.0 - ab)
             coeft = np.sqrt(1.0 - beta) * (1.0 - ab_prev) / (1.0 - ab)
             x = coef0 * pred + coeft * x
-        traj.append(x.copy())
-    return traj
+        frames[:, i] = x
+    return frames
 
 
-def save_checkpoint(path, model: HybridModel, opt: AdamState | None = None,
-                    rng_state: dict | None = None, step: int = 0) -> None:
+def sample(model: HybridModel, t_steps: int, seed: int) -> list:
+    """One trajectory [x_T, ..., x_0], the N = 1 case of sample_block. The frames are
+    separate arrays, so one kept frame does not hold the whole trajectory."""
+    return [frame.copy() for frame in sample_block(model, t_steps, [seed])[0]]
+
+
+def checkpoint_bytes(model: HybridModel, opt: AdamState | None = None,
+                     rng_state: dict | None = None, step: int = 0) -> bytes:
     """Single-file format: magic, version, JSON header, float64 tensors.
 
     Tensor payload order matches param_tensors; Adam moments (if present)
@@ -548,8 +575,13 @@ def save_checkpoint(path, model: HybridModel, opt: AdamState | None = None,
     if opt is not None:
         for arr in opt.m + opt.v:
             blob.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return blob.getvalue()
+
+
+def save_checkpoint(path, model: HybridModel, opt: AdamState | None = None,
+                    rng_state: dict | None = None, step: int = 0) -> None:
     with open(path, "wb") as fh:
-        fh.write(blob.getvalue())
+        fh.write(checkpoint_bytes(model, opt, rng_state, step))
 
 
 def load_checkpoint(path):
@@ -623,6 +655,8 @@ def gradient_audit(model: HybridModel, batch, lam: float | None = None,
     """
     if lam is None:
         lam = model.hyper.get("lam", 0.25)
+    if n_probe < 1:
+        raise ValueError("n_probe must be >= 1")
     if fault_group is not None and fault_group not in PARAM_GROUPS:
         raise ValueError(f"unknown parameter group {fault_group!r}")
     _, grads = backward(model, batch, lam)

@@ -184,6 +184,20 @@ def test_grad_check_fault_injection_fails(tmp_path, capsys):
     assert "decoder" in out_text
 
 
+@pytest.mark.parametrize("key", ["n_probe", "batch_size"])
+def test_grad_check_empty_sizes_exit_2_writing_nothing(tmp_path, capsys, monkeypatch, key):
+    def no_work(*args, **kwargs):
+        raise AssertionError("grad-check built a model")
+
+    monkeypatch.setattr(model, "init_model", no_work)
+    argv = ["grad-check", "--out", str(tmp_path)] + GRAD_SMALL + [f"--{key.replace('_', '-')}",
+                                                                "0"]
+    code, out_text, err = run(argv, capsys)
+    assert code == 2
+    assert key in err and "PASS" not in out_text
+    assert os.listdir(tmp_path) == []
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -240,6 +254,50 @@ def test_train_same_seed_bitwise_identical(tmp_path, capsys):
     assert rows_a == rows_b
 
 
+@pytest.mark.parametrize("key, value", [("k", 8), ("t_steps", 7), ("hidden_enc", 4),
+                                        ("hidden_dec", 12), ("ansatz_layers", 2)])
+def test_train_resume_with_other_structure_exits_2_naming_the_key(tmp_path, capsys,
+                                                                  key, value):
+    run(train_args(tmp_path / "half", max_steps=1), capsys)
+    ck = str(tmp_path / "half" / "checkpoint.qdc")
+    # the images file does not exist: the checkpoint is checked before the data load
+    code, _, err = run(train_args(tmp_path / "rest", resume=ck, dataset="idx",
+                                  images_path=str(tmp_path / "missing.idx"),
+                                  **{key: value}), capsys)
+    assert code == 2
+    assert f"{key}=" in err and str(value) in err
+    assert os.listdir(tmp_path / "rest") == []
+
+
+def test_train_resume_records_the_new_lr_and_lam(tmp_path, capsys):
+    run(train_args(tmp_path / "half", max_steps=1), capsys)
+    code, _, _ = run(train_args(tmp_path / "rest", max_steps=1, lr=0.5, lam=0.9,
+                                resume=str(tmp_path / "half" / "checkpoint.qdc")), capsys)
+    assert code == 0
+    hyper = model.load_checkpoint(tmp_path / "rest" / "checkpoint.qdc")["model"].hyper
+    assert (hyper["lr"], hyper["lam"]) == (0.5, 0.9)
+
+
+def test_train_rejects_bad_betas_before_loading(tmp_path, capsys):
+    # the images file does not exist: the betas must be rejected first
+    code, _, err = run(train_args(tmp_path, beta_start=0.5, beta_end=0.1, dataset="idx",
+                                  images_path=str(tmp_path / "missing.idx")), capsys)
+    assert code == 2
+    assert "beta_start" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_train_failed_checkpoint_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk refused the rename")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, _, err = run(train_args(tmp_path, max_steps=1), capsys)
+    assert code == 1
+    assert "disk refused the rename" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_train_negative_max_steps_exits_2_writing_nothing(tmp_path, capsys):
     code, _, err = run(train_args(tmp_path, max_steps=-5), capsys)
     assert code == 2
@@ -286,12 +344,55 @@ def test_sample_non_finite_checkpoint_exits_1(trained_dir, tmp_path, capsys):
 
 
 def test_sample_unknown_mode_exits_2_before_loading(tmp_path, capsys):
-    # the checkpoint does not exist: the mode must be rejected first
+    # the mode comes from the checkpoint; --mode is no longer a sample key, and it
+    # is rejected before the (missing) checkpoint is read
     code, _, err = run(["sample", "--out", str(tmp_path), "--mode", "zigzag",
                         "--checkpoint", str(tmp_path / "missing.qdc")], capsys)
     assert code == 2
-    assert "zigzag" in err
+    assert "unknown config key 'mode'" in err
     assert not (tmp_path / "metrics.json").exists()
+
+
+def _with_hyper(raw, **changes):
+    """The checkpoint bytes `raw` with `changes` merged into its header's hyper."""
+    (hlen,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16: 16 + hlen])
+    header["hyper"].update(changes)
+    head = json.dumps(header).encode()
+    return raw[:8] + struct.pack("<Q", len(head)) + head + raw[16 + hlen:]
+
+
+def test_sample_unknown_header_mode_exits_1_naming_it(trained_dir, tmp_path, capsys):
+    bad = tmp_path / "zigzag.qdc"
+    bad.write_bytes(_with_hyper((trained_dir / "checkpoint.qdc").read_bytes(),
+                                target_mode="zigzag"))
+    code, _, err = run(["sample", "--out", str(tmp_path / "out"),
+                        "--checkpoint", str(bad)], capsys)
+    assert code == 1
+    assert "zigzag" in err
+    assert os.listdir(tmp_path / "out") == []
+
+
+def test_sample_steps_by_the_mode_and_schedule_the_checkpoint_records(tmp_path, capsys):
+    code, _, _ = run(train_args(tmp_path / "t", target_mode="eps", beta_start=1e-3,
+                                beta_end=0.05), capsys)
+    assert code == 0
+    ck = model.load_checkpoint(tmp_path / "t" / "checkpoint.qdc")
+    hyper = ck["model"].hyper
+    assert (hyper["target_mode"], hyper["beta_start"], hyper["beta_end"]) \
+        == ("eps", 1e-3, 0.05)
+    code, _, _ = run(["sample", "--out", str(tmp_path / "s"), "--seed", "4",
+                      "--checkpoint", str(tmp_path / "t" / "checkpoint.qdc"),
+                      "--n-trajectories", "3", "--per-mode", "5"], capsys)
+    assert code == 0
+    assert json.loads((tmp_path / "s" / "metrics.json").read_text())["mode"] == "eps"
+    frames = model.sample_block(ck["model"], 5, [4, 5, 6])
+    for j, traj in enumerate(frames):
+        for i, img in enumerate(traj):
+            name = f"traj{j:03d}_step{i:02d}.pgm"
+            cli.write_pgm(str(tmp_path / "want.pgm"), img)
+            assert (tmp_path / "s" / name).read_bytes() \
+                == (tmp_path / "want.pgm").read_bytes(), name
 
 
 def test_too_many_modes_exits_2_writing_nothing(trained_dir, tmp_path, capsys):

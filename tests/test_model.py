@@ -28,6 +28,7 @@ from qdiff.model import (
     loss_components,
     param_tensors,
     sample,
+    sample_block,
     save_checkpoint,
     train,
     train_log_csv,
@@ -178,6 +179,14 @@ def test_gradient_audit_all_groups_pass():
         assert err < 1e-4, (group, err)
 
 
+@pytest.mark.parametrize("n_probe", [0, -2])
+def test_gradient_audit_needs_a_probe(n_probe):
+    m = small_model()
+    batch = small_batch(np.random.default_rng(3))
+    with pytest.raises(ValueError, match="n_probe"):
+        gradient_audit(m, batch, n_probe=n_probe)
+
+
 def test_gradient_audit_catches_sign_fault():
     rng = np.random.default_rng(5)
     m = small_model()
@@ -274,6 +283,14 @@ def test_train_rejects_bad_dataset_and_config():
         TrainConfig(lam=1.5)
     with pytest.raises(ValueError):
         TrainConfig(target_mode="zigzag")
+
+
+@pytest.mark.parametrize("betas", [(0.5, 0.1), (0.0, 0.02), (1e-4, 1.0), (-1e-4, 0.02)])
+def test_train_config_rejects_betas_linear_schedule_would(betas):
+    with pytest.raises(ValueError, match="beta_start"):
+        TrainConfig(beta_start=betas[0], beta_end=betas[1])
+    with pytest.raises(ValueError, match="beta_start"):
+        linear_schedule(5, *betas)
 
 
 def test_train_config_rejects_negative_max_steps():
@@ -394,17 +411,83 @@ def test_sample_trajectory_shape_and_determinism():
 
 
 def test_sample_other_modes_accept_schedule():
+    # the mode and betas come from hyper, as train() records them
     m = small_model(7)
-    sched = linear_schedule(5, 1e-4, 0.02)
     for mode in ("eps", "x0"):
-        traj = sample(m, t_steps=5, seed=1, mode=mode, sched=sched)
+        m.hyper.update(target_mode=mode, beta_start=1e-4, beta_end=0.02)
+        traj = sample(m, t_steps=5, seed=1)
         assert len(traj) == 6
         assert np.all(np.isfinite(traj[-1]))
+        m.hyper.update(beta_start=1e-3, beta_end=0.05)
+        other = sample(m, t_steps=5, seed=1)
+        assert np.array_equal(traj[0], other[0])
+        assert not np.array_equal(traj[-1], other[-1])
 
 
 def test_sample_rejects_unknown_mode():
+    m = small_model(7)
+    m.hyper["target_mode"] = "zigzag"
     with pytest.raises(ValueError, match="zigzag"):
-        sample(small_model(7), t_steps=5, seed=1, mode="zigzag")
+        sample(m, t_steps=5, seed=1)
+
+
+def test_sample_reads_a_header_without_training_keys_as_x_prev_on_default_betas():
+    m = small_model(7)
+    legacy = sample(m, t_steps=5, seed=2)
+    assert not {"target_mode", "beta_start", "beta_end"} & set(m.hyper)
+    # the x_prev step is the network's prediction itself
+    assert np.array_equal(legacy[1], forward(m, legacy[0], 5))
+    m.hyper.update(target_mode="x_prev", beta_start=1e-4, beta_end=0.02)
+    for a, b in zip(legacy, sample(m, t_steps=5, seed=2)):
+        assert np.array_equal(a, b)
+    # an eps header without betas steps on 1e-4..0.02
+    m.hyper = {k: v for k, v in m.hyper.items() if k not in ("beta_start", "beta_end")}
+    m.hyper["target_mode"] = "eps"
+    no_betas = sample(m, t_steps=5, seed=2)
+    m.hyper.update(beta_start=1e-4, beta_end=0.02)
+    for a, b in zip(no_betas, sample(m, t_steps=5, seed=2)):
+        assert np.array_equal(a, b)
+
+
+def test_eps_step_is_the_ddpm_posterior_mean_on_the_recorded_schedule():
+    m = small_model(8)
+    m.hyper.update(target_mode="eps", beta_start=1e-3, beta_end=0.05)
+    traj = sample(m, t_steps=5, seed=3)
+    sched = linear_schedule(5, 1e-3, 0.05)
+    ab, beta = sched.alpha_bar(5), sched.beta(5)
+    want = (traj[0] - beta / np.sqrt(1.0 - ab) * forward(m, traj[0], 5)) / np.sqrt(1.0 - beta)
+    assert np.allclose(traj[1], want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("mode", ["x_prev", "eps", "x0"])
+def test_sample_block_rows_are_the_single_trajectories(mode):
+    # layout contract: trajectory j's frames do not depend on how many run beside it
+    m = small_model(9)
+    m.hyper.update(target_mode=mode, beta_start=1e-4, beta_end=0.02)
+    seeds = [100 + 7 * j for j in range(8)]
+    single = [np.array(sample(m, 5, s)) for s in seeds]
+    for n in (1, 3, 8):
+        block = sample_block(m, 5, seeds[:n])
+        assert block.shape == (n, 6, INPUT_DIM)
+        for j in range(n):
+            assert np.array_equal(block[j], single[j]), (mode, n, j)
+
+
+def test_sample_block_needs_a_seed():
+    with pytest.raises(ValueError, match="at least one seed"):
+        sample_block(small_model(), 5, [])
+
+
+def test_train_records_its_config_in_hyper():
+    data = np.random.default_rng(10).uniform(0, 1, (6, INPUT_DIM))
+    m = small_model(2)
+    keys = list(m.hyper)
+    cfg = TrainConfig(max_steps=1, batch_size=2, lr=0.5, lam=0.9, target_mode="eps",
+                      beta_start=1e-3, beta_end=0.05)
+    train(m, cfg, data)
+    assert list(m.hyper)[: len(keys)] == keys
+    assert {k: m.hyper[k] for k in ("lr", "lam", "target_mode", "beta_start", "beta_end")} \
+        == dict(lr=0.5, lam=0.9, target_mode="eps", beta_start=1e-3, beta_end=0.05)
 
 
 # ---------------------------------------------------------------------------
