@@ -11,6 +11,7 @@ Set QDIFF_LOG=debug (or info, warning, error) for progress logging.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import bench, data, model
 from .circuit import ParamCircuit, build_ansatz, ry, rz
+from .encode import MAX_QUBITS
 from .qcore import basis_state
 
 log = logging.getLogger("qdiff")
@@ -46,15 +48,16 @@ BENCH_DEFAULTS = {
     "bloch_samples": 200,
 }
 
+_SYNTHETIC = dataclasses.asdict(data.SyntheticSpec())
+# TrainConfig's fields as train keys; seed is --seed, and the key max_steps 0 means None
+_TRAIN_RULE = {key: value for key, value in dataclasses.asdict(model.TrainConfig()).items()
+               if key not in ("seed", "max_steps")}
+
 GRAD_CHECK_DEFAULTS = {
-    "k": 16,
-    "t_steps": 10,
-    "ansatz_layers": 2,
-    "hidden_enc": 64,
-    "hidden_dec": 256,
+    **model.STRUCTURE_DEFAULTS,
     "batch_size": 2,
     "n_probe": 20,
-    "lam": 0.25,
+    "lam": model.TrainConfig.lam,
     "fd_eps": 1e-6,
     "fault_group": "",  # test hook: sign-flip one group's analytic gradient
 }
@@ -63,35 +66,20 @@ TRAIN_DEFAULTS = {
     "dataset": "synthetic",  # synthetic | idx
     "images_path": "",
     "limit": 0,
-    "n_modes": 2,
-    "pattern_seed": 0,
-    "noise_sigma": 0.05,
-    "per_mode": 50,
-    "epochs": 1,
-    "batch_size": 8,
-    "max_steps": 0,  # 0 means epoch-driven
-    "lr": 1e-3,
-    "lam": 0.25,
-    "target_mode": "x_prev",
-    "beta_start": 1e-4,
-    "beta_end": 0.02,
-    "k": 16,
-    "t_steps": 10,
-    "ansatz_layers": 2,
-    "hidden_enc": 64,
-    "hidden_dec": 256,
+    **_SYNTHETIC,
+    **_TRAIN_RULE,
+    "max_steps": 0,
+    **model.STRUCTURE_DEFAULTS,
     "resume": "",
 }
-# the train keys that set the model's structure; a resumed checkpoint must match them
-STRUCTURE_KEYS = ("k", "t_steps", "hidden_enc", "hidden_dec", "ansatz_layers")
+# a resumed run keeps the checkpoint's structure and the rule its steps were
+# trained by; lr and lam may change
+RESUME_KEYS = (*model.STRUCTURE_DEFAULTS, "target_mode", "beta_start", "beta_end")
 
 SAMPLE_DEFAULTS = {
     "checkpoint": "",
     "n_trajectories": 8,
-    "n_modes": 2,
-    "pattern_seed": 0,
-    "noise_sigma": 0.05,
-    "per_mode": 50,
+    **_SYNTHETIC,
 }
 
 
@@ -109,10 +97,6 @@ def load_config_file(path: str) -> dict:
 
 
 def _coerce_file_value(key: str, value, default):
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {key!r} must be a boolean")
-        return value
     if isinstance(default, int):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"config key {key!r} must be an integer")
@@ -128,12 +112,6 @@ def _coerce_file_value(key: str, value, default):
 
 def _coerce_override(key: str, raw: str, default):
     try:
-        if isinstance(default, bool):
-            if raw.lower() in ("1", "true", "yes"):
-                return True
-            if raw.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(raw)
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
@@ -207,7 +185,7 @@ def write_pgm(path: str, img) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def _bench_targets(cfg: dict, seed: int, threads: int):
+def _bench_targets(cfg: dict, seed: int):
     """(fidelities, qbar, bloch point array) for the configured circuit."""
     n = cfg["n_qubits"]
     kind = cfg["circuit"]
@@ -234,15 +212,21 @@ def _bench_targets(cfg: dict, seed: int, threads: int):
     else:
         raise ConfigError(f"unknown circuit kind {kind!r}")
     psi0 = basis_state(n)
-    fids = bench.sample_fidelities(circ, psi0, cfg["n_pairs"], seed, threads)
-    qbar = bench.entangling_capability(circ, psi0, cfg["mw_samples"], seed + 1, threads)
-    points = bench.bloch_points(circ, psi0, cfg["bloch_qubit"],
-                                cfg["bloch_samples"], seed + 2, threads)
+    fids = bench.sample_fidelities(circ, psi0, cfg["n_pairs"], seed)
+    qbar = bench.entangling_capability(circ, psi0, cfg["mw_samples"], seed + 1)
+    points = bench.bloch_points(circ, psi0, cfg["bloch_qubit"], cfg["bloch_samples"], seed + 2)
     return fids, qbar, points
 
 
-def cmd_bench(cfg: dict, seed: int, threads: int, out: str) -> int:
-    fids, qbar, points = _bench_targets(cfg, seed, threads)
+def cmd_bench(cfg: dict, seed: int, out: str) -> int:
+    for key in ("n_pairs", "mw_samples", "bloch_samples", "layers"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1")
+    if not 2 <= cfg["n_qubits"] <= MAX_QUBITS:
+        raise ConfigError(f"n_qubits must lie in 2..{MAX_QUBITS}")
+    if not 0 <= cfg["bloch_qubit"] < cfg["n_qubits"]:
+        raise ConfigError(f"bloch_qubit must lie in 0..{cfg['n_qubits'] - 1}")
+    fids, qbar, points = _bench_targets(cfg, seed)
     expr = bench.expressibility(fids, 2 ** cfg["n_qubits"])
     report = bench.BenchReport(expr, qbar, int(len(fids)), seed)
     atomic_write(os.path.join(out, "report.json"), report.to_json() + "\n")
@@ -252,13 +236,20 @@ def cmd_bench(cfg: dict, seed: int, threads: int, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_grad_check(cfg: dict, seed: int, threads: int, out: str) -> int:
+def _init_model(cfg: dict, seed: int, **kwargs) -> model.HybridModel:
+    """A fresh model of the configured structure; a bad structure value is a config error."""
+    try:
+        return model.init_model(seed, **kwargs,
+                                **{key: cfg[key] for key in model.STRUCTURE_DEFAULTS})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def cmd_grad_check(cfg: dict, seed: int, out: str) -> int:
     for key in ("batch_size", "n_probe"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
-    m = model.init_model(seed, k=cfg["k"], t_steps=cfg["t_steps"],
-                         hidden_enc=cfg["hidden_enc"], hidden_dec=cfg["hidden_dec"],
-                         ansatz_layers=cfg["ansatz_layers"], lam=cfg["lam"])
+    m = _init_model(cfg, seed, lam=cfg["lam"])
     rng = np.random.default_rng(seed + 1)
     batch = []
     for _ in range(cfg["batch_size"]):
@@ -282,8 +273,7 @@ def cmd_grad_check(cfg: dict, seed: int, threads: int, out: str) -> int:
 
 def _synthetic_spec(cfg: dict) -> data.SyntheticSpec:
     try:
-        return data.SyntheticSpec(cfg["n_modes"], cfg["pattern_seed"],
-                                  cfg["noise_sigma"], cfg["per_mode"])
+        return data.SyntheticSpec(**{key: cfg[key] for key in _SYNTHETIC})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -303,13 +293,10 @@ def _load_dataset(cfg: dict, seed: int) -> np.ndarray:
     raise ConfigError(f"unknown dataset kind {cfg['dataset']!r}")
 
 
-def cmd_train(cfg: dict, seed: int, threads: int, out: str) -> int:
+def cmd_train(cfg: dict, seed: int, out: str) -> int:
     try:
-        tc = model.TrainConfig(
-            epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
-            seed=seed, lam=cfg["lam"], target_mode=cfg["target_mode"],
-            beta_start=cfg["beta_start"], beta_end=cfg["beta_end"],
-            max_steps=cfg["max_steps"] or None)
+        tc = model.TrainConfig(seed=seed, max_steps=cfg["max_steps"] or None,
+                               **{key: cfg[key] for key in _TRAIN_RULE})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     opt = rng = None
@@ -317,15 +304,16 @@ def cmd_train(cfg: dict, seed: int, threads: int, out: str) -> int:
     if cfg["resume"]:
         ck = model.load_checkpoint(cfg["resume"])
         m, opt, step_offset = ck["model"], ck["opt"], ck["step"]
-        for key in STRUCTURE_KEYS:
-            if m.hyper[key] != cfg[key]:
-                raise ConfigError(f"resume checkpoint has {key}={m.hyper[key]!r}, "
+        for key in RESUME_KEYS:
+            have = model.trained_setting(m, key)
+            if have != cfg[key]:
+                raise ConfigError(f"resume checkpoint has {key}={have!r}, "
                                   f"the config asks for {key}={cfg[key]!r}")
         if ck["rng_state"] is not None:
             rng = np.random.default_rng()
             rng.bit_generator.state = ck["rng_state"]
     else:
-        m = model.init_model(seed, **{key: cfg[key] for key in STRUCTURE_KEYS})
+        m = _init_model(cfg, seed)
     images = _load_dataset(cfg, seed)
     log.info("training on %d images", len(images))
     train_log, opt, rng = model.train(m, tc, images, opt=opt, rng=rng,
@@ -339,7 +327,7 @@ def cmd_train(cfg: dict, seed: int, threads: int, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_sample(cfg: dict, seed: int, threads: int, out: str) -> int:
+def cmd_sample(cfg: dict, seed: int, out: str) -> int:
     if not cfg["checkpoint"]:
         raise ConfigError("sample requires a checkpoint path")
     if cfg["n_trajectories"] < 1:
@@ -360,7 +348,7 @@ def cmd_sample(cfg: dict, seed: int, threads: int, out: str) -> int:
     metrics = {
         "n_trajectories": int(len(finals)),
         "t_steps": int(t_steps),
-        "mode": m.hyper.get("target_mode", model.TrainConfig.target_mode),
+        "mode": model.trained_setting(m, "target_mode"),
         "nearest_mode_cosine_mean": float(np.mean(cosines)),
         "nearest_mode_frac_above_0.8": float(np.mean([c > 0.8 for c in cosines])),
         "frechet_generated": None,
@@ -410,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat JSON config file")
         p.add_argument("--seed", type=_seed_value, default=0)
+        # every command runs serially: --threads is checked and changes no output
         p.add_argument("--threads", type=_threads_value, default=1)
         p.add_argument("--out", default=".", help="output directory")
     return parser
@@ -432,7 +421,7 @@ def main(argv=None) -> int:
         cfg = build_config(defaults, args.config, parse_overrides(rest))
         os.makedirs(args.out, exist_ok=True)
         log.debug("%s config: %s", args.command, cfg)
-        return func(cfg, args.seed, args.threads, args.out)
+        return func(cfg, args.seed, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

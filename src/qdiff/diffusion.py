@@ -9,7 +9,7 @@ Timesteps are 1-based: t runs over 1..T.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,8 +23,8 @@ class NoiseSchedule:
     """Variance schedule beta_t with derived alpha_t and alpha_bar_t."""
 
     betas: np.ndarray
-    alphas: np.ndarray = None
-    alpha_bars: np.ndarray = None
+    alphas: np.ndarray = field(init=False)
+    alpha_bars: np.ndarray = field(init=False)
 
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=float)
@@ -58,7 +58,7 @@ class DepolSchedule:
     """Per-step depolarizing probabilities p_t with alpha_t = prod(1 - p_s)."""
 
     probs: np.ndarray
-    alpha_prods: np.ndarray = None
+    alpha_prods: np.ndarray = field(init=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)

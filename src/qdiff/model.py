@@ -49,10 +49,10 @@ CKPT_MAGIC = b"QDFC"
 CKPT_VERSION = 1
 
 PARAM_GROUPS = ("encoder", "theta", "bank", "probe", "decoder")
-# a checkpoint's hyper must hold each of these, though the structure reads only
-# some; its "seed" is optional
-_HYPER_KEYS = ("n_qubits", "k", "t_steps", "lr", "lam", "hidden_enc", "hidden_dec",
-               "ansatz_layers")
+# the settings that fix the model's shape, each an int >= 1 (_build_model checks)
+STRUCTURE_DEFAULTS = dict(k=16, t_steps=10, hidden_enc=64, hidden_dec=256, ansatz_layers=2)
+# a checkpoint's hyper must hold each of these; its "seed" is optional
+_HYPER_KEYS = ("n_qubits", *STRUCTURE_DEFAULTS, "lr", "lam")
 TARGET_MODES = ("x_prev", "eps", "x0")
 
 
@@ -123,6 +123,9 @@ class TrainConfig:
 
 def _build_model(hyper: dict) -> HybridModel:
     """The model's structure from its hyper dict alone, with every weight zero."""
+    for key in STRUCTURE_DEFAULTS:
+        if type(hyper[key]) is not int or hyper[key] < 1:
+            raise ValueError(f"{key} must be an integer >= 1, got {hyper[key]!r}")
     k = hyper["k"]
     enc_dims = [INPUT_DIM + 1, hyper["hidden_enc"], LATENT_DIM]
     dec_dims = [k + 1 + INPUT_DIM, hyper["hidden_dec"], INPUT_DIM]
@@ -154,15 +157,18 @@ def _init_range(model: HybridModel, name: str):
     return -bound, bound
 
 
-def init_model(seed: int, k: int = 16, t_steps: int = 10, hidden_enc: int = 64,
-               hidden_dec: int = 256, ansatz_layers: int = 2, lr: float = 1e-3,
-               lam: float = 0.25) -> HybridModel:
-    """Fresh model: the structure comes from its hyper dict, then one walk over
-    param_tensors fills each tensor from rng.uniform in table order, so a seed
-    pins every weight."""
-    model = _build_model(dict(n_qubits=N_QUBITS, k=k, t_steps=t_steps, lr=lr, lam=lam,
-                              hidden_enc=hidden_enc, hidden_dec=hidden_dec,
-                              ansatz_layers=ansatz_layers, seed=seed))
+def init_model(seed: int, lam: float = TrainConfig.lam, **structure) -> HybridModel:
+    """Fresh model: structure overrides STRUCTURE_DEFAULTS in its hyper dict (whose lr
+    is TrainConfig's until train() records its own), then one walk over param_tensors
+    fills each tensor from rng.uniform in table order, so a seed pins every weight."""
+    for key in structure:
+        if key not in STRUCTURE_DEFAULTS:
+            raise TypeError(f"init_model() got an unexpected keyword argument {key!r}")
+    s = {**STRUCTURE_DEFAULTS, **structure}
+    model = _build_model(dict(n_qubits=N_QUBITS, k=s["k"], t_steps=s["t_steps"],
+                              lr=TrainConfig.lr, lam=lam, hidden_enc=s["hidden_enc"],
+                              hidden_dec=s["hidden_dec"], ansatz_layers=s["ansatz_layers"],
+                              seed=seed))
     rng = np.random.default_rng(seed)
     for name, arr in param_tensors(model):
         arr[...] = rng.uniform(*_init_range(model, name), arr.shape)
@@ -341,7 +347,7 @@ def backward(model: HybridModel, batch, lam: float | None = None):
     and C^dag G_b psi_b, the encoder's cotangent. One more gives the probe gradient.
     """
     if lam is None:
-        lam = model.hyper.get("lam", 0.25)
+        lam = trained_setting(model, "lam")
     X, ts, targets = _stack_batch(batch)
     total, _, _, tr, tgt = _batch_loss(model, X, ts, targets, lam)
     k = model.bank.k
@@ -493,15 +499,16 @@ def train_log_csv(log) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trained(model: HybridModel, key: str):
-    """A setting train() records in hyper; a header written before it did reads as
-    TrainConfig's default, which qdiff sample used for it."""
-    return model.hyper.get(key, getattr(TrainConfig, key))
+def trained_setting(model: HybridModel, key: str):
+    """The model's setting `key` as hyper records it. A training setting missing from
+    a header written before train() recorded it reads as TrainConfig's default,
+    which qdiff sample used for it."""
+    return model.hyper[key] if key in model.hyper else getattr(TrainConfig, key)
 
 
 def _noise_schedule(model: HybridModel) -> NoiseSchedule:
-    return linear_schedule(model.hyper["t_steps"], _trained(model, "beta_start"),
-                           _trained(model, "beta_end"))
+    return linear_schedule(model.hyper["t_steps"], trained_setting(model, "beta_start"),
+                           trained_setting(model, "beta_end"))
 
 
 def sample_block(model: HybridModel, t_steps: int, seeds) -> np.ndarray:
@@ -514,7 +521,7 @@ def sample_block(model: HybridModel, t_steps: int, seeds) -> np.ndarray:
     the previous step; eps and x0 form the DDPM posterior mean on the schedule the
     model was trained with.
     """
-    mode = _trained(model, "target_mode")
+    mode = trained_setting(model, "target_mode")
     if mode not in TARGET_MODES:
         raise ValueError(f"unknown target mode {mode!r}")
     if len(seeds) == 0:
@@ -654,7 +661,7 @@ def gradient_audit(model: HybridModel, batch, lam: float | None = None,
     so the audit itself can be shown to catch a broken gradient.
     """
     if lam is None:
-        lam = model.hyper.get("lam", 0.25)
+        lam = trained_setting(model, "lam")
     if n_probe < 1:
         raise ValueError("n_probe must be >= 1")
     if fault_group is not None and fault_group not in PARAM_GROUPS:

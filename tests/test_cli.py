@@ -49,8 +49,47 @@ def read_log_rows(path, strip_wall=True):
     return lines[0], rows
 
 
+def _with_hyper(raw, drop=(), **changes):
+    """The checkpoint bytes `raw` with `changes` merged into its header's hyper and
+    the keys in `drop` taken out of it."""
+    (hlen,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16: 16 + hlen])
+    header["hyper"].update(changes)
+    for key in drop:
+        del header["hyper"][key]
+    head = json.dumps(header).encode()
+    return raw[:8] + struct.pack("<Q", len(head)) + head + raw[16 + hlen:]
+
+
 # ---------------------------------------------------------------------------
 # config handling and exit codes
+
+# every command's keys, defaults and value types, written out; a key's type
+# decides how its --key value and config-file value are read
+CONFIG_TABLES = {
+    "bench": {"circuit": "ansatz", "n_qubits": 4, "layers": 1, "n_pairs": 5000,
+              "mw_samples": 1000, "bloch_qubit": 0, "bloch_samples": 200},
+    "grad-check": {"k": 16, "t_steps": 10, "ansatz_layers": 2, "hidden_enc": 64,
+                   "hidden_dec": 256, "batch_size": 2, "n_probe": 20, "lam": 0.25,
+                   "fd_eps": 1e-6, "fault_group": ""},
+    "train": {"dataset": "synthetic", "images_path": "", "limit": 0, "n_modes": 2,
+              "pattern_seed": 0, "noise_sigma": 0.05, "per_mode": 50, "epochs": 1,
+              "batch_size": 8, "max_steps": 0, "lr": 1e-3, "lam": 0.25,
+              "target_mode": "x_prev", "beta_start": 1e-4, "beta_end": 0.02, "k": 16,
+              "t_steps": 10, "ansatz_layers": 2, "hidden_enc": 64, "hidden_dec": 256,
+              "resume": ""},
+    "sample": {"checkpoint": "", "n_trajectories": 8, "n_modes": 2, "pattern_seed": 0,
+               "noise_sigma": 0.05, "per_mode": 50},
+}
+
+
+def test_config_tables_keys_defaults_and_types():
+    assert set(cli.COMMANDS) == set(CONFIG_TABLES)
+    for name, want in CONFIG_TABLES.items():
+        got = cli.COMMANDS[name][1]
+        assert got == want, name
+        assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}, name
+
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code, _, err = run(["bench", "--config", str(tmp_path / "nope.json")], capsys)
@@ -147,6 +186,30 @@ def test_bench_ansatz_beats_idle(tmp_path, capsys):
     assert e_ansatz["entangling_capability"] > 0.5
 
 
+@pytest.mark.parametrize("args, key", [
+    (["--n-pairs", "0"], "n_pairs"),
+    (["--mw-samples", "0"], "mw_samples"),
+    (["--bloch-samples", "0"], "bloch_samples"),
+    (["--layers", "0"], "layers"),
+    (["--n-qubits", "1"], "n_qubits"),
+    (["--circuit", "idle", "--n-qubits", "30"], "n_qubits"),
+    (["--circuit", "haar", "--n-qubits", "13"], "n_qubits"),
+    (["--bloch-qubit", "7"], "bloch_qubit"),
+    (["--bloch-qubit", "-1"], "bloch_qubit"),
+])
+def test_bench_bad_sizes_exit_2_before_any_work(tmp_path, capsys, monkeypatch, args, key):
+    def no_work(*a, **kw):
+        raise AssertionError("bench started work")
+
+    for name in ("sample_fidelities", "haar_fidelities"):
+        monkeypatch.setattr(cli.bench, name, no_work)
+    monkeypatch.setattr(cli, "basis_state", no_work)
+    code, _, err = run(["bench", "--out", str(tmp_path)] + args, capsys)
+    assert code == 2
+    assert key in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_bench_bitwise_deterministic_across_threads(tmp_path, capsys):
     base = ["--n-pairs", "250", "--mw-samples", "40", "--bloch-samples", "15",
             "--seed", "7"]
@@ -198,6 +261,25 @@ def test_grad_check_empty_sizes_exit_2_writing_nothing(tmp_path, capsys, monkeyp
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("key", ["k", "t_steps", "hidden_enc", "hidden_dec", "ansatz_layers"])
+def test_structure_values_below_one_are_rejected_naming_the_key(tmp_path, capsys, key):
+    flag = f"--{key.replace('_', '-')}"
+    code, _, err = run(["grad-check", "--out", str(tmp_path / "gc")] + GRAD_SMALL + [flag, "0"],
+                       capsys)
+    assert code == 2 and key in err
+    assert os.listdir(tmp_path / "gc") == []
+    code, _, err = run(train_args(tmp_path / "train", **{key: 0}), capsys)
+    assert code == 2 and key in err
+    assert os.listdir(tmp_path / "train") == []
+    # a checkpoint header carrying the value is refused by the same check
+    run(train_args(tmp_path / "ok", max_steps=0, epochs=0), capsys)
+    raw = (tmp_path / "ok" / "checkpoint.qdc").read_bytes()
+    for bad in (0, -2, 2.0, True):
+        (tmp_path / "bad.qdc").write_bytes(_with_hyper(raw, **{key: bad}))
+        with pytest.raises(ValueError, match=f"{key} must be an integer >= 1"):
+            model.load_checkpoint(tmp_path / "bad.qdc")
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -219,7 +301,7 @@ def test_train_epochs_zero_checkpoint_matches_init(tmp_path, capsys):
     assert "train: 0 steps" in out_text
     ck = model.load_checkpoint(tmp_path / "checkpoint.qdc")
     fresh = model.init_model(0, k=4, t_steps=5, hidden_enc=8, hidden_dec=16,
-                             ansatz_layers=1, lr=1e-3, lam=0.25)
+                             ansatz_layers=1, lam=0.25)
     assert ck["step"] == 0
     for (name_a, a), (name_b, b) in zip(model.param_tensors(ck["model"]),
                                         model.param_tensors(fresh)):
@@ -267,6 +349,26 @@ def test_train_resume_with_other_structure_exits_2_naming_the_key(tmp_path, caps
     assert code == 2
     assert f"{key}=" in err and str(value) in err
     assert os.listdir(tmp_path / "rest") == []
+
+
+@pytest.mark.parametrize("key, value", [("target_mode", "eps"), ("beta_start", 1e-3),
+                                        ("beta_end", 0.05)])
+def test_train_resume_with_another_training_rule_exits_2_naming_the_key(tmp_path, capsys,
+                                                                        key, value):
+    run(train_args(tmp_path / "half", max_steps=1), capsys)
+    ck = str(tmp_path / "half" / "checkpoint.qdc")
+    code, _, err = run(train_args(tmp_path / "rest", resume=ck, **{key: value}), capsys)
+    assert code == 2
+    assert f"{key}=" in err and str(value) in err
+    assert os.listdir(tmp_path / "rest") == []
+    # a header written before train() recorded the rule reads as x_prev on 1e-4..0.02
+    old = tmp_path / "old.qdc"
+    old.write_bytes(_with_hyper((tmp_path / "half" / "checkpoint.qdc").read_bytes(),
+                                drop=("target_mode", "beta_start", "beta_end")))
+    assert run(train_args(tmp_path / "old", max_steps=1, resume=str(old)), capsys)[0] == 0
+    code, _, err = run(train_args(tmp_path / "old2", max_steps=1, resume=str(old),
+                                  **{key: value}), capsys)
+    assert code == 2 and f"{key}=" in err
 
 
 def test_train_resume_records_the_new_lr_and_lam(tmp_path, capsys):
@@ -351,15 +453,6 @@ def test_sample_unknown_mode_exits_2_before_loading(tmp_path, capsys):
     assert code == 2
     assert "unknown config key 'mode'" in err
     assert not (tmp_path / "metrics.json").exists()
-
-
-def _with_hyper(raw, **changes):
-    """The checkpoint bytes `raw` with `changes` merged into its header's hyper."""
-    (hlen,) = struct.unpack_from("<Q", raw, 8)
-    header = json.loads(raw[16: 16 + hlen])
-    header["hyper"].update(changes)
-    head = json.dumps(header).encode()
-    return raw[:8] + struct.pack("<Q", len(head)) + head + raw[16 + hlen:]
 
 
 def test_sample_unknown_header_mode_exits_1_naming_it(trained_dir, tmp_path, capsys):

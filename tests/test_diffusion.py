@@ -51,6 +51,15 @@ def test_schedule_validation():
         s.alpha_bar(6)
 
 
+def test_schedule_derived_fields_are_not_arguments():
+    with pytest.raises(TypeError):
+        NoiseSchedule(np.array([0.1]), alphas=np.array([0.5]))
+    with pytest.raises(TypeError):
+        NoiseSchedule(np.array([0.1]), alpha_bars=np.array([0.5]))
+    with pytest.raises(TypeError):
+        DepolSchedule(np.array([0.1]), alpha_prods=np.array([0.5]))
+
+
 def test_linear_schedule_endpoints():
     s = linear_schedule(10, 1e-4, 0.02)
     assert s.beta(1) == pytest.approx(1e-4)

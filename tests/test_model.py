@@ -88,6 +88,17 @@ def test_init_model_draws_the_table_in_order_from_fixed_ranges(config):
         assert np.array_equal(a, b), name
 
 
+def test_init_model_header_keys_and_unknown_keywords():
+    # the header's key order is part of the checkpoint bytes
+    m = init_model(3, lam=0.5, k=4)
+    assert list(m.hyper) == ["n_qubits", "k", "t_steps", "lr", "lam", "hidden_enc",
+                             "hidden_dec", "ansatz_layers", "seed"]
+    assert (m.hyper["k"], m.hyper["lam"], m.hyper["lr"]) == (4, 0.5, TrainConfig.lr)
+    for bad in ("lr", "n_qubits", "kk"):
+        with pytest.raises(TypeError, match=bad):
+            init_model(0, **{bad: 1})
+
+
 def test_default_model_shapes():
     m = init_model(0)
     assert m.encoder[0].w_real.shape == (64, 257)
