@@ -12,12 +12,9 @@ from .qcore import (
     StateVector,
     basis_state,
     expm_hermitian,
-    outer_product,
     partial_trace,
     purity,
     sqrtm_psd,
-    state_fidelity,
-    tensor_product,
 )
 from .circuit import (
     Gate,
@@ -57,9 +54,6 @@ from .measure import (
     grad_hadamard_wrt_probe,
     hadamard_test,
     hermitize,
-    load_bank,
-    random_bank,
-    save_bank,
 )
 from .diffusion import (
     DepolSchedule,
@@ -69,12 +63,7 @@ from .diffusion import (
     depolarize_closed,
     depolarize_step,
     forward_sample,
-    infidelity_loss,
     linear_schedule,
-    reverse_step,
-    schedule_from_json,
-    schedule_to_json,
-    simple_loss,
 )
 from .bench import (
     BenchReport,
@@ -93,7 +82,6 @@ from .data import (
     downsample,
     load_idx,
     parse_idx,
-    serialize_idx,
     synth_modes,
 )
 from .model import (
@@ -106,7 +94,6 @@ from .model import (
     load_checkpoint,
     loss,
     sample,
-    save_checkpoint,
     train,
 )
 

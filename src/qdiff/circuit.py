@@ -227,16 +227,6 @@ def full_gate_matrix(g: Gate, angle: float | None = None) -> np.ndarray:
     return control_embed(mat) if g.kind == "CU" else mat
 
 
-def apply_gate(psi: StateVector, g: Gate, params=()) -> StateVector:
-    """Apply one gate to a state; norm is preserved by unitarity."""
-    n = psi.n_qubits
-    if not all(0 <= t < n for t in g.targets):
-        raise ValueError(f"gate on qubits {g.targets} does not fit a {n}-qubit state")
-    angle = g.angle(np.asarray(params, dtype=float)) if g.kind in ROTATION_KINDS else None
-    block = _apply_kq(psi.amps[:, None], full_gate_matrix(g, angle), g.targets, n)
-    return StateVector(block[:, 0])
-
-
 def effective_angles(c: ParamCircuit, params) -> np.ndarray:
     """Per-gate resolved angles (nan for gates without one).
 

@@ -249,6 +249,12 @@ def cmd_grad_check(cfg: dict, seed: int, out: str) -> int:
     for key in ("batch_size", "n_probe"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
+    if not 0.0 < cfg["fd_eps"] < np.inf:
+        raise ConfigError("fd_eps must be a finite number > 0")
+    try:
+        model.TrainConfig(lam=cfg["lam"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     m = _init_model(cfg, seed, lam=cfg["lam"])
     rng = np.random.default_rng(seed + 1)
     batch = []

@@ -7,14 +7,13 @@ pixel noise, with labels for nearest-template checks.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 IDX_TYPE_UBYTE = 0x08
-_CACHE_MAGIC = b"QDIB"
-_CACHE_VERSION = 1
 
 HIGH, LOW = 0.95, 0.05
 
@@ -79,23 +78,13 @@ def parse_idx(stream: bytes) -> np.ndarray:
     if len(stream) < header_len:
         raise ValueError("truncated IDX dimension table")
     dims = struct.unpack(f">{ndims}I", stream[4:header_len])
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # exact: np.prod wraps at 2^63
     if len(stream) - header_len < count:
         raise ValueError(f"truncated IDX payload: need {count} bytes, have {len(stream) - header_len}")
     if len(stream) - header_len > count:
         raise ValueError("IDX stream has trailing bytes")
     data = np.frombuffer(stream, dtype=np.uint8, count=count, offset=header_len)
     return data.reshape(dims).copy()
-
-
-def serialize_idx(tensor: np.ndarray) -> bytes:
-    """Inverse of parse_idx; round-trips bit-exactly."""
-    tensor = np.asarray(tensor, dtype=np.uint8)
-    if tensor.ndim < 1 or tensor.ndim > 255:
-        raise ValueError("tensor rank must fit the IDX header")
-    head = bytes([0, 0, IDX_TYPE_UBYTE, tensor.ndim])
-    head += struct.pack(f">{tensor.ndim}I", *tensor.shape)
-    return head + tensor.tobytes()
 
 
 def load_idx(path) -> np.ndarray:
@@ -187,37 +176,6 @@ def synth_modes(spec: SyntheticSpec, seed: int) -> ImageBatch:
             images.append(np.clip(img, 0.0, 1.0))
             labels.append(mode)
     return ImageBatch(np.stack(images), np.array(labels))
-
-
-def save_batch(batch: ImageBatch, path) -> None:
-    """Binary cache: magic, version, counts, float64 images, int64 labels."""
-    n = len(batch)
-    has_labels = batch.labels is not None
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<IQB", _CACHE_VERSION, n, 1 if has_labels else 0))
-        fh.write(np.ascontiguousarray(batch.images, dtype="<f8").tobytes())
-        if has_labels:
-            fh.write(np.ascontiguousarray(batch.labels, dtype="<i8").tobytes())
-
-
-def load_batch(path) -> ImageBatch:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _CACHE_MAGIC:
-        raise ValueError("not an image-batch cache file")
-    version, n, has_labels = struct.unpack_from("<IQB", raw, 4)
-    if version != _CACHE_VERSION:
-        raise ValueError(f"unsupported cache version {version}")
-    offset = 4 + struct.calcsize("<IQB")
-    need = n * 256 * 8 + (n * 8 if has_labels else 0)
-    if len(raw) - offset != need:
-        raise ValueError("cache payload size mismatch")
-    images = np.frombuffer(raw, dtype="<f8", count=n * 256, offset=offset).reshape(n, 256).copy()
-    labels = None
-    if has_labels:
-        labels = np.frombuffer(raw, dtype="<i8", count=n, offset=offset + n * 256 * 8).copy()
-    return ImageBatch(images, labels)
 
 
 def nearest_mode(img, templates) -> tuple:

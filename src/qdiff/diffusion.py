@@ -3,19 +3,15 @@
 The classical side keeps the usual beta/alpha/alpha-bar bookkeeping with the
 closed-form forward sample; the quantum side replaces Gaussian noising with
 per-step depolarizing channels, whose t-fold composition also has a closed
-form, and a unitary reverse step scored by infidelity against a target state.
-Timesteps are 1-based: t runs over 1..T.
+form. Timesteps are 1-based: t runs over 1..T.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import ParamCircuit, circuit_unitary
-from .measure import grad_expectation_wrt_circuit
-from .qcore import DensityMatrix, StateVector, state_fidelity
+from .qcore import DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -103,24 +99,6 @@ def depol_from_noise(sched: NoiseSchedule) -> DepolSchedule:
     return DepolSchedule(sched.betas.copy())
 
 
-def schedule_to_json(sched) -> str:
-    if isinstance(sched, NoiseSchedule):
-        return json.dumps({"kind": "noise", "betas": sched.betas.tolist()})
-    if isinstance(sched, DepolSchedule):
-        return json.dumps({"kind": "depol", "probs": sched.probs.tolist()})
-    raise TypeError(f"not a schedule: {type(sched).__name__}")
-
-
-def schedule_from_json(text: str):
-    doc = json.loads(text)
-    kind = doc.get("kind")
-    if kind == "noise":
-        return NoiseSchedule(np.array(doc["betas"], dtype=float))
-    if kind == "depol":
-        return DepolSchedule(np.array(doc["probs"], dtype=float))
-    raise ValueError(f"unknown schedule kind {kind!r}")
-
-
 def forward_sample(x0, t: int, sched: NoiseSchedule, eps) -> DiffusionSample:
     """Closed-form forward jump: x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps."""
     x0 = np.asarray(x0, dtype=float)
@@ -130,15 +108,6 @@ def forward_sample(x0, t: int, sched: NoiseSchedule, eps) -> DiffusionSample:
     ab = sched.alpha_bar(t)
     x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
     return DiffusionSample(x_t=x_t, t=t, eps=eps)
-
-
-def simple_loss(eps_true, eps_pred) -> float:
-    eps_true = np.asarray(eps_true, dtype=float)
-    eps_pred = np.asarray(eps_pred, dtype=float)
-    if eps_true.shape != eps_pred.shape:
-        raise ValueError(f"shape mismatch {eps_true.shape} vs {eps_pred.shape}")
-    diff = eps_true - eps_pred
-    return float(np.mean(diff * diff))
 
 
 def depolarize_step(rho: DensityMatrix, p: float) -> DensityMatrix:
@@ -154,33 +123,3 @@ def depolarize_closed(rho0: DensityMatrix, t: int, sched: DepolSchedule) -> Dens
     a = sched.alpha(t)
     d = rho0.dim
     return DensityMatrix(a * rho0.mat + (1.0 - a) * np.eye(d) / d)
-
-
-def reverse_step(rho: DensityMatrix, c: ParamCircuit, params) -> DensityMatrix:
-    """Unitary reverse move: U(theta) rho U(theta)^dag."""
-    if rho.dim != 2**c.n_qubits:
-        raise ValueError(f"density dim {rho.dim} != circuit dim {2**c.n_qubits}")
-    u = circuit_unitary(c, params)
-    return DensityMatrix(u @ rho.mat @ u.conj().T)
-
-
-def infidelity_loss(rho: DensityMatrix, target: StateVector) -> float:
-    """1 - <target|rho|target>."""
-    return 1.0 - state_fidelity(rho, target)
-
-
-def infidelity_grad_wrt_circuit(
-    rho: DensityMatrix, c: ParamCircuit, params, target: StateVector
-) -> np.ndarray:
-    """d infidelity_loss(reverse_step(rho, c, theta), target) / d theta.
-
-    With rho = sum_k p_k |v_k><v_k|, the fidelity <t|U rho U^dag|t> is
-    sum_k <psi_k|U^dag H U|psi_k> for H = |t><t| and psi_k = sqrt(p_k) v_k,
-    a two-sided expectation over the block of the psi_k.
-    """
-    if rho.dim != 2**c.n_qubits or target.dim != rho.dim:
-        raise ValueError("dimension mismatch between rho, circuit and target")
-    p, v = np.linalg.eigh(rho.mat)
-    block = v * np.sqrt(np.clip(p, 0.0, None))
-    h_mat = np.outer(target.amps, target.amps.conj())
-    return -grad_expectation_wrt_circuit(c, block, params, h_mat)

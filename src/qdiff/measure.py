@@ -14,8 +14,8 @@ together, and each parameterized gate contributes
 coeff * scale * Re sum_b <lambda_b|dU_i phi_b> (the chain rule through
 angle = offset + scale * param; gates sharing a parameter add up). Two
 callers set (lambda, coeff), and the sweep also returns C^dag lambda:
-  * two-sided <psi(theta)|H|psi(theta)> (ansatz angles, the diffusion
-    infidelity): lambda = H C psi, coeff = 2;
+  * two-sided <psi(theta)|H|psi(theta)> (ansatz angles): lambda = H C psi,
+    coeff = 2;
   * one-sided Re<psi|U(phi)|psi> (probe angles): lambda = psi, coeff = 1.
 Both take a (2^n, B) block of states, so one sweep serves a whole batch.
 
@@ -29,7 +29,6 @@ c * (value(a + s) - value(a - s)) times the gate's scale:
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +55,6 @@ _GENERATORS = {
     "PHASE": np.diag([0.0, 1.0j]),
 }
 REAL_TOL = 1e-10
-
-_BANK_HEADER = struct.Struct("<II")
 
 
 @dataclass(frozen=True)
@@ -104,48 +101,6 @@ class ObservableBank:
     @property
     def dim(self) -> int:
         return self.observables[0].dim
-
-
-def random_bank(k: int, dim: int, rng: np.random.Generator) -> ObservableBank:
-    """K observables with entries i.i.d. uniform in [-1/D, 1/D]."""
-    lim = 1.0 / dim
-    obs = [
-        AdaptiveObservable(
-            rng.uniform(-lim, lim, size=(dim, dim)),
-            rng.uniform(-lim, lim, size=(dim, dim)),
-        )
-        for _ in range(k)
-    ]
-    return ObservableBank(tuple(obs))
-
-
-def save_bank(bank: ObservableBank, path) -> None:
-    """Binary layout: header (K, D) as uint32 LE, then all real parts in
-    row-major order (K*D*D float64 LE), then all imaginary parts."""
-    reals = np.stack([o.m_real for o in bank.observables]).astype("<f8")
-    imags = np.stack([o.m_imag for o in bank.observables]).astype("<f8")
-    with open(path, "wb") as fh:
-        fh.write(_BANK_HEADER.pack(bank.k, bank.dim))
-        fh.write(reals.tobytes())
-        fh.write(imags.tobytes())
-
-
-def load_bank(path) -> ObservableBank:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _BANK_HEADER.size:
-        raise ValueError("bank file too short for header")
-    k, d = _BANK_HEADER.unpack_from(raw)
-    body = raw[_BANK_HEADER.size:]
-    expect = 2 * k * d * d * 8
-    if len(body) != expect:
-        raise ValueError(f"bank payload is {len(body)} bytes, expected {expect}")
-    flat = np.frombuffer(body, dtype="<f8")
-    reals = flat[: k * d * d].reshape(k, d, d)
-    imags = flat[k * d * d:].reshape(k, d, d)
-    return ObservableBank(
-        tuple(AdaptiveObservable(reals[i].copy(), imags[i].copy()) for i in range(k))
-    )
 
 
 @dataclass(frozen=True)

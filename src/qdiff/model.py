@@ -54,6 +54,8 @@ STRUCTURE_DEFAULTS = dict(k=16, t_steps=10, hidden_enc=64, hidden_dec=256, ansat
 # a checkpoint's hyper must hold each of these; its "seed" is optional
 _HYPER_KEYS = ("n_qubits", *STRUCTURE_DEFAULTS, "lr", "lam")
 TARGET_MODES = ("x_prev", "eps", "x0")
+# the training settings train() records in hyper
+_TRAINED_KEYS = ("lr", "lam", "target_mode", "beta_start", "beta_end")
 
 
 def leaky_relu(x: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
@@ -98,6 +100,12 @@ class HybridModel:
     hyper: dict
 
 
+def _check_lam(lam: float) -> None:
+    """TrainConfig's rule for the loss mix, also checked on every loss evaluation."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("loss mix lam must lie in [0, 1]")
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 1
@@ -113,8 +121,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1 or self.lr < 0 or (self.max_steps or 0) < 0:
             raise ValueError("epochs/batch_size/lr/max_steps must be non-negative sizes")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("loss mix lam must lie in [0, 1]")
+        _check_lam(self.lam)
         if self.target_mode not in TARGET_MODES:
             raise ValueError(f"unknown target mode {self.target_mode!r}")
         if not 0.0 < self.beta_start <= self.beta_end < 1.0:
@@ -265,8 +272,7 @@ def _batch_loss(model: HybridModel, X, ts, targets, lam: float):
     the encoded target at time (t-1)/T and is skipped at lam = 0. Returns (loss,
     mse rows, infidelity rows, forward trace, target trace or None).
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
+    _check_lam(lam)
     t_steps = model.hyper["t_steps"]
     ts = _timesteps(ts, len(X), 1, t_steps)
     out, tr = forward_trace(model, X, ts)
@@ -282,12 +288,6 @@ def _batch_loss(model: HybridModel, X, ts, targets, lam: float):
         tgt = {"z": z, "psi": psi, "r": r, "enc_inputs": inputs, "overlap": overlap}
     total = float(np.mean((1.0 - lam) * mse + lam * infid))
     return total, mse, infid, tr, tgt
-
-
-def loss_components(model: HybridModel, x_t, t: int, target, lam: float):
-    """(mse, infidelity) of one sample's mixed objective; infidelity is 0 at lam = 0."""
-    _, mse, infid, _, _ = _batch_loss(model, *_stack_batch([(x_t, t, target)]), lam)
-    return float(mse[0]), float(infid[0])
 
 
 def loss(model: HybridModel, x_t, t: int, target, lam: float) -> float:
@@ -457,8 +457,7 @@ def train(model: HybridModel, config: TrainConfig, dataset,
     data = np.asarray(dataset, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] != INPUT_DIM:
         raise ValueError(f"dataset must be (n, {INPUT_DIM}), got {data.shape}")
-    model.hyper.update(lr=config.lr, lam=config.lam, target_mode=config.target_mode,
-                       beta_start=config.beta_start, beta_end=config.beta_end)
+    model.hyper.update({key: getattr(config, key) for key in _TRAINED_KEYS})
     t_steps = model.hyper["t_steps"]
     sched = _noise_schedule(model)
     if rng is None:
@@ -585,12 +584,6 @@ def checkpoint_bytes(model: HybridModel, opt: AdamState | None = None,
     return blob.getvalue()
 
 
-def save_checkpoint(path, model: HybridModel, opt: AdamState | None = None,
-                    rng_state: dict | None = None, step: int = 0) -> None:
-    with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(model, opt, rng_state, step))
-
-
 def load_checkpoint(path):
     """Returns dict with model, opt (or None), rng_state (or None), step."""
     with open(path, "rb") as fh:
@@ -606,13 +599,17 @@ def load_checkpoint(path):
         hyper = header["hyper"]
         shapes = [tuple(s) for s in header["shapes"]]
         has_adam = bool(header["has_adam"])
+        step = header.get("step", 0)
         adam_step = header["adam_step"] if has_adam else 0
         if any(key not in hyper for key in _HYPER_KEYS) or hyper["n_qubits"] != N_QUBITS:
             raise KeyError("hyper")
+        if any(type(n) is not int or n < 0 for n in (step, adam_step)):
+            raise ValueError(f"step {step!r} and adam_step {adam_step!r} must be ints >= 0")
         model = _build_model(hyper)
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
-            AttributeError) as e:
-        raise ValueError("corrupt checkpoint header") from e
+        # recorded training settings must pass TrainConfig's rule (missing ones read as defaults)
+        TrainConfig(**{key: trained_setting(model, key) for key in _TRAINED_KEYS})
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise ValueError(f"corrupt checkpoint header: {e}") from e
     names, tensors = zip(*param_tensors(model))
     if shapes != [a.shape for a in tensors]:
         raise ValueError("checkpoint shapes do not match its hyperparameters")
@@ -643,7 +640,7 @@ def load_checkpoint(path):
         "model": model,
         "opt": opt,
         "rng_state": header.get("rng_state"),
-        "step": header.get("step", 0),
+        "step": step,
     }
 
 
@@ -664,6 +661,8 @@ def gradient_audit(model: HybridModel, batch, lam: float | None = None,
         lam = trained_setting(model, "lam")
     if n_probe < 1:
         raise ValueError("n_probe must be >= 1")
+    if not 0.0 < fd_eps < np.inf:
+        raise ValueError("fd_eps must be a finite number > 0")
     if fault_group is not None and fault_group not in PARAM_GROUPS:
         raise ValueError(f"unknown parameter group {fault_group!r}")
     _, grads = backward(model, batch, lam)

@@ -18,7 +18,6 @@ HERM_TOL = 1e-10
 PSD_CLAMP = 1e-10
 
 # Single-qubit constants shared across the package.
-ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -104,17 +103,6 @@ def basis_state(n_qubits: int, index: int = 0) -> StateVector:
     return StateVector(amps)
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; (a⊗b)[i*rb+k, j*cb+l] = a[i,j] * b[k,l]."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def outer_product(psi: StateVector) -> DensityMatrix:
-    """Rank-1 projector |psi><psi| of a pure state."""
-    v = psi.amps
-    return DensityMatrix(np.outer(v, v.conj()))
-
-
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     """Reduced 2x2 density matrix of qubit `keep`, tracing out the rest."""
     n = rho.n_qubits
@@ -132,14 +120,6 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state."""
     return float(np.sum(np.abs(rho.mat) ** 2))
-
-
-def state_fidelity(rho: DensityMatrix, target: StateVector) -> float:
-    """<target| rho |target>, clamped to [0, 1]."""
-    if rho.dim != target.dim:
-        raise ValueError(f"dimension mismatch: rho {rho.dim} vs target {target.dim}")
-    f = np.real(np.vdot(target.amps, rho.mat @ target.amps))
-    return float(min(max(f, 0.0), 1.0))
 
 
 def expm_hermitian(h: np.ndarray, scale: float) -> np.ndarray:

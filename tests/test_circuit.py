@@ -15,7 +15,6 @@ from qdiff.circuit import (
     Gate,
     ParamCircuit,
     _apply_kq,
-    apply_gate,
     build_ansatz,
     circuit_unitary,
     cnot,
@@ -73,26 +72,33 @@ def test_rotation_matrix_stacks_one_matrix_per_angle(kind):
         rotation_matrix("H", angles)
 
 
+def one_gate(n, g, state):
+    """`state` after the one-gate circuit g on n qubits."""
+    return run_circuit(ParamCircuit(n, (g,), 0), state).amps
+
+
 def test_ry_on_zero_gives_cos_sin():
-    out = apply_gate(basis_state(1), ry(0, angle=0.9)).amps
+    out = one_gate(1, ry(0, angle=0.9), basis_state(1))
     assert np.allclose(out, [math.cos(0.45), math.sin(0.45)])
 
 
 def test_cnot_and_cz_truth_tables():
     # control q0 (MSB), target q1: |10> -> |11>, |11> -> |10>
     for idx, expect in [(0, 0), (1, 1), (2, 3), (3, 2)]:
-        out = apply_gate(basis_state(2, idx), cnot(0, 1)).amps
+        out = one_gate(2, cnot(0, 1), basis_state(2, idx))
         assert out[expect] == 1.0 and np.count_nonzero(out) == 1
     for idx, sign in [(0, 1), (1, 1), (2, 1), (3, -1)]:
-        out = apply_gate(basis_state(2, idx), cz(0, 1)).amps
+        out = one_gate(2, cz(0, 1), basis_state(2, idx))
         assert out[idx] == sign
 
 
-def test_apply_gate_rejects_gate_wider_than_state():
-    with pytest.raises(ValueError, match=r"\(0, 1\).*1-qubit"):
-        apply_gate(basis_state(1), cnot(0, 1))
-    with pytest.raises(ValueError, match=r"\(2,\).*2-qubit"):
-        apply_gate(basis_state(2), h(2))
+def test_gate_wider_than_its_circuit_or_state_is_rejected():
+    with pytest.raises(ValueError, match="gate target 1 out of range for 1 qubits"):
+        ParamCircuit(1, (cnot(0, 1),), 0)
+    with pytest.raises(ValueError, match="gate target 2 out of range for 2 qubits"):
+        ParamCircuit(2, (h(2),), 0)
+    with pytest.raises(ValueError, match="state has 2 qubits, circuit 3"):
+        one_gate(3, h(2), basis_state(2))
 
 
 def test_gate_validation():

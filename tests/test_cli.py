@@ -49,11 +49,12 @@ def read_log_rows(path, strip_wall=True):
     return lines[0], rows
 
 
-def _with_hyper(raw, drop=(), **changes):
-    """The checkpoint bytes `raw` with `changes` merged into its header's hyper and
-    the keys in `drop` taken out of it."""
+def _with_hyper(raw, drop=(), top=(), **changes):
+    """The checkpoint bytes `raw` with `changes` merged into its header's hyper,
+    the keys in `drop` taken out of it, and `top` merged into the header itself."""
     (hlen,) = struct.unpack_from("<Q", raw, 8)
     header = json.loads(raw[16: 16 + hlen])
+    header.update(top)
     header["hyper"].update(changes)
     for key in drop:
         del header["hyper"][key]
@@ -261,6 +262,22 @@ def test_grad_check_empty_sizes_exit_2_writing_nothing(tmp_path, capsys, monkeyp
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("key, value", [("fd_eps", "0"), ("fd_eps", "-1"), ("fd_eps", "nan"),
+                                        ("fd_eps", "inf"), ("lam", "2"), ("lam", "-0.5")])
+def test_grad_check_bad_fd_eps_or_lam_exits_2_writing_nothing(tmp_path, capsys, monkeypatch,
+                                                              key, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("grad-check built a model")
+
+    monkeypatch.setattr(model, "init_model", no_work)
+    argv = ["grad-check", "--out", str(tmp_path)] + GRAD_SMALL + [f"--{key.replace('_', '-')}",
+                                                                value]
+    code, out_text, err = run(argv, capsys)
+    assert code == 2
+    assert key in err and "PASS" not in out_text
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("key", ["k", "t_steps", "hidden_enc", "hidden_dec", "ansatz_layers"])
 def test_structure_values_below_one_are_rejected_naming_the_key(tmp_path, capsys, key):
     flag = f"--{key.replace('_', '-')}"
@@ -378,6 +395,21 @@ def test_train_resume_records_the_new_lr_and_lam(tmp_path, capsys):
     assert code == 0
     hyper = model.load_checkpoint(tmp_path / "rest" / "checkpoint.qdc")["model"].hyper
     assert (hyper["lr"], hyper["lam"]) == (0.5, 0.9)
+
+
+BAD_HEADERS = [({"step": "x"}, {}), ({"adam_step": -4}, {}), ({}, {"lam": 5}),
+               ({}, {"lr": "fast"}), ({}, {"target_mode": "bogus"})]
+
+
+def test_train_resume_refuses_bad_header_values(tmp_path, capsys):
+    run(train_args(tmp_path / "half", max_steps=1), capsys)
+    raw = (tmp_path / "half" / "checkpoint.qdc").read_bytes()
+    for i, (top, hyper) in enumerate(BAD_HEADERS):
+        bad = tmp_path / f"bad{i}.qdc"
+        bad.write_bytes(_with_hyper(raw, top=top, **hyper))
+        code, _, err = run(train_args(tmp_path / f"rest{i}", resume=str(bad)), capsys)
+        assert code == 1 and "corrupt checkpoint header" in err
+        assert os.listdir(tmp_path / f"rest{i}") == []
 
 
 def test_train_rejects_bad_betas_before_loading(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """IDX parsing, downsampling, and the synthetic multi-mode dataset."""
 import gzip
+import struct
 
 import numpy as np
 import pytest
@@ -10,15 +11,19 @@ from qdiff.data import (
     ImageBatch,
     SyntheticSpec,
     downsample,
-    load_batch,
     load_idx,
     mode_templates,
     nearest_mode,
     parse_idx,
-    save_batch,
-    serialize_idx,
     synth_modes,
 )
+
+
+def serialize_idx(tensor):
+    """IDX fixture writer, the inverse of parse_idx: the layout it documents."""
+    tensor = np.asarray(tensor, dtype=np.uint8)
+    head = bytes([0, 0, 0x08, tensor.ndim]) + struct.pack(f">{tensor.ndim}I", *tensor.shape)
+    return head + tensor.tobytes()
 
 
 def test_parse_idx_minimal_example():
@@ -50,6 +55,8 @@ def test_parse_idx_error_paths():
         parse_idx(good[:6])  # truncated dimension table
     with pytest.raises(ValueError):
         parse_idx(good + b"\x00")  # trailing junk
+    with pytest.raises(ValueError, match="truncated IDX payload"):
+        parse_idx(bytes([0, 0, 0x08, 4]) + b"\x00\x01\x00\x00" * 4)  # 2^64 bytes claimed
 
 
 @settings(deadline=None, max_examples=30)
@@ -64,6 +71,23 @@ def test_idx_round_trip_is_bit_exact(values, head):
     back = parse_idx(blob)
     assert np.array_equal(back, tensor)
     assert serialize_idx(back) == blob
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_parse_idx_refuses_truncated_or_mutated_streams_with_value_error(data):
+    good = serialize_idx(np.arange(24, dtype=np.uint8).reshape(2, 3, 4))
+    blob = bytearray(good[: data.draw(st.integers(0, len(good)), label="cut")])
+    for pos, byte in data.draw(st.lists(st.tuples(st.integers(0, len(good) - 1),
+                                                  st.integers(0, 255)), max_size=4),
+                               label="mutations"):
+        if pos < len(blob):
+            blob[pos] = byte
+    try:
+        out = parse_idx(bytes(blob))
+    except ValueError:
+        return
+    assert out.dtype == np.uint8 and out.size == len(blob) - 4 - 4 * blob[3]
 
 
 def test_load_idx_handles_gzip(tmp_path):
@@ -214,24 +238,3 @@ def test_mode_templates_distinct_and_seeded():
     assert not np.array_equal(t8, other)
     with pytest.raises(ValueError):
         mode_templates(SyntheticSpec(n_modes=9, per_mode=1))
-
-
-def test_batch_cache_round_trip(tmp_path):
-    spec = SyntheticSpec(n_modes=2, pattern_seed=0, noise_sigma=0.05, per_mode=10)
-    batch = synth_modes(spec, seed=5)
-    p = tmp_path / "batch.bin"
-    save_batch(batch, p)
-    back = load_batch(p)
-    assert np.array_equal(back.images, batch.images)
-    assert np.array_equal(back.labels, batch.labels)
-
-    save_batch(ImageBatch(batch.images), p)
-    assert load_batch(p).labels is None
-
-    raw = p.read_bytes()
-    (tmp_path / "bad.bin").write_bytes(b"ZZZZ" + raw[4:])
-    with pytest.raises(ValueError):
-        load_batch(tmp_path / "bad.bin")
-    (tmp_path / "short.bin").write_bytes(raw[:-9])
-    with pytest.raises(ValueError):
-        load_batch(tmp_path / "short.bin")

@@ -35,10 +35,7 @@ from qdiff.measure import (
     grad_hadamard_wrt_probe,
     hadamard_test,
     hermitize,
-    load_bank,
     probe_hermitian_part,
-    random_bank,
-    save_bank,
     shift_gradient,
 )
 from qdiff.qcore import StateVector, basis_state
@@ -55,6 +52,12 @@ def close(a, f):
 def random_state(n, rng):
     v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return StateVector(v / np.linalg.norm(v))
+
+
+def random_bank(k, dim, rng):
+    return ObservableBank(tuple(AdaptiveObservable(rng.standard_normal((dim, dim)),
+                                                   rng.standard_normal((dim, dim)))
+                                for _ in range(k)))
 
 
 def test_observable_validation():
@@ -89,38 +92,6 @@ def test_hermitize_and_expectation_against_dense_oracle():
     got = expectation(psi, obs)
     expect = float(np.real(psi.amps.conj() @ h @ psi.amps))
     assert got == pytest.approx(expect, abs=1e-13)
-
-
-def test_random_bank_range_and_determinism():
-    a = random_bank(4, 8, np.random.default_rng(5))
-    b = random_bank(4, 8, np.random.default_rng(5))
-    for oa, ob in zip(a.observables, b.observables):
-        assert np.array_equal(oa.m_real, ob.m_real)
-        assert np.max(np.abs(oa.m_real)) <= 1 / 8 and np.max(np.abs(oa.m_imag)) <= 1 / 8
-
-
-def test_bank_save_load_round_trip(tmp_path):
-    bank = random_bank(5, 16, np.random.default_rng(2))
-    p = tmp_path / "bank.bin"
-    save_bank(bank, p)
-    back = load_bank(p)
-    assert back.k == 5 and back.dim == 16
-    for oa, ob in zip(bank.observables, back.observables):
-        assert np.array_equal(oa.m_real, ob.m_real)
-        assert np.array_equal(oa.m_imag, ob.m_imag)
-
-
-def test_bank_load_rejects_corruption(tmp_path):
-    bank = random_bank(2, 4, np.random.default_rng(3))
-    p = tmp_path / "bank.bin"
-    save_bank(bank, p)
-    raw = p.read_bytes()
-    (tmp_path / "short.bin").write_bytes(raw[:-7])
-    with pytest.raises(ValueError):
-        load_bank(tmp_path / "short.bin")
-    (tmp_path / "long.bin").write_bytes(raw + b"\x00")
-    with pytest.raises(ValueError):
-        load_bank(tmp_path / "long.bin")
 
 
 def test_ano_features_vector():

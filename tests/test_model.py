@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdiff.circuit import run_circuit
 from qdiff.diffusion import linear_schedule
@@ -17,6 +19,7 @@ from qdiff.model import (
     TrainConfig,
     adam_step,
     backward,
+    checkpoint_bytes,
     forward,
     forward_trace,
     gradient_audit,
@@ -25,11 +28,9 @@ from qdiff.model import (
     leaky_relu,
     load_checkpoint,
     loss,
-    loss_components,
     param_tensors,
     sample,
     sample_block,
-    save_checkpoint,
     train,
     train_log_csv,
 )
@@ -171,11 +172,9 @@ def test_loss_components_blend():
     m = small_model()
     x_t = rng.standard_normal(INPUT_DIM)
     target = rng.uniform(0, 1, INPUT_DIM)
-    mse0, infid0 = loss_components(m, x_t, 2, target, lam=0.0)
-    assert infid0 == 0.0
-    mse, infid = loss_components(m, x_t, 2, target, lam=0.5)
-    assert mse == pytest.approx(mse0, abs=1e-12)
-    assert 0.0 <= infid <= 1.0
+    mse = loss(m, x_t, 2, target, lam=0.0)
+    infid = loss(m, x_t, 2, target, lam=1.0)
+    assert mse > 0.0 and 0.0 <= infid <= 1.0
     blended = loss(m, x_t, 2, target, lam=0.5)
     assert blended == pytest.approx(0.5 * mse + 0.5 * infid, abs=1e-12)
 
@@ -196,6 +195,19 @@ def test_gradient_audit_needs_a_probe(n_probe):
     batch = small_batch(np.random.default_rng(3))
     with pytest.raises(ValueError, match="n_probe"):
         gradient_audit(m, batch, n_probe=n_probe)
+
+
+@pytest.mark.parametrize("fd_eps", [0.0, -1.0, np.nan, np.inf])
+def test_gradient_audit_needs_a_finite_positive_step(fd_eps, monkeypatch):
+    m = small_model()
+    batch = small_batch(np.random.default_rng(3))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("gradient_audit ran backward")
+
+    monkeypatch.setattr("qdiff.model.backward", no_work)
+    with pytest.raises(ValueError, match="fd_eps"):
+        gradient_audit(m, batch, fd_eps=fd_eps)
 
 
 def test_gradient_audit_catches_sign_fault():
@@ -285,6 +297,17 @@ def test_train_log_csv_format():
     assert lines[1].startswith("0,0.5,")
 
 
+@pytest.mark.parametrize("lam", [2.0, -0.5, np.nan])
+def test_lam_has_one_rule_for_config_and_loss(lam):
+    rng = np.random.default_rng(3)
+    x_t, t, target = small_batch(rng, n=1)[0]
+    with pytest.raises(ValueError) as config_err:
+        TrainConfig(lam=lam)
+    with pytest.raises(ValueError) as loss_err:
+        loss(small_model(), x_t, t, target, lam)
+    assert str(loss_err.value) == str(config_err.value) == "loss mix lam must lie in [0, 1]"
+
+
 def test_train_rejects_bad_dataset_and_config():
     with pytest.raises(ValueError):
         train(small_model(), TrainConfig(), np.zeros((0, INPUT_DIM)))
@@ -320,7 +343,8 @@ def test_checkpoint_round_trip_and_resume(tmp_path):
 
     half = small_model(4)
     log_a, opt, state_rng = train(half, TrainConfig(seed=5, max_steps=3, batch_size=5), data)
-    save_checkpoint(path, half, opt, state_rng.bit_generator.state, step=len(log_a))
+    path.write_bytes(checkpoint_bytes(half, opt, state_rng.bit_generator.state,
+                                      step=len(log_a)))
     ck = load_checkpoint(path)
     for (_, a), (_, b) in zip(param_tensors(half), param_tensors(ck["model"])):
         assert np.array_equal(a, b)
@@ -338,7 +362,7 @@ def test_checkpoint_round_trip_and_resume(tmp_path):
 def test_checkpoint_rejects_corruption(tmp_path):
     m = small_model(5)
     path = tmp_path / "ck.qdc"
-    save_checkpoint(path, m)
+    path.write_bytes(checkpoint_bytes(m))
     raw = path.read_bytes()
     (tmp_path / "magic.qdc").write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(ValueError):
@@ -354,7 +378,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
 
 def test_checkpoint_rejects_non_finite_weights(tmp_path):
     path = tmp_path / "ck.qdc"
-    save_checkpoint(path, small_model(5))
+    path.write_bytes(checkpoint_bytes(small_model(5)))
     raw = path.read_bytes()
     (tmp_path / "nan.qdc").write_bytes(raw[:-8] + struct.pack("<d", np.nan))
     with pytest.raises(ValueError, match="decoder.1.b"):
@@ -364,7 +388,7 @@ def test_checkpoint_rejects_non_finite_weights(tmp_path):
 def test_checkpoint_load_draws_no_weights(tmp_path, monkeypatch):
     m = small_model(5)
     path = tmp_path / "ck.qdc"
-    save_checkpoint(path, m)
+    path.write_bytes(checkpoint_bytes(m))
 
     def no_draws(*args, **kwargs):
         raise AssertionError("load_checkpoint drew random weights")
@@ -386,7 +410,7 @@ def _with_header(raw, header):
 def test_checkpoint_rejects_incomplete_header(tmp_path):
     m = small_model(5)
     path = tmp_path / "ck.qdc"
-    save_checkpoint(path, m)
+    path.write_bytes(checkpoint_bytes(m))
     raw = path.read_bytes()
     (hlen,) = struct.unpack_from("<Q", raw, 8)
     header = json.loads(raw[16: 16 + hlen])
@@ -407,6 +431,60 @@ def test_checkpoint_rejects_incomplete_header(tmp_path):
     seedless = dict(header, hyper={k: v for k, v in header["hyper"].items() if k != "seed"})
     (tmp_path / "seedless.qdc").write_bytes(_with_header(raw, seedless))
     load_checkpoint(tmp_path / "seedless.qdc")
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint():
+    """Bytes of a one-step checkpoint with Adam moments and an RNG state, kept small."""
+    m = init_model(0, k=2, t_steps=3, hidden_enc=2, hidden_dec=2, ansatz_layers=1)
+    log, opt, rng = train(m, TrainConfig(seed=1, max_steps=1, batch_size=2),
+                          np.random.default_rng(0).uniform(0, 1, (4, INPUT_DIM)))
+    return checkpoint_bytes(m, opt, rng.bit_generator.state, step=len(log))
+
+
+@pytest.mark.parametrize("top, hyper", [({"step": "x"}, {}), ({"step": -1}, {}),
+                                        ({"adam_step": -4}, {}), ({"adam_step": 2.0}, {}),
+                                        ({}, {"lam": 5}), ({}, {"lr": "fast"}),
+                                        ({}, {"target_mode": "bogus"}),
+                                        ({}, {"beta_start": 0.5, "beta_end": 0.1})],
+                         ids=["step-str", "step-negative", "adam_step-negative",
+                              "adam_step-float", "lam", "lr", "target_mode", "betas"])
+def test_checkpoint_refuses_bad_counters_and_training_settings(tiny_checkpoint, tmp_path,
+                                                               top, hyper):
+    raw = tiny_checkpoint
+    (hlen,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16: 16 + hlen])
+    bad = dict(header, **top, hyper=dict(header["hyper"], **hyper))
+    (tmp_path / "bad.qdc").write_bytes(_with_header(raw, bad))
+    with pytest.raises(ValueError, match="corrupt checkpoint header"):
+        load_checkpoint(tmp_path / "bad.qdc")
+    # a header written before train() recorded target_mode and the betas still loads
+    old = dict(header, hyper={k: v for k, v in header["hyper"].items()
+                              if k not in ("target_mode", "beta_start", "beta_end")})
+    (tmp_path / "old.qdc").write_bytes(_with_header(raw, old))
+    ck = load_checkpoint(tmp_path / "old.qdc")
+    assert (ck["step"], ck["opt"].step) == (1, 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_checkpoint_refuses_truncated_or_mutated_bytes_with_value_error(
+        tiny_checkpoint, tmp_path_factory, data):
+    raw = tiny_checkpoint
+    (hlen,) = struct.unpack_from("<Q", raw, 8)
+    blob = bytearray(raw[: data.draw(st.integers(0, len(raw)), label="cut")])
+    # most draws land in the magic, version, length and JSON header
+    where = st.one_of(st.integers(0, 16 + hlen - 1), st.integers(0, len(raw) - 1))
+    for pos, byte in data.draw(st.lists(st.tuples(where, st.integers(0, 255)), max_size=4),
+                               label="mutations"):
+        if pos < len(blob):
+            blob[pos] = byte
+    path = tmp_path_factory.getbasetemp() / "fuzz.qdc"
+    path.write_bytes(bytes(blob))
+    try:
+        load_checkpoint(path)
+    except ValueError:
+        pass
 
 
 def test_sample_trajectory_shape_and_determinism():
@@ -578,7 +656,7 @@ def test_timesteps_must_be_integers_in_range():
     with pytest.raises(ValueError, match=r"timestep 0 .*1\.\.5"):
         loss(m, x_t, 0, target, 0.25)
     with pytest.raises(ValueError, match=r"timestep 2.5 "):
-        loss_components(m, x_t, 2.5, target, 0.25)
+        loss(m, x_t, 2.5, target, 0.25)
 
 
 def test_non_finite_inputs_are_named_without_a_numpy_warning():

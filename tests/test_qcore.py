@@ -7,12 +7,9 @@ from qdiff.qcore import (
     StateVector,
     basis_state,
     expm_hermitian,
-    outer_product,
     partial_trace,
     purity,
     sqrtm_psd,
-    state_fidelity,
-    tensor_product,
 )
 
 
@@ -90,28 +87,6 @@ def test_basis_state_indexing():
         basis_state(0)
 
 
-def test_tensor_product_against_explicit_loop():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    got = tensor_product(a, b)
-    expect = np.zeros((8, 6), dtype=complex)
-    for i in range(2):
-        for j in range(3):
-            for k in range(4):
-                for l in range(2):
-                    expect[i * 4 + k, j * 2 + l] = a[i, j] * b[k, l]
-    assert np.allclose(got, expect, atol=1e-14)
-
-
-def test_outer_product_is_projector():
-    rng = np.random.default_rng(1)
-    psi = random_state(2, rng)
-    rho = outer_product(psi)
-    assert np.allclose(rho.mat @ rho.mat, rho.mat, atol=1e-12)
-    assert purity(rho) == pytest.approx(1.0, abs=1e-12)
-
-
 def brute_force_reduced(rho_mat, n, keep):
     """Independent partial trace: explicit double loop over basis labels."""
     out = np.zeros((2, 2), dtype=complex)
@@ -140,10 +115,8 @@ def test_partial_trace_of_product_state():
     for _ in range(3):
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         singles.append(v / np.linalg.norm(v))
-    full = tensor_product(tensor_product(singles[0].reshape(-1, 1),
-                                         singles[1].reshape(-1, 1)),
-                          singles[2].reshape(-1, 1)).ravel()
-    rho = outer_product(StateVector(full))
+    full = np.kron(np.kron(singles[0], singles[1]), singles[2])
+    rho = DensityMatrix(np.outer(full, full.conj()))
     for q in range(3):
         got = partial_trace(rho, q).mat
         expect = np.outer(singles[q], singles[q].conj())
@@ -157,15 +130,8 @@ def test_purity_range():
     p = purity(rho)
     assert 0.25 - 1e-12 <= p <= 1.0 + 1e-12
     assert p == pytest.approx(np.trace(rho.mat @ rho.mat).real, abs=1e-12)
-
-
-def test_state_fidelity_basics():
-    psi = basis_state(2, 1)
-    assert state_fidelity(outer_product(psi), psi) == pytest.approx(1.0, abs=1e-13)
-    assert state_fidelity(outer_product(basis_state(2, 0)), psi) == pytest.approx(0.0, abs=1e-13)
-    assert state_fidelity(DensityMatrix(np.eye(4) / 4), psi) == pytest.approx(0.25, abs=1e-13)
-    with pytest.raises(ValueError):
-        state_fidelity(DensityMatrix(np.eye(2) / 2), basis_state(2))
+    psi = random_state(2, rng).amps
+    assert purity(DensityMatrix(np.outer(psi, psi.conj()))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expm_hermitian_against_power_series():
