@@ -128,10 +128,9 @@ def parse_overrides(rest: list) -> list:
         tok = rest[i]
         if not tok.startswith("--") or len(tok) <= 2:
             raise ConfigError(f"unexpected argument {tok!r}")
-        key = tok[2:].replace("-", "_")
-        if "=" in key:
-            key, val = key.split("=", 1)
-        else:
+        key, eq, val = tok[2:].partition("=")
+        key = key.replace("-", "_")  # in the key only: a value keeps its hyphens
+        if not eq:
             i += 1
             if i >= len(rest):
                 raise ConfigError(f"missing value for --{key}")
@@ -339,8 +338,7 @@ def cmd_sample(cfg: dict, seed: int, out: str) -> int:
     if cfg["n_trajectories"] < 1:
         raise ConfigError("n_trajectories must be >= 1")
     spec = _synthetic_spec(cfg)
-    ck = model.load_checkpoint(cfg["checkpoint"])
-    m = ck["model"]
+    m = model.load_checkpoint(cfg["checkpoint"])["model"]  # the Adam moments go at once
     t_steps = m.hyper["t_steps"]
     frames = model.sample_block(m, t_steps, [seed + j for j in range(cfg["n_trajectories"])])
     for j, traj in enumerate(frames):

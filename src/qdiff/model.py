@@ -16,11 +16,12 @@ observable entries.
 """
 from __future__ import annotations
 
-import io
 import json
+import math
+import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +50,7 @@ CKPT_MAGIC = b"QDFC"
 CKPT_VERSION = 1
 
 PARAM_GROUPS = ("encoder", "theta", "bank", "probe", "decoder")
+ADAM_CHUNK = 16384  # adam_step's entries per pass; whole-buffer temporaries lift peak RSS
 # the settings that fix the model's shape, each an int >= 1 (_build_model checks)
 STRUCTURE_DEFAULTS = dict(k=16, t_steps=10, hidden_enc=64, hidden_dec=256, ansatz_layers=2)
 # a checkpoint's hyper must hold each of these; its "seed" is optional
@@ -98,6 +100,7 @@ class HybridModel:
     probe: GlobalProbe
     decoder: list
     hyper: dict
+    params: np.ndarray  # the one flat buffer; every param_tensors array is a view of it
 
 
 def _check_lam(lam: float) -> None:
@@ -119,8 +122,10 @@ class TrainConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.lr < 0 or (self.max_steps or 0) < 0:
-            raise ValueError("epochs/batch_size/lr/max_steps must be non-negative sizes")
+        if self.epochs < 0 or self.batch_size < 1 or (self.max_steps or 0) < 0:
+            raise ValueError("epochs/batch_size/max_steps must be non-negative sizes")
+        if not 0.0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be a finite number >= 0, got {self.lr!r}")
         _check_lam(self.lam)
         if self.target_mode not in TARGET_MODES:
             raise ValueError(f"unknown target mode {self.target_mode!r}")
@@ -129,25 +134,34 @@ class TrainConfig:
 
 
 def _build_model(hyper: dict) -> HybridModel:
-    """The model's structure from its hyper dict alone, with every weight zero."""
+    """The model's structure from its hyper dict alone, with every weight zero: each
+    table tensor is a view of its slice of one float64 vector, model.params."""
     for key in STRUCTURE_DEFAULTS:
         if type(hyper[key]) is not int or hyper[key] < 1:
             raise ValueError(f"{key} must be an integer >= 1, got {hyper[key]!r}")
     k = hyper["k"]
     enc_dims = [INPUT_DIM + 1, hyper["hidden_enc"], LATENT_DIM]
     dec_dims = [k + 1 + INPUT_DIM, hyper["hidden_dec"], INPUT_DIM]
-    encoder = [ComplexAffine(np.zeros((b, a)), np.zeros((b, a)), np.zeros(b), np.zeros(b))
-               for a, b in zip(enc_dims, enc_dims[1:])]
     ansatz = build_ansatz(N_QUBITS, hyper["ansatz_layers"])
-    square = (LATENT_DIM, LATENT_DIM)
-    bank = ObservableBank(tuple(AdaptiveObservable(np.zeros(square), np.zeros(square))
-                                for _ in range(k)))
     probe_circ = build_ansatz(N_QUBITS, 1)
-    probe = GlobalProbe(probe_circ, np.zeros(probe_circ.n_params))
-    decoder = [RealAffine(np.zeros((b, a)), np.zeros(b))
-               for a, b in zip(dec_dims, dec_dims[1:])]
-    return HybridModel(encoder, ansatz, np.zeros(ansatz.n_params), bank, probe, decoder,
-                       hyper)
+    square = (LATENT_DIM, LATENT_DIM)
+    shapes = [s for a, b in zip(enc_dims, enc_dims[1:]) for s in ((b, a), (b, a), (b,), (b,))]
+    shapes += [(ansatz.n_params,), *[square] * (2 * k), (probe_circ.n_params,)]
+    shapes += [s for a, b in zip(dec_dims, dec_dims[1:]) for s in ((b, a), (b,))]
+    params = np.zeros(sum(math.prod(s) for s in shapes))
+    t = iter(_views(params, shapes))
+    encoder = [ComplexAffine(next(t), next(t), next(t), next(t)) for _ in enc_dims[1:]]
+    theta = next(t)
+    bank = ObservableBank(tuple(AdaptiveObservable(next(t), next(t)) for _ in range(k)))
+    probe = GlobalProbe(probe_circ, next(t))
+    decoder = [RealAffine(next(t), next(t)) for _ in dec_dims[1:]]
+    return HybridModel(encoder, ansatz, theta, bank, probe, decoder, hyper, params)
+
+
+def _views(vec: np.ndarray, shapes) -> list:
+    """Consecutive slices of the flat vec, reshaped to shapes in order (views, not copies)."""
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    return [vec[end - math.prod(s):end].reshape(s) for s, end in zip(shapes, ends)]
 
 
 def _init_range(model: HybridModel, name: str):
@@ -294,21 +308,21 @@ def loss(model: HybridModel, x_t, t: int, target, lam: float) -> float:
     return _batch_loss(model, *_stack_batch([(x_t, t, target)]), lam)[0]
 
 
-def param_tensors(model: HybridModel):
+def param_tensors(model: HybridModel, vec: np.ndarray | None = None):
     """(name, array) pairs in the fixed declaration order used everywhere.
 
-    This is the model's one parameter table: gradients, Adam moments,
-    checkpoint payloads and the gradient audit all follow it. A tensor's
-    group (one of PARAM_GROUPS) is the first dotted part of its name.
+    This is the model's one parameter table, whose arrays are consecutive slices of
+    model.params; given a vec laid out like it (a gradient, an Adam moment), the same
+    names label vec's slices. A tensor's group (one of PARAM_GROUPS) is the first
+    dotted part of its name.
     """
+    if vec is not None:
+        names, arrays = zip(*param_tensors(model))
+        return list(zip(names, _views(vec, [a.shape for a in arrays])))
     out = []
     for i, l in enumerate(model.encoder):
-        out += [
-            (f"encoder.{i}.w_real", l.w_real),
-            (f"encoder.{i}.w_imag", l.w_imag),
-            (f"encoder.{i}.b_real", l.b_real),
-            (f"encoder.{i}.b_imag", l.b_imag),
-        ]
+        out += [(f"encoder.{i}.{part}", getattr(l, part))
+                for part in ("w_real", "w_imag", "b_real", "b_imag")]
     out.append(("theta", model.theta))
     for i, o in enumerate(model.bank.observables):
         out += [(f"bank.{i}.m_real", o.m_real), (f"bank.{i}.m_imag", o.m_imag)]
@@ -337,8 +351,15 @@ def _normalize_backward(z: np.ndarray, r: np.ndarray, g_psi: np.ndarray) -> np.n
     return g_psi / r[:, None] - z * (radial / r**3)[:, None]
 
 
+def _non_finite(model: HybridModel, vec: np.ndarray) -> str | None:
+    """The name of the first table tensor whose slice of vec is not all finite, or None."""
+    if not np.all(np.isfinite(vec)):
+        return next(name for name, a in param_tensors(model, vec) if not np.all(np.isfinite(a)))
+
+
 def backward(model: HybridModel, batch, lam: float | None = None):
-    """Mean loss over the batch and its gradient, keyed like param_tensors.
+    """Mean loss over the batch and its flat gradient, laid out like model.params
+    (param_tensors(model, grad) names its slices).
 
     batch rows are (x_t, t, target) triples with t in 1..T. One forward_trace covers
     the batch, and the classical stacks backpropagate as (B, .) matmuls. Row b's
@@ -351,8 +372,9 @@ def backward(model: HybridModel, batch, lam: float | None = None):
     X, ts, targets = _stack_batch(batch)
     total, _, _, tr, tgt = _batch_loss(model, X, ts, targets, lam)
     k = model.bank.k
-    # terms add into a zeroed table; Adam then reuses their freed temporaries (peak RSS)
-    grads = {name: np.zeros_like(a) for name, a in param_tensors(model)}
+    # terms add into the named views of one zeroed vector
+    grad = np.zeros_like(model.params)
+    grads = dict(param_tensors(model, grad))
 
     # decoder backprop from the pixel loss
     g = (1.0 - lam) * 2.0 * (tr["out"] - targets) / INPUT_DIM
@@ -397,37 +419,44 @@ def backward(model: HybridModel, batch, lam: float | None = None):
         if i > 0:
             g_z = _per_row((layer.w_real - 1j * layer.w_imag).T, g_z)
 
-    for name, g in grads.items():
-        g /= len(X)
-        if not np.all(np.isfinite(g)):
-            raise RuntimeError(f"non-finite gradient in parameter {name}")
-    return total, grads
+    grad /= len(X)
+    name = _non_finite(model, grad)
+    if name is not None:
+        raise RuntimeError(f"non-finite gradient in parameter {name}")
+    return total, grad
 
 
 @dataclass
 class AdamState:
-    step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    step: int
+    m: np.ndarray  # first and second moments, flat vectors laid out like model.params
+    v: np.ndarray
 
 
 def init_adam(model: HybridModel) -> AdamState:
-    tensors = [arr for _, arr in param_tensors(model)]
-    return AdamState(0, [np.zeros_like(a) for a in tensors], [np.zeros_like(a) for a in tensors])
+    return AdamState(0, np.zeros_like(model.params), np.zeros_like(model.params))
 
 
-def adam_step(model: HybridModel, grads, state: AdamState, lr: float,
+def adam_step(model: HybridModel, grad: np.ndarray, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    """Adam on model.params in place, ADAM_CHUNK entries at a time through two scratch
+    vectors, in the operation order of m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g,
+    then p -= lr (m/bc1) / (sqrt(v/bc2) + eps)."""
     state.step += 1
     bc1 = 1.0 - beta1**state.step
     bc2 = 1.0 - beta2**state.step
-    for (name, p), m, v in zip(param_tensors(model), state.m, state.v):
-        g = grads[name]
+    a, b = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
+    for start in range(0, model.params.size, ADAM_CHUNK):
+        p, g, m, v = (x[start:start + ADAM_CHUNK] for x in (model.params, grad, state.m, state.v))
+        a, b = a[:len(p)], b[:len(p)]
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(1.0 - beta1, g, out=a)
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        v += np.multiply(np.multiply(1.0 - beta2, g, out=a), g, out=a)
+        np.sqrt(np.divide(v, bc2, out=b), out=b)
+        b += eps
+        np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+        p -= np.divide(a, b, out=a)
 
 
 def _target_for_mode(mode: str, x0, t, sched: NoiseSchedule, eps):
@@ -482,10 +511,10 @@ def train(model: HybridModel, config: TrainConfig, dataset,
             eps = rng.standard_normal(INPUT_DIM)
             x_t = forward_sample(x0, t, sched, eps).x_t
             batch.append((x_t, t, _target_for_mode(config.target_mode, x0, t, sched, eps)))
-        loss_val, grads = backward(model, batch, config.lam)
+        loss_val, grad = backward(model, batch, config.lam)
         if not np.isfinite(loss_val):
             raise RuntimeError(f"training diverged at step {step_offset + step}")
-        adam_step(model, grads, opt, config.lr)
+        adam_step(model, grad, opt, config.lr)
         wall_ms = (time.perf_counter() - t0) * 1e3
         log.append((step_offset + step, loss_val, wall_ms))
     return log, opt, rng
@@ -556,90 +585,68 @@ def sample(model: HybridModel, t_steps: int, seed: int) -> list:
 
 def checkpoint_bytes(model: HybridModel, opt: AdamState | None = None,
                      rng_state: dict | None = None, step: int = 0) -> bytes:
-    """Single-file format: magic, version, JSON header, float64 tensors.
-
-    Tensor payload order matches param_tensors; Adam moments (if present)
-    follow in the same order, first moments then second moments.
-    """
-    tensors = [arr for _, arr in param_tensors(model)]
+    """Single-file format: magic, version, JSON header, then model.params as float64
+    (param_tensors' order) and, with Adam, the first and second moments in that layout."""
     header = {
         "hyper": model.hyper,
-        "shapes": [list(a.shape) for a in tensors],
+        "shapes": [list(a.shape) for _, a in param_tensors(model)],
         "has_adam": opt is not None,
         "adam_step": opt.step if opt is not None else 0,
         "rng_state": rng_state,
         "step": step,
     }
-    blob = io.BytesIO()
-    blob.write(CKPT_MAGIC)
-    blob.write(struct.pack("<I", CKPT_VERSION))
     head = json.dumps(header).encode()
-    blob.write(struct.pack("<Q", len(head)))
-    blob.write(head)
-    for arr in tensors:
-        blob.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    if opt is not None:
-        for arr in opt.m + opt.v:
-            blob.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return blob.getvalue()
+    vecs = [model.params] + ([opt.m, opt.v] if opt is not None else [])
+    return b"".join([struct.pack("<4sIQ", CKPT_MAGIC, CKPT_VERSION, len(head)), head,
+                     *(vec.astype("<f8", copy=False) for vec in vecs)])
 
 
 def load_checkpoint(path):
-    """Returns dict with model, opt (or None), rng_state (or None), step."""
+    """Returns dict with model, opt (or None), rng_state (or None), step. The payload
+    is read straight into model.params and, with Adam, two fresh moment vectors."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 16 or raw[:4] != CKPT_MAGIC:
-        raise ValueError("not a model checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != CKPT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack_from("<Q", raw, 8)
-    try:
-        header = json.loads(raw[16: 16 + hlen].decode())
-        hyper = header["hyper"]
-        shapes = [tuple(s) for s in header["shapes"]]
-        has_adam = bool(header["has_adam"])
-        step = header.get("step", 0)
-        adam_step = header["adam_step"] if has_adam else 0
-        if any(key not in hyper for key in _HYPER_KEYS) or hyper["n_qubits"] != N_QUBITS:
-            raise KeyError("hyper")
-        if any(type(n) is not int or n < 0 for n in (step, adam_step)):
-            raise ValueError(f"step {step!r} and adam_step {adam_step!r} must be ints >= 0")
-        model = _build_model(hyper)
-        # recorded training settings must pass TrainConfig's rule (missing ones read as defaults)
-        TrainConfig(**{key: trained_setting(model, key) for key in _TRAINED_KEYS})
-    except (ValueError, KeyError, TypeError, AttributeError) as e:
-        raise ValueError(f"corrupt checkpoint header: {e}") from e
-    names, tensors = zip(*param_tensors(model))
-    if shapes != [a.shape for a in tensors]:
-        raise ValueError("checkpoint shapes do not match its hyperparameters")
-    offset = 16 + hlen
-    counts = [int(np.prod(s)) if s else 1 for s in shapes]
-    need = sum(counts) * (3 if has_adam else 1) * 8
-    if len(raw) - offset != need:
-        raise ValueError("corrupt checkpoint payload (size mismatch)")
-
-    def take(n, what):
-        nonlocal offset
-        vals = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).copy()
-        offset += n * 8
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"checkpoint tensor {what} holds non-finite values")
-        return vals
-
-    for name, arr, cnt, shape in zip(names, tensors, counts, shapes):
-        arr[...] = take(cnt, name).reshape(shape)
-    opt = None
-    if has_adam:
-        opt = AdamState(adam_step, [], [])
-        for name, cnt, shape in zip(names, counts, shapes):
-            opt.m.append(take(cnt, f"adam.m.{name}").reshape(shape))
-        for name, cnt, shape in zip(names, counts, shapes):
-            opt.v.append(take(cnt, f"adam.v.{name}").reshape(shape))
+        size = os.fstat(fh.fileno()).st_size
+        start = fh.read(16)
+        if len(start) < 16 or start[:4] != CKPT_MAGIC:
+            raise ValueError("not a model checkpoint (bad magic)")
+        _, version, hlen = struct.unpack("<4sIQ", start)
+        if version != CKPT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        try:
+            if hlen > size - 16:
+                raise ValueError(f"header length {hlen} runs past the end of the file")
+            header = json.loads(fh.read(hlen).decode())
+            hyper = header["hyper"]
+            shapes = [tuple(s) for s in header["shapes"]]
+            has_adam = bool(header["has_adam"])
+            step = header.get("step", 0)
+            adam_step = header["adam_step"] if has_adam else 0
+            rng_state = header.get("rng_state")
+            if any(key not in hyper for key in _HYPER_KEYS) or hyper["n_qubits"] != N_QUBITS:
+                raise KeyError("hyper")
+            if any(type(n) is not int or n < 0 for n in (step, adam_step)):
+                raise ValueError(f"step {step!r} and adam_step {adam_step!r} must be ints >= 0")
+            if rng_state is not None:
+                np.random.PCG64(0).state = rng_state  # numpy's own check of a PCG64 state
+            model = _build_model(hyper)
+            # recorded training settings must pass TrainConfig's rule (missing ones read as defaults)
+            TrainConfig(**{key: trained_setting(model, key) for key in _TRAINED_KEYS})
+        except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as e:
+            raise ValueError(f"corrupt checkpoint header: {e}") from e
+        if shapes != [a.shape for _, a in param_tensors(model)]:
+            raise ValueError("checkpoint shapes do not match its hyperparameters")
+        vecs = [model.params] + [np.empty_like(model.params) for _ in range(2 * has_adam)]
+        if size - 16 - hlen != len(vecs) * model.params.nbytes:
+            raise ValueError("corrupt checkpoint payload (size mismatch)")
+        for vec, what in zip(vecs, ("", "adam.m.", "adam.v.")):
+            fh.readinto(vec)
+            name = _non_finite(model, vec)
+            if name is not None:
+                raise ValueError(f"checkpoint tensor {what}{name} holds non-finite values")
     return {
         "model": model,
-        "opt": opt,
-        "rng_state": header.get("rng_state"),
+        "opt": AdamState(adam_step, *vecs[1:]) if has_adam else None,
+        "rng_state": rng_state,
         "step": step,
     }
 
@@ -665,31 +672,27 @@ def gradient_audit(model: HybridModel, batch, lam: float | None = None,
         raise ValueError("fd_eps must be a finite number > 0")
     if fault_group is not None and fault_group not in PARAM_GROUPS:
         raise ValueError(f"unknown parameter group {fault_group!r}")
-    _, grads = backward(model, batch, lam)
-    tensors = param_tensors(model)
+    _, grad = backward(model, batch, lam)
     rng = np.random.default_rng(seed)
     X, ts, targets = _stack_batch(batch)
+    tensors = param_tensors(model)
 
-    report = {}
-    for group in PARAM_GROUPS:
-        idxs = [i for i, (name, _) in enumerate(tensors) if name.split(".")[0] == group]
-        bounds = np.cumsum([tensors[i][1].size for i in idxs])
-        total = int(bounds[-1])
-        picks = rng.choice(total, size=min(n_probe, total), replace=False)
+    report, start = {}, 0
+    for group in PARAM_GROUPS:  # in table order, so each group is the next range of params
+        total = sum(a.size for name, a in tensors if name.split(".")[0] == group)
+        picks = start + rng.choice(total, size=min(n_probe, total), replace=False)
+        start += total
         worst = 0.0
         for pos in picks:
-            which = int(np.searchsorted(bounds, pos, side="right"))
-            name, arr = tensors[idxs[which]]
-            flat = int(pos - (bounds[which - 1] if which else 0))
-            a = float(grads[name].flat[flat])
+            a = float(grad[pos])
             if fault_group == group:
                 a = -a
-            orig = arr.flat[flat]
-            arr.flat[flat] = orig + fd_eps
+            orig = model.params[pos]
+            model.params[pos] = orig + fd_eps
             hi = _batch_loss(model, X, ts, targets, lam)[0]
-            arr.flat[flat] = orig - fd_eps
+            model.params[pos] = orig - fd_eps
             lo = _batch_loss(model, X, ts, targets, lam)[0]
-            arr.flat[flat] = orig
+            model.params[pos] = orig
             fd = (hi - lo) / (2.0 * fd_eps)
             worst = max(worst, abs(a - fd) / max(abs(fd), 1e-3))
         report[group] = worst

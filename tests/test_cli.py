@@ -398,7 +398,9 @@ def test_train_resume_records_the_new_lr_and_lam(tmp_path, capsys):
 
 
 BAD_HEADERS = [({"step": "x"}, {}), ({"adam_step": -4}, {}), ({}, {"lam": 5}),
-               ({}, {"lr": "fast"}), ({}, {"target_mode": "bogus"})]
+               ({}, {"lr": "fast"}), ({}, {"target_mode": "bogus"}),
+               ({"rng_state": {"bit_generator": "MT19937", "state": {"key": [0], "pos": 0}}},
+                {})]
 
 
 def test_train_resume_refuses_bad_header_values(tmp_path, capsys):
@@ -429,6 +431,14 @@ def test_train_failed_checkpoint_write_leaves_no_file(tmp_path, capsys, monkeypa
     code, _, err = run(train_args(tmp_path, max_steps=1), capsys)
     assert code == 1
     assert "disk refused the rename" in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
+def test_train_non_finite_lr_exits_2_writing_nothing(tmp_path, capsys, lr):
+    code, _, err = run(train_args(tmp_path, lr=lr), capsys)
+    assert code == 2
+    assert "lr must be a finite number >= 0" in err
     assert os.listdir(tmp_path) == []
 
 
@@ -586,8 +596,10 @@ def test_write_pgm_clamps(tmp_path):
 
 
 def test_parse_overrides_forms():
-    pairs = cli.parse_overrides(["--n-pairs", "5", "--noise-sigma=0.2"])
-    assert pairs == [("n_pairs", "5"), ("noise_sigma", "0.2")]
+    pairs = cli.parse_overrides(["--n-pairs", "5", "--noise-sigma=0.2", "--lr=-1e-3",
+                                 "--images-path=/data/my-digits.idx"])
+    assert pairs == [("n_pairs", "5"), ("noise_sigma", "0.2"), ("lr", "-1e-3"),
+                     ("images_path", "/data/my-digits.idx")]
     with pytest.raises(cli.ConfigError):
         cli.parse_overrides(["stray"])
     with pytest.raises(cli.ConfigError):

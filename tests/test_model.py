@@ -12,6 +12,7 @@ from qdiff.circuit import run_circuit
 from qdiff.diffusion import linear_schedule
 from qdiff.measure import ano_features, hadamard_test, hermitize, probe_hermitian_part
 from qdiff.model import (
+    ADAM_CHUNK,
     INPUT_DIM,
     LATENT_DIM,
     PARAM_GROUPS,
@@ -226,7 +227,8 @@ def test_zero_decoder_with_lam_zero_kills_upstream_gradients():
     m = small_model()
     for layer in m.decoder:
         layer.w[:] = 0.0
-    _, grads = backward(m, small_batch(rng), lam=0.0)
+    _, grad = backward(m, small_batch(rng), lam=0.0)
+    grads = dict(param_tensors(m, grad))
     assert list(grads) == [name for name, _ in param_tensors(m)]
     for name, g in grads.items():
         if not name.startswith("decoder."):
@@ -238,7 +240,8 @@ def test_zero_decoder_with_lam_zero_kills_upstream_gradients():
 def test_lam_one_gives_zero_decoder_gradients():
     rng = np.random.default_rng(7)
     m = small_model()
-    _, grads = backward(m, small_batch(rng), lam=1.0)
+    _, grad = backward(m, small_batch(rng), lam=1.0)
+    grads = dict(param_tensors(m, grad))
     for name, g in grads.items():
         if name.startswith("decoder."):
             assert np.max(np.abs(g)) == 0.0, name
@@ -248,10 +251,11 @@ def test_lam_one_gives_zero_decoder_gradients():
 def test_adam_step_matches_reference_formula():
     m = small_model()
     opt = init_adam(m)
-    _, grads = backward(m, small_batch(np.random.default_rng(8)), lam=0.25)
+    _, grad = backward(m, small_batch(np.random.default_rng(8)), lam=0.25)
+    grads = dict(param_tensors(m, grad))
     before = [arr.copy() for _, arr in param_tensors(m)]
     g_arrays = [grads[name].copy() for name, _ in param_tensors(m)]
-    adam_step(m, grads, opt, lr=0.01)
+    adam_step(m, grad, opt, lr=0.01)
     after = [arr for _, arr in param_tensors(m)]
     b1, b2, eps = 0.9, 0.999, 1e-8
     for x0, x1, g in zip(before, after, g_arrays):
@@ -260,6 +264,31 @@ def test_adam_step_matches_reference_formula():
         expect = x0 - 0.01 * m_hat / (np.sqrt(v_hat) + eps)
         assert np.max(np.abs(x1 - expect)) < 1e-12
     assert opt.step == 1
+
+
+def test_chunked_adam_is_bitwise_the_per_tensor_update():
+    # the textbook update, tensor by tensor, in adam_step's order of operations; the
+    # small model spans more than one ADAM_CHUNK and ends on a partial one
+    m = small_model(2)
+    assert m.params.size > ADAM_CHUNK and m.params.size % ADAM_CHUNK
+    opt = init_adam(m)
+    ref = [arr.copy() for _, arr in param_tensors(m)]
+    ref_m, ref_v = [np.zeros_like(a) for a in ref], [np.zeros_like(a) for a in ref]
+    rng = np.random.default_rng(30)
+    for step in range(1, 4):
+        grad = rng.standard_normal(m.params.size)
+        adam_step(m, grad, opt, lr=0.01)
+        bc1, bc2 = 1.0 - 0.9**step, 1.0 - 0.999**step
+        for (_, g), p, m1, m2 in zip(param_tensors(m, grad), ref, ref_m, ref_v):
+            m1 *= 0.9
+            m1 += (1.0 - 0.9) * g
+            m2 *= 0.999
+            m2 += (1.0 - 0.999) * g * g
+            p -= 0.01 * (m1 / bc1) / (np.sqrt(m2 / bc2) + 1e-8)
+    for (name, now), want in zip(param_tensors(m), ref):
+        assert np.array_equal(now, want), name
+    assert np.array_equal(opt.m, np.concatenate([a.ravel() for a in ref_m]))
+    assert np.array_equal(opt.v, np.concatenate([a.ravel() for a in ref_v]))
 
 
 def test_train_is_deterministic_and_lr_zero_is_identity():
@@ -306,6 +335,13 @@ def test_lam_has_one_rule_for_config_and_loss(lam):
     with pytest.raises(ValueError) as loss_err:
         loss(small_model(), x_t, t, target, lam)
     assert str(loss_err.value) == str(config_err.value) == "loss mix lam must lie in [0, 1]"
+
+
+@pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, -1e-3])
+def test_train_config_requires_a_finite_lr_at_least_zero(lr):
+    with pytest.raises(ValueError, match="lr must be a finite number >= 0"):
+        TrainConfig(lr=lr)
+    assert TrainConfig(lr=0.0).lr == 0.0
 
 
 def test_train_rejects_bad_dataset_and_config():
@@ -466,6 +502,68 @@ def test_checkpoint_refuses_bad_counters_and_training_settings(tiny_checkpoint, 
     assert (ck["step"], ck["opt"].step) == (1, 1)
 
 
+def test_checkpoint_refuses_an_rng_state_of_another_generator(tiny_checkpoint, tmp_path):
+    raw = tiny_checkpoint
+    (hlen,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16: 16 + hlen])
+    state = header["rng_state"]
+    for bad in (dict(state, bit_generator="MT19937"), "PCG64",
+                dict(state, state={"state": -1, "inc": 1})):
+        (tmp_path / "bad.qdc").write_bytes(_with_header(raw, dict(header, rng_state=bad)))
+        with pytest.raises(ValueError, match="corrupt checkpoint header"):
+            load_checkpoint(tmp_path / "bad.qdc")
+
+
+@pytest.mark.parametrize("hlen", [2**62, 2**64 - 1, "one past the end"])
+def test_checkpoint_header_length_past_the_end_is_a_value_error(tiny_checkpoint, tmp_path,
+                                                                hlen):
+    raw = tiny_checkpoint
+    if hlen == "one past the end":
+        hlen = len(raw) - 15
+    (tmp_path / "long.qdc").write_bytes(raw[:8] + struct.pack("<Q", hlen) + raw[16:])
+    with pytest.raises(ValueError, match="corrupt checkpoint header: .*past the end"):
+        load_checkpoint(tmp_path / "long.qdc")
+
+
+def assert_flat_layout(m, opt=None):
+    """Each table array is a view of m.params at its consecutive offset, found by
+    walking the model's own attributes, and the Adam moments are flat vectors of
+    the same length. A rebound or copied tensor fails here."""
+    params = m.params
+    assert params.ndim == 1 and params.dtype == np.float64 and params.flags.c_contiguous
+    base = params.__array_interface__["data"][0]
+    offset = 0
+    for name, arr in param_tensors(m):
+        assert np.shares_memory(arr, params) and arr.flags.c_contiguous, name
+        assert arr.__array_interface__["data"][0] == base + 8 * offset, name
+        offset += arr.size
+    assert offset == params.size
+    if opt is not None:
+        for moment in (opt.m, opt.v):
+            assert moment.shape == params.shape and moment.dtype == np.float64
+            assert not np.shares_memory(moment, params)
+
+
+def test_every_table_tensor_is_a_view_of_the_flat_buffer(tmp_path):
+    data = np.random.default_rng(28).uniform(0, 1, (6, INPUT_DIM))
+    m = small_model(3)
+    assert_flat_layout(m)
+    assert_flat_layout(init_model(0))
+    log, opt, rng = train(m, TrainConfig(seed=1, max_steps=2, batch_size=3), data)
+    assert_flat_layout(m, opt)
+    path = tmp_path / "ck.qdc"
+    path.write_bytes(checkpoint_bytes(m, opt, rng.bit_generator.state, step=len(log)))
+    ck = load_checkpoint(path)
+    assert_flat_layout(ck["model"], ck["opt"])
+    assert np.array_equal(ck["model"].params, m.params)
+    train(ck["model"], TrainConfig(seed=1, max_steps=1, batch_size=3), data,
+          opt=ck["opt"], rng=rng, step_offset=ck["step"])
+    assert_flat_layout(ck["model"], ck["opt"])
+    # a vector laid out like params has the same slices under the same names
+    for (name, arr), (same, part) in zip(param_tensors(m), param_tensors(m, m.params.copy())):
+        assert same == name and np.array_equal(part, arr), name
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_checkpoint_refuses_truncated_or_mutated_bytes_with_value_error(
@@ -602,11 +700,12 @@ def test_batched_backward_is_the_mean_of_single_row_calls(lam):
     rng = np.random.default_rng(21)
     m = small_model(4)
     batch = small_batch(rng, n=4)
-    total, grads = backward(m, batch, lam)
+    total, grad = backward(m, batch, lam)
     singles = [backward(m, [row], lam) for row in batch]
     assert total == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12, abs=0.0)
+    grads = dict(param_tensors(m, grad))
     for name, g in grads.items():
-        mean = np.mean([s[1][name] for s in singles], axis=0)
+        mean = np.mean([dict(param_tensors(m, s[1]))[name] for s in singles], axis=0)
         scale = max(np.max(np.abs(mean)), 1e-300)
         assert np.max(np.abs(g - mean)) <= 1e-12 * scale, name
 
@@ -631,6 +730,15 @@ def test_backward_rejects_misshapen_target_naming_its_row():
         backward(small_model(), batch, 0.25)
     with pytest.raises(ValueError, match=r"target.*\(255,\)"):
         loss(small_model(), x_t, t, target[:-1], 0.25)
+
+
+def test_backward_names_the_tensor_of_a_non_finite_gradient(monkeypatch):
+    def nan_probe_gradient(psi, probe, weights=None):
+        return np.full(probe.params.shape, np.nan)
+
+    monkeypatch.setattr("qdiff.model.grad_hadamard_wrt_probe", nan_probe_gradient)
+    with pytest.raises(RuntimeError, match="non-finite gradient in parameter probe$"):
+        backward(small_model(), small_batch(np.random.default_rng(27)), 0.25)
 
 
 def test_backward_rejects_misshapen_input_naming_its_row():
