@@ -42,7 +42,7 @@ def main():
         print(f"  steps {i:>2d}-{i + 9:<2d} mean loss {np.mean(chunk):.4f}")
 
     print("\nsampling 4 trajectories...")
-    finals = model.sample_block(m, m.hyper["t_steps"], [500 + j for j in range(4)])[:, -1]
+    finals = model.sample_block(m, [500 + j for j in range(4)])[:, -1]
     for j, final in enumerate(finals):
         mode, cos = nearest_mode(final, templates)
         print(f"  trajectory {j}: nearest mode {mode}, cosine {cos:.3f}")

@@ -36,8 +36,6 @@ from .circuit import (
     x,
 )
 from .encode import (
-    EncodingKind,
-    encode,
     encode_amplitude,
     encode_angle,
     encode_basis,

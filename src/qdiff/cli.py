@@ -299,6 +299,8 @@ def _load_dataset(cfg: dict, seed: int) -> np.ndarray:
 
 
 def cmd_train(cfg: dict, seed: int, out: str) -> int:
+    if cfg["limit"] < 0:
+        raise ConfigError("limit must be >= 0 (0 keeps every image)")
     try:
         tc = model.TrainConfig(seed=seed, max_steps=cfg["max_steps"] or None,
                                **{key: cfg[key] for key in _TRAIN_RULE})
@@ -339,8 +341,7 @@ def cmd_sample(cfg: dict, seed: int, out: str) -> int:
         raise ConfigError("n_trajectories must be >= 1")
     spec = _synthetic_spec(cfg)
     m = model.load_checkpoint(cfg["checkpoint"])["model"]  # the Adam moments go at once
-    t_steps = m.hyper["t_steps"]
-    frames = model.sample_block(m, t_steps, [seed + j for j in range(cfg["n_trajectories"])])
+    frames = model.sample_block(m, [seed + j for j in range(cfg["n_trajectories"])])
     for j, traj in enumerate(frames):
         for i, img in enumerate(traj):
             write_pgm(os.path.join(out, f"traj{j:03d}_step{i:02d}.pgm"), img)
@@ -351,7 +352,7 @@ def cmd_sample(cfg: dict, seed: int, out: str) -> int:
     cosines = [data.nearest_mode(img, templates)[1] for img in finals]
     metrics = {
         "n_trajectories": int(len(finals)),
-        "t_steps": int(t_steps),
+        "t_steps": m.hyper["t_steps"],
         "mode": model.trained_setting(m, "target_mode"),
         "nearest_mode_cosine_mean": float(np.mean(cosines)),
         "nearest_mode_frac_above_0.8": float(np.mean([c > 0.8 for c in cosines])),
@@ -363,7 +364,7 @@ def cmd_sample(cfg: dict, seed: int, out: str) -> int:
         metrics["frechet_generated"] = bench.frechet_gaussian(finals, real)
         metrics["frechet_noise"] = bench.frechet_gaussian(noise, real)
     atomic_write(os.path.join(out, "metrics.json"), json.dumps(metrics, indent=2) + "\n")
-    print(f"sample: {len(finals)} trajectories x {t_steps + 1} frames -> {out}")
+    print(f"sample: {len(finals)} trajectories x {frames.shape[1]} frames -> {out}")
     return EXIT_OK
 
 

@@ -6,7 +6,6 @@ under the package-wide qubit ordering (qubit 0 is the most significant bit).
 """
 from __future__ import annotations
 
-import enum
 from functools import reduce
 
 import numpy as np
@@ -14,14 +13,6 @@ import numpy as np
 from .qcore import StateVector, basis_state
 
 MAX_QUBITS = 12
-
-
-class EncodingKind(enum.Enum):
-    BASIS = "basis"
-    AMPLITUDE = "amplitude"
-    ANGLE = "angle"
-    PHASE = "phase"
-    DENSE_ANGLE = "dense_angle"
 
 
 def _kron_chain(single_qubit_states) -> StateVector:
@@ -99,17 +90,3 @@ def encode_dense_angle(x) -> StateVector:
     ]
     return _kron_chain(singles)
 
-
-def encode(kind: EncodingKind, x, n_qubits: int | None = None) -> StateVector:
-    """Dispatch on EncodingKind; n_qubits is only used by amplitude encoding."""
-    if kind is EncodingKind.BASIS:
-        return encode_basis(x)
-    if kind is EncodingKind.AMPLITUDE:
-        if n_qubits is None:
-            raise ValueError("amplitude encoding needs n_qubits")
-        return encode_amplitude(x, n_qubits)
-    if kind is EncodingKind.ANGLE:
-        return encode_angle(x)
-    if kind is EncodingKind.PHASE:
-        return encode_phase(x)
-    return encode_dense_angle(x)

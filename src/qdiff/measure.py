@@ -2,7 +2,9 @@
 
 An AdaptiveObservable stores a free complex matrix M; the measured operator
 is its Hermitian part H = (M + M^dag)/2, so expectation values are real by
-construction and every matrix entry is a valid trainable weight. A
+construction and every matrix entry is a valid trainable weight. The model
+holds its K matrices as one array; AdaptiveObservable, ObservableBank and
+ano_features are the one-observable-at-a-time reference it is tested against. A
 GlobalProbe adds Re<psi|U(theta)|psi>, which the model reads as <psi|(U+U^dag)/2|psi>
 (probe_hermitian_part); the ancilla Hadamard test, hadamard_test, is its reference.
 

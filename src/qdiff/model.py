@@ -29,12 +29,9 @@ from .circuit import ParamCircuit, build_ansatz, effective_angles, run_block
 from .diffusion import NoiseSchedule, forward_sample, linear_schedule
 from .measure import (
     REAL_TOL,
-    AdaptiveObservable,
     GlobalProbe,
-    ObservableBank,
     adjoint_gradient,
     grad_hadamard_wrt_probe,
-    hermitize,
     probe_hermitian_part,
 )
 # unused here; perfbench/spans.py's tracer wraps these names
@@ -96,11 +93,12 @@ class HybridModel:
     encoder: list
     ansatz: ParamCircuit
     theta: np.ndarray
-    bank: ObservableBank
+    bank: np.ndarray  # (k, 2, D, D): observable j's free matrix is bank[j, 0] + 1j * bank[j, 1]
     probe: GlobalProbe
     decoder: list
     hyper: dict
     params: np.ndarray  # the one flat buffer; every param_tensors array is a view of it
+    layout: tuple  # _layout's rows, which place each named tensor in params
 
 
 def _check_lam(lam: float) -> None:
@@ -133,55 +131,67 @@ class TrainConfig:
             raise ValueError("need 0 < beta_start <= beta_end < 1")
 
 
+def _layout(hyper: dict, n_theta: int, n_probe: int) -> tuple:
+    """The parameter table: (name, shape, (low, high)) rows in buffer order, so each of
+    PARAM_GROUPS is one run of rows. A tensor's init draw is uniform on (low, high):
+    a layer's weights and biases in +-1/sqrt(fan-in), angles in [0, 2 pi), bank
+    entries in +-1/D. Observable j of the bank is the pair bank.{j}.m_real/m_imag."""
+    enc_dims = [INPUT_DIM + 1, hyper["hidden_enc"], LATENT_DIM]
+    dec_dims = [hyper["k"] + 1 + INPUT_DIM, hyper["hidden_dec"], INPUT_DIM]
+    angles, bank_bound = (0.0, 2.0 * np.pi), 1.0 / LATENT_DIM
+    rows = []
+    for i, (a, b) in enumerate(zip(enc_dims, enc_dims[1:])):
+        fan = (-1.0 / np.sqrt(a), 1.0 / np.sqrt(a))
+        rows += [(f"encoder.{i}.{part}", shape, fan) for part, shape in
+                 (("w_real", (b, a)), ("w_imag", (b, a)), ("b_real", (b,)), ("b_imag", (b,)))]
+    rows.append(("theta", (n_theta,), angles))
+    rows += [(f"bank.{j}.{part}", (LATENT_DIM, LATENT_DIM), (-bank_bound, bank_bound))
+             for j in range(hyper["k"]) for part in ("m_real", "m_imag")]
+    rows.append(("probe", (n_probe,), angles))
+    for i, (a, b) in enumerate(zip(dec_dims, dec_dims[1:])):
+        fan = (-1.0 / np.sqrt(a), 1.0 / np.sqrt(a))
+        rows += [(f"decoder.{i}.w", (b, a), fan), (f"decoder.{i}.b", (b,), fan)]
+    return tuple(rows)
+
+
 def _build_model(hyper: dict) -> HybridModel:
     """The model's structure from its hyper dict alone, with every weight zero: each
-    table tensor is a view of its slice of one float64 vector, model.params."""
+    layout tensor is a view of its slice of one float64 vector, model.params, that the
+    model's attributes take by name (_layout gives each stack two layers)."""
     for key in STRUCTURE_DEFAULTS:
         if type(hyper[key]) is not int or hyper[key] < 1:
             raise ValueError(f"{key} must be an integer >= 1, got {hyper[key]!r}")
-    k = hyper["k"]
-    enc_dims = [INPUT_DIM + 1, hyper["hidden_enc"], LATENT_DIM]
-    dec_dims = [k + 1 + INPUT_DIM, hyper["hidden_dec"], INPUT_DIM]
     ansatz = build_ansatz(N_QUBITS, hyper["ansatz_layers"])
     probe_circ = build_ansatz(N_QUBITS, 1)
-    square = (LATENT_DIM, LATENT_DIM)
-    shapes = [s for a, b in zip(enc_dims, enc_dims[1:]) for s in ((b, a), (b, a), (b,), (b,))]
-    shapes += [(ansatz.n_params,), *[square] * (2 * k), (probe_circ.n_params,)]
-    shapes += [s for a, b in zip(dec_dims, dec_dims[1:]) for s in ((b, a), (b,))]
-    params = np.zeros(sum(math.prod(s) for s in shapes))
-    t = iter(_views(params, shapes))
-    encoder = [ComplexAffine(next(t), next(t), next(t), next(t)) for _ in enc_dims[1:]]
-    theta = next(t)
-    bank = ObservableBank(tuple(AdaptiveObservable(next(t), next(t)) for _ in range(k)))
-    probe = GlobalProbe(probe_circ, next(t))
-    decoder = [RealAffine(next(t), next(t)) for _ in dec_dims[1:]]
-    return HybridModel(encoder, ansatz, theta, bank, probe, decoder, hyper, params)
+    layout = _layout(hyper, ansatz.n_params, probe_circ.n_params)
+    params = np.zeros(sum(math.prod(shape) for _, shape, _ in layout))
+    t = dict(zip((name for name, _, _ in layout), _views(params, layout)))
+    encoder = [ComplexAffine(*(t[f"encoder.{i}.{part}"] for part in
+                               ("w_real", "w_imag", "b_real", "b_imag"))) for i in range(2)]
+    bank = _group_view(params, layout, "bank").reshape(hyper["k"], 2, LATENT_DIM, LATENT_DIM)
+    decoder = [RealAffine(t[f"decoder.{i}.w"], t[f"decoder.{i}.b"]) for i in range(2)]
+    return HybridModel(encoder, ansatz, t["theta"], bank, GlobalProbe(probe_circ, t["probe"]),
+                       decoder, hyper, params, layout)
 
 
-def _views(vec: np.ndarray, shapes) -> list:
-    """Consecutive slices of the flat vec, reshaped to shapes in order (views, not copies)."""
-    ends = np.cumsum([math.prod(s) for s in shapes])
-    return [vec[end - math.prod(s):end].reshape(s) for s, end in zip(shapes, ends)]
+def _views(vec: np.ndarray, layout: tuple) -> list:
+    """Consecutive slices of the flat vec, reshaped to the layout's shapes (views, not copies)."""
+    ends = np.cumsum([math.prod(shape) for _, shape, _ in layout])
+    return [vec[end - math.prod(shape):end].reshape(shape)
+            for (_, shape, _), end in zip(layout, ends)]
 
 
-def _init_range(model: HybridModel, name: str):
-    """(low, high) of the uniform draw for the table tensor `name`: angles in
-    [0, 2 pi), bank entries in +-1/D, a layer's weights and biases in +-1/sqrt(fan-in)."""
-    group, *rest = name.split(".")
-    if group in ("theta", "probe"):
-        return 0.0, 2.0 * np.pi
-    if group == "bank":
-        bound = 1.0 / LATENT_DIM
-    else:
-        layer = getattr(model, group)[int(rest[0])]
-        bound = 1.0 / np.sqrt((layer.w_real if group == "encoder" else layer.w).shape[1])
-    return -bound, bound
+def _group_view(vec: np.ndarray, layout: tuple, group: str) -> np.ndarray:
+    """The one contiguous slice of the flat vec that holds the layout rows of `group`."""
+    ends = np.cumsum([0] + [math.prod(shape) for _, shape, _ in layout])
+    rows = [i for i, (name, _, _) in enumerate(layout) if name.split(".")[0] == group]
+    return vec[ends[rows[0]]:ends[rows[-1] + 1]]
 
 
 def init_model(seed: int, lam: float = TrainConfig.lam, **structure) -> HybridModel:
     """Fresh model: structure overrides STRUCTURE_DEFAULTS in its hyper dict (whose lr
-    is TrainConfig's until train() records its own), then one walk over param_tensors
-    fills each tensor from rng.uniform in table order, so a seed pins every weight."""
+    is TrainConfig's until train() records its own), then one walk over the layout
+    fills each tensor from rng.uniform on its row's range, so a seed pins every weight."""
     for key in structure:
         if key not in STRUCTURE_DEFAULTS:
             raise TypeError(f"init_model() got an unexpected keyword argument {key!r}")
@@ -191,8 +201,8 @@ def init_model(seed: int, lam: float = TrainConfig.lam, **structure) -> HybridMo
                               hidden_dec=s["hidden_dec"], ansatz_layers=s["ansatz_layers"],
                               seed=seed))
     rng = np.random.default_rng(seed)
-    for name, arr in param_tensors(model):
-        arr[...] = rng.uniform(*_init_range(model, name), arr.shape)
+    for (_, shape, bounds), arr in zip(model.layout, _views(model.params, model.layout)):
+        arr[...] = rng.uniform(*bounds, shape)
     return model
 
 
@@ -251,8 +261,9 @@ def forward_trace(model: HybridModel, X, ts):
 
     z, psi_in, r, enc_inputs = _encode(model, X, ts / t_steps)
     psi_out = run_block(model.ansatz, psi_in.T, effective_angles(model.ansatz, model.theta))
-    obs = np.stack([hermitize(o) for o in model.bank.observables]
-                   + [probe_hermitian_part(model.probe)])
+    m = model.bank[:, 0] + 1j * model.bank[:, 1]
+    obs = np.concatenate([0.5 * (m + m.conj().transpose(0, 2, 1)),
+                          probe_hermitian_part(model.probe)[None]])
     vals = np.einsum("ib,kij,jb->bk", psi_out.conj(), obs, psi_out)
     if np.max(np.abs(vals.imag)) > REAL_TOL:
         raise ValueError(f"expectation has imaginary residue {np.max(np.abs(vals.imag)):.3e}")
@@ -309,27 +320,14 @@ def loss(model: HybridModel, x_t, t: int, target, lam: float) -> float:
 
 
 def param_tensors(model: HybridModel, vec: np.ndarray | None = None):
-    """(name, array) pairs in the fixed declaration order used everywhere.
+    """(name, array) pairs in the layout's order: the model's one parameter table.
 
-    This is the model's one parameter table, whose arrays are consecutive slices of
-    model.params; given a vec laid out like it (a gradient, an Adam moment), the same
-    names label vec's slices. A tensor's group (one of PARAM_GROUPS) is the first
-    dotted part of its name.
+    The arrays are consecutive slices of model.params; given a vec laid out like it
+    (a gradient, an Adam moment), the same names label vec's slices. A tensor's
+    group (one of PARAM_GROUPS) is the first dotted part of its name.
     """
-    if vec is not None:
-        names, arrays = zip(*param_tensors(model))
-        return list(zip(names, _views(vec, [a.shape for a in arrays])))
-    out = []
-    for i, l in enumerate(model.encoder):
-        out += [(f"encoder.{i}.{part}", getattr(l, part))
-                for part in ("w_real", "w_imag", "b_real", "b_imag")]
-    out.append(("theta", model.theta))
-    for i, o in enumerate(model.bank.observables):
-        out += [(f"bank.{i}.m_real", o.m_real), (f"bank.{i}.m_imag", o.m_imag)]
-    out.append(("probe", model.probe.params))
-    for i, l in enumerate(model.decoder):
-        out += [(f"decoder.{i}.w", l.w), (f"decoder.{i}.b", l.b)]
-    return out
+    vec = model.params if vec is None else vec
+    return list(zip((name for name, _, _ in model.layout), _views(vec, model.layout)))
 
 
 def _stack_batch(batch):
@@ -371,7 +369,7 @@ def backward(model: HybridModel, batch, lam: float | None = None):
         lam = trained_setting(model, "lam")
     X, ts, targets = _stack_batch(batch)
     total, _, _, tr, tgt = _batch_loss(model, X, ts, targets, lam)
-    k = model.bank.k
+    k = len(model.bank)
     # terms add into the named views of one zeroed vector
     grad = np.zeros_like(model.params)
     grads = dict(param_tensors(model, grad))
@@ -395,9 +393,9 @@ def backward(model: HybridModel, batch, lam: float | None = None):
     grads["theta"] += d_theta
     grads["probe"] += grad_hadamard_wrt_probe(psi_out, model.probe, u_feat[:, k])
     outer = np.einsum("bk,ib,jb->kij", u_feat[:, :k], psi_out.conj(), psi_out)
-    for j in range(k):
-        grads[f"bank.{j}.m_real"] += outer[j].real
-        grads[f"bank.{j}.m_imag"] -= outer[j].imag
+    g_bank = _group_view(grad, model.layout, "bank").reshape(model.bank.shape)
+    g_bank[:, 0] += outer.real
+    g_bank[:, 1] -= outer.imag
 
     # encoder main branch: g_psi = 2 C^dag (G psi_out), then psi = z / r
     enc_inputs = tr["enc_inputs"]
@@ -539,9 +537,9 @@ def _noise_schedule(model: HybridModel) -> NoiseSchedule:
                            trained_setting(model, "beta_end"))
 
 
-def sample_block(model: HybridModel, t_steps: int, seeds) -> np.ndarray:
-    """Reverse diffusion of one trajectory per seed; returns (N, t_steps+1, 256) frames,
-    row j being trajectory j's [x_T, ..., x_0].
+def sample_block(model: HybridModel, seeds) -> np.ndarray:
+    """Reverse diffusion of one trajectory per seed over the model's T steps; returns
+    (N, T+1, 256) frames, row j being trajectory j's [x_T, ..., x_0].
 
     Trajectory j draws x_T from default_rng(seeds[j]) and is row j of one (N, 256)
     block, so each step is one forward_trace call and a row's frames do not depend
@@ -554,6 +552,7 @@ def sample_block(model: HybridModel, t_steps: int, seeds) -> np.ndarray:
         raise ValueError(f"unknown target mode {mode!r}")
     if len(seeds) == 0:
         raise ValueError("sample_block needs at least one seed")
+    t_steps = model.hyper["t_steps"]
     sched = _noise_schedule(model)
     x = np.stack([np.random.default_rng(s).standard_normal(INPUT_DIM) for s in seeds])
     frames = np.empty((len(x), t_steps + 1, INPUT_DIM))
@@ -578,9 +577,11 @@ def sample_block(model: HybridModel, t_steps: int, seeds) -> np.ndarray:
 
 
 def sample(model: HybridModel, t_steps: int, seed: int) -> list:
-    """One trajectory [x_T, ..., x_0], the N = 1 case of sample_block. The frames are
-    separate arrays, so one kept frame does not hold the whole trajectory."""
-    return [frame.copy() for frame in sample_block(model, t_steps, [seed])[0]]
+    """One trajectory [x_T, ..., x_0] over the model's t_steps, the N = 1 case of sample_block;
+    its frames are separate arrays, so one kept frame does not hold the whole trajectory."""
+    if t_steps != model.hyper["t_steps"]:
+        raise ValueError(f"t_steps {t_steps!r} is not the model's T = {model.hyper['t_steps']}")
+    return [frame.copy() for frame in sample_block(model, [seed])[0]]
 
 
 def checkpoint_bytes(model: HybridModel, opt: AdamState | None = None,
@@ -589,7 +590,7 @@ def checkpoint_bytes(model: HybridModel, opt: AdamState | None = None,
     (param_tensors' order) and, with Adam, the first and second moments in that layout."""
     header = {
         "hyper": model.hyper,
-        "shapes": [list(a.shape) for _, a in param_tensors(model)],
+        "shapes": [list(shape) for _, shape, _ in model.layout],
         "has_adam": opt is not None,
         "adam_step": opt.step if opt is not None else 0,
         "rng_state": rng_state,
@@ -631,9 +632,10 @@ def load_checkpoint(path):
             model = _build_model(hyper)
             # recorded training settings must pass TrainConfig's rule (missing ones read as defaults)
             TrainConfig(**{key: trained_setting(model, key) for key in _TRAINED_KEYS})
-        except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as e:
+        except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
+                RecursionError) as e:  # json.loads recurses once per nesting level
             raise ValueError(f"corrupt checkpoint header: {e}") from e
-        if shapes != [a.shape for _, a in param_tensors(model)]:
+        if shapes != [shape for _, shape, _ in model.layout]:
             raise ValueError("checkpoint shapes do not match its hyperparameters")
         vecs = [model.params] + [np.empty_like(model.params) for _ in range(2 * has_adam)]
         if size - 16 - hlen != len(vecs) * model.params.nbytes:
@@ -675,13 +677,12 @@ def gradient_audit(model: HybridModel, batch, lam: float | None = None,
     _, grad = backward(model, batch, lam)
     rng = np.random.default_rng(seed)
     X, ts, targets = _stack_batch(batch)
-    tensors = param_tensors(model)
+    positions = np.arange(model.params.size)
 
-    report, start = {}, 0
-    for group in PARAM_GROUPS:  # in table order, so each group is the next range of params
-        total = sum(a.size for name, a in tensors if name.split(".")[0] == group)
-        picks = start + rng.choice(total, size=min(n_probe, total), replace=False)
-        start += total
+    report = {}
+    for group in PARAM_GROUPS:
+        span = _group_view(positions, model.layout, group)
+        picks = span[rng.choice(span.size, size=min(n_probe, span.size), replace=False)]
         worst = 0.0
         for pos in picks:
             a = float(grad[pos])

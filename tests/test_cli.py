@@ -449,6 +449,20 @@ def test_train_negative_max_steps_exits_2_writing_nothing(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("limit", [-1, -3])
+def test_train_negative_limit_exits_2_before_loading(tmp_path, capsys, monkeypatch, limit):
+    # a negative slice bound would drop images from the end or leave none
+    def no_load(path):
+        raise AssertionError("train read the images file")
+
+    monkeypatch.setattr(cli.data, "load_idx", no_load)
+    code, _, err = run(train_args(tmp_path, dataset="idx", limit=limit,
+                                  images_path=str(tmp_path / "imgs.idx")), capsys)
+    assert code == 2
+    assert "limit must be >= 0" in err
+    assert os.listdir(tmp_path) == []
+
+
 # ---------------------------------------------------------------------------
 # sample
 
@@ -521,7 +535,7 @@ def test_sample_steps_by_the_mode_and_schedule_the_checkpoint_records(tmp_path, 
                       "--n-trajectories", "3", "--per-mode", "5"], capsys)
     assert code == 0
     assert json.loads((tmp_path / "s" / "metrics.json").read_text())["mode"] == "eps"
-    frames = model.sample_block(ck["model"], 5, [4, 5, 6])
+    frames = model.sample_block(ck["model"], [4, 5, 6])
     for j, traj in enumerate(frames):
         for i, img in enumerate(traj):
             name = f"traj{j:03d}_step{i:02d}.pgm"

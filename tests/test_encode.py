@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdiff.encode import (
-    EncodingKind,
-    encode,
     encode_amplitude,
     encode_angle,
     encode_basis,
@@ -112,18 +110,6 @@ def test_dense_angle_pairs_against_kron_oracle():
     q0 = np.array([math.cos(xs[0]), np.exp(1j * xs[1]) * math.sin(xs[0])])
     q1 = np.array([math.cos(xs[2]), np.exp(1j * xs[3]) * math.sin(xs[2])])
     assert np.allclose(out, np.kron(q0, q1), atol=1e-12)
-
-
-def test_dispatch_covers_all_kinds():
-    assert np.allclose(encode(EncodingKind.BASIS, [1, 0]).amps,
-                       encode_basis([1, 0]).amps)
-    assert np.allclose(encode(EncodingKind.AMPLITUDE, [3, 4], n_qubits=1).amps,
-                       encode_amplitude([3, 4], 1).amps)
-    for kind, fn in [(EncodingKind.ANGLE, encode_angle),
-                     (EncodingKind.PHASE, encode_phase)]:
-        assert np.allclose(encode(kind, [0.4, 0.7]).amps, fn([0.4, 0.7]).amps)
-    assert np.allclose(encode(EncodingKind.DENSE_ANGLE, [0.4, 0.7]).amps,
-                       encode_dense_angle([0.4, 0.7]).amps)
 
 
 @settings(deadline=None, max_examples=40)

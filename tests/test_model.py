@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from qdiff.circuit import run_circuit
 from qdiff.diffusion import linear_schedule
-from qdiff.measure import ano_features, hadamard_test, hermitize, probe_hermitian_part
+from qdiff.measure import (
+    AdaptiveObservable,
+    ObservableBank,
+    ano_features,
+    hadamard_test,
+    hermitize,
+    probe_hermitian_part,
+)
 from qdiff.model import (
     ADAM_CHUNK,
     INPUT_DIM,
@@ -18,6 +25,7 @@ from qdiff.model import (
     PARAM_GROUPS,
     AdamState,
     TrainConfig,
+    _group_view,
     adam_step,
     backward,
     checkpoint_bytes,
@@ -41,6 +49,11 @@ from qdiff.qcore import StateVector
 def small_model(seed=0):
     return init_model(seed, k=4, t_steps=5, hidden_enc=16, hidden_dec=32,
                       ansatz_layers=1)
+
+
+def reference_bank(m):
+    """The model's bank as the per-observable reference objects of qdiff.measure."""
+    return ObservableBank(tuple(AdaptiveObservable(*b) for b in m.bank))
 
 
 def small_batch(rng, n=2, t_steps=5):
@@ -106,7 +119,7 @@ def test_default_model_shapes():
     assert m.encoder[0].w_real.shape == (64, 257)
     assert m.encoder[1].w_real.shape == (16, 64)
     assert m.theta.shape == (26,)
-    assert m.bank.k == 16 and m.bank.dim == LATENT_DIM
+    assert m.bank.shape == (16, 2, LATENT_DIM, LATENT_DIM)
     assert m.probe.params.shape == (13,)
     assert m.decoder[0].w.shape == (256, 16 + 1 + 256)
     assert m.decoder[1].w.shape == (256, 256)
@@ -141,7 +154,8 @@ def test_forward_trace_matches_manual_composition():
 
     psi_out = run_circuit(m.ansatz, psi_in, m.theta)
     # the bank's Hermitian parts and the probe's (U + U^dag)/2, one contraction
-    obs = np.stack([hermitize(o) for o in m.bank.observables] + [probe_hermitian_part(m.probe)])
+    obs = np.stack([hermitize(o) for o in reference_bank(m).observables]
+                   + [probe_hermitian_part(m.probe)])
     col = psi_out.amps[:, None]
     feats = np.einsum("ib,kij,jb->bk", col.conj(), obs, col).real
     d = np.concatenate([feats, x_t[None]], axis=1)
@@ -525,23 +539,76 @@ def test_checkpoint_header_length_past_the_end_is_a_value_error(tiny_checkpoint,
         load_checkpoint(tmp_path / "long.qdc")
 
 
+def test_checkpoint_header_nested_past_the_parser_is_a_value_error(tiny_checkpoint, tmp_path):
+    # json.loads recurses once per "[", so this header exhausts the recursion limit
+    raw = tiny_checkpoint
+    (hlen,) = struct.unpack_from("<Q", raw, 8)
+    head = b"[" * 200_000
+    (tmp_path / "deep.qdc").write_bytes(raw[:8] + struct.pack("<Q", len(head)) + head
+                                        + raw[16 + hlen:])
+    with pytest.raises(ValueError, match="corrupt checkpoint header"):
+        load_checkpoint(tmp_path / "deep.qdc")
+
+
+def model_attributes(m):
+    """(table name, array) for each parameter array the model's own attributes hold."""
+    out = [(f"encoder.{i}.{part}", getattr(layer, part)) for i, layer in enumerate(m.encoder)
+           for part in ("w_real", "w_imag", "b_real", "b_imag")]
+    out.append(("theta", m.theta))
+    out += [(f"bank.{j}.{part}", m.bank[j, p]) for j in range(len(m.bank))
+            for p, part in enumerate(("m_real", "m_imag"))]
+    out.append(("probe", m.probe.params))
+    out += [(f"decoder.{i}.{part}", getattr(layer, part)) for i, layer in enumerate(m.decoder)
+            for part in ("w", "b")]
+    return out
+
+
 def assert_flat_layout(m, opt=None):
-    """Each table array is a view of m.params at its consecutive offset, found by
-    walking the model's own attributes, and the Adam moments are flat vectors of
-    the same length. A rebound or copied tensor fails here."""
+    """Each table array is a view of m.params at its consecutive offset, and so is
+    each array the model's attributes hold (encoder layers, theta, the bank's
+    observables, the probe's angles, decoder layers), found at the offset of its
+    table name. The Adam moments are flat vectors of the same length. A rebound or
+    copied tensor fails here."""
     params = m.params
     assert params.ndim == 1 and params.dtype == np.float64 and params.flags.c_contiguous
     base = params.__array_interface__["data"][0]
-    offset = 0
+    offsets, offset = {}, 0
     for name, arr in param_tensors(m):
         assert np.shares_memory(arr, params) and arr.flags.c_contiguous, name
         assert arr.__array_interface__["data"][0] == base + 8 * offset, name
+        offsets[name] = offset
         offset += arr.size
     assert offset == params.size
+    held = model_attributes(m)
+    assert [name for name, _ in held] == list(offsets)
+    for (name, arr), (_, table) in zip(held, param_tensors(m)):
+        assert np.shares_memory(arr, params), name
+        assert arr.__array_interface__["data"][0] == base + 8 * offsets[name], name
+        assert arr.shape == table.shape and arr.strides == table.strides, name
     if opt is not None:
         for moment in (opt.m, opt.v):
             assert moment.shape == params.shape and moment.dtype == np.float64
             assert not np.shares_memory(moment, params)
+
+
+def test_each_group_is_one_contiguous_run_of_the_table():
+    # the groups follow PARAM_GROUPS, each once, so a group's tensors are one slice
+    # of params; the bank's is the model's (k, 2, 16, 16) array
+    for m in (small_model(), init_model(0)):
+        runs = [name.split(".")[0] for name, _ in param_tensors(m)]
+        firsts = [g for i, g in enumerate(runs) if i == 0 or runs[i - 1] != g]
+        assert firsts == list(PARAM_GROUPS)
+        start = 0
+        for group in PARAM_GROUPS:
+            size = sum(a.size for name, a in param_tensors(m) if name.split(".")[0] == group)
+            view = _group_view(m.params, m.layout, group)
+            assert np.shares_memory(view, m.params) and view.size == size, group
+            assert view.__array_interface__["data"][0] \
+                == m.params.__array_interface__["data"][0] + 8 * start, group
+            start += size
+        assert start == m.params.size
+        bank = _group_view(m.params, m.layout, "bank")
+        assert np.shares_memory(m.bank, bank) and np.array_equal(m.bank.ravel(), bank)
 
 
 def test_every_table_tensor_is_a_view_of_the_flat_buffer(tmp_path):
@@ -654,7 +721,7 @@ def test_sample_block_rows_are_the_single_trajectories(mode):
     seeds = [100 + 7 * j for j in range(8)]
     single = [np.array(sample(m, 5, s)) for s in seeds]
     for n in (1, 3, 8):
-        block = sample_block(m, 5, seeds[:n])
+        block = sample_block(m, seeds[:n])
         assert block.shape == (n, 6, INPUT_DIM)
         for j in range(n):
             assert np.array_equal(block[j], single[j]), (mode, n, j)
@@ -662,7 +729,13 @@ def test_sample_block_rows_are_the_single_trajectories(mode):
 
 def test_sample_block_needs_a_seed():
     with pytest.raises(ValueError, match="at least one seed"):
-        sample_block(small_model(), 5, [])
+        sample_block(small_model(), [])
+
+
+@pytest.mark.parametrize("t_steps", [3, 6, 0])
+def test_sample_refuses_a_chain_length_other_than_the_models(t_steps):
+    with pytest.raises(ValueError, match=f"t_steps {t_steps} is not the model's T = 5"):
+        sample(small_model(), t_steps=t_steps, seed=1)
 
 
 def test_train_records_its_config_in_hyper():
@@ -691,7 +764,8 @@ def test_forward_trace_rows_match_single_forward_calls():
     for b in range(5):
         assert np.max(np.abs(out[b] - forward(m, X[b], ts[b]))) < 1e-12
         psi = StateVector(tr["psi_out"][:, b])
-        oracle = np.concatenate([ano_features(psi, m.bank), [hadamard_test(psi, m.probe)]])
+        oracle = np.concatenate([ano_features(psi, reference_bank(m)),
+                                 [hadamard_test(psi, m.probe)]])
         assert np.max(np.abs(tr["feats"][b] - oracle)) < 1e-12
 
 

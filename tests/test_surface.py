@@ -1,11 +1,13 @@
 """Every name the package exports is used by something other than the tests.
 
-A name exported from qdiff/__init__.py must be referenced by the library
-itself (outside its own definition), by a demo or by the benchmark, or be a
-named reference below: a slow, paper-faithful form that a fast path is
-tested against, or a gate constructor that the tests' circuits need. A
-library function that only its own unit test calls fails here, so it either
-gains a caller or goes.
+A name exported from qdiff/__init__.py must be referenced by the library,
+by a demo or by the benchmark, or be a named reference below: a slow,
+paper-faithful form that a fast path is tested against, or a gate
+constructor that the tests' circuits need. A reference is a bare name inside
+the defining module (outside the name's own definition), and elsewhere an
+import of the name or a `module.name` attribute read; an unrelated variable
+that happens to share the name does not count. A library function that only
+its own unit test calls fails here, so it either gains a caller or goes.
 """
 import ast
 from pathlib import Path
@@ -17,44 +19,58 @@ CALLER_DIRS = ("src/qdiff", "demos", "perfbench")
 # exported names kept without a caller, each with why it stays
 NAMED_REFERENCES = {
     "forward": "the B = 1 reference for model.forward_trace",
+    "loss": "the B = 1 reference for model._batch_loss",
     "phase": "the PHASE gate's constructor; acceptance test_04 builds its probes with it",
     "controlled": "the CU gate's constructor; the random-circuit oracles draw CU gates",
+    "x": "the X gate's constructor; the random-circuit oracles draw X gates",
 }
 
 
-def exported_names():
+def exports():
+    """(defining module, name) for each name qdiff/__init__.py re-exports."""
     tree = ast.parse(INIT.read_text())
-    return [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+    return [(node.module, alias.name) for node in tree.body if isinstance(node, ast.ImportFrom)
             for alias in node.names]
 
 
-def referenced_names(tree, skip):
-    """Names, attributes and imports used in `tree`, outside the definition of `skip`."""
+def references(path, modules):
+    """(module, name) pairs that the file at `path` references, for `module` one of
+    `modules`: bare names inside the module's own file (outside the definition of
+    the name), and elsewhere `from <module> import name` and `module.name` reads."""
+    tree = ast.parse(path.read_text())
+    own = path.stem if path.parent.name == "qdiff" else None
+    aliases = {}  # local name -> qdiff module, from `from qdiff import model` and the like
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "qdiff"):
+            aliases.update({a.asname or a.name: a.name for a in node.names if a.name in modules})
     found = set()
-    stack = [tree]
+    stack = [(tree, frozenset())]
     while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
-            continue
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            found.update(alias.name.split(".")[-1] for alias in node.names)
-        stack.extend(ast.iter_child_nodes(node))
+        node, inside = stack.pop()  # inside: the names of the enclosing definitions
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside |= {node.name}
+        if isinstance(node, ast.Name) and own is not None and node.id not in inside:
+            found.add((own, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases:
+            found.add((aliases[node.value.id], node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.split(".")[-1]
+            found.update((module, alias.name) for alias in node.names)
+        stack.extend((child, inside) for child in ast.iter_child_nodes(node))
     return found
 
 
 def test_every_export_has_a_caller_outside_the_tests():
-    trees = [ast.parse(path.read_text()) for d in CALLER_DIRS
-             for path in sorted((ROOT / d).rglob("*.py")) if path != INIT]
-    names = exported_names()
+    names = exports()
     assert len(names) > 50
-    unused = [name for name in names if name not in NAMED_REFERENCES
-              and not any(name in referenced_names(tree, name) for tree in trees)]
+    modules = {module for module, _ in names}
+    found = set().union(*(references(path, modules) for d in CALLER_DIRS
+                          for path in sorted((ROOT / d).rglob("*.py")) if path != INIT))
+    unused = [name for module, name in names
+              if name not in NAMED_REFERENCES and (module, name) not in found]
     assert unused == []
 
 
 def test_named_references_are_exported():
-    assert set(NAMED_REFERENCES) <= set(exported_names())
+    assert set(NAMED_REFERENCES) <= {name for _, name in exports()}
