@@ -18,15 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ParamCircuit, effective_angles, run_block
+from .circuit import ROTATION_KINDS, ParamCircuit, effective_angles, run_block
 from .circuit import run_with_angles  # unused here; perfbench/spans.py's tracer wraps this name
 from .qcore import DensityMatrix, PAULI_X, PAULI_Y, PAULI_Z, StateVector, partial_trace, purity, sqrtm_psd
 
 N_BINS = 75
 FRECHET_EPS = 1e-6
-# Amplitudes per simulated block (4 MB of complex128): the draws are split
-# into blocks of whole rows, so memory stays flat in the qubit count.
-# Columns are independent, so the split changes no result.
+# Complex entries per simulated block (4 MB of complex128): a column holds
+# its 2^n amplitudes and a 2x2 matrix per rotation gate, since run_block
+# builds every rotation's (B, 2, 2) stack at once. The draws are split into
+# blocks of whole rows, so memory stays flat in the qubit count and the
+# depth. Columns are independent, so the split changes no result.
 BLOCK_AMPS = 2**18
 
 
@@ -126,13 +128,14 @@ def _final_states(c: ParamCircuit, psi0: StateVector, draws: np.ndarray):
     """The circuit on psi0 at every draw of an (N, k, n_params) array.
 
     Yields one (2^n, m * k) block per m consecutive rows, draw (i, j) of
-    those rows in column i * k + j; a block holds at most BLOCK_AMPS
-    amplitudes, or one row.
+    those rows in column i * k + j; a block holds at most BLOCK_AMPS complex
+    entries, amplitudes and rotation matrices, or one row.
     """
     if psi0.n_qubits != c.n_qubits:
         raise ValueError(f"state has {psi0.n_qubits} qubits, circuit {c.n_qubits}")
     n_rows, k = draws.shape[:2]
-    step = max(1, BLOCK_AMPS // (k * psi0.dim))
+    n_rot = sum(g.kind in ROTATION_KINDS for g in c.gates)
+    step = max(1, BLOCK_AMPS // (k * (psi0.dim + 4 * n_rot)))
     for lo in range(0, n_rows, step):
         rows = draws[lo:lo + step]
         flat = rows.reshape(len(rows) * k, c.n_params)

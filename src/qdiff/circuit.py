@@ -6,11 +6,12 @@ fixed angle offsets into the gate while keeping the underlying parameter
 trainable.
 
 Every simulation runs through one kernel, `_apply_kq`: it applies a gate's
-dense matrix (a CU gate's control included, `full_gate_matrix`) to a
-(2^n, B) block of states, one column per state. A single state is a
-one-column block, and the dense unitary is the circuit run on the identity.
-A block may also carry one parameter draw per column: (G, B) angles give
-each rotation a (B, 2, 2) stack of matrices, one per column.
+dense matrix to a (2^n, B) block of states, one column per state. A single
+state is a one-column block, and the dense unitary is the circuit run on the
+identity. `gate_matrices` is the one map from a circuit's angles to those
+matrices (a CU gate's control included). A block may also carry one
+parameter draw per column: (G, B) angles give each rotation a (B, 2, 2)
+stack of matrices, one per column.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ _CNOT_MAT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 _CZ_MAT = np.diag([1, 1, 1, -1]).astype(complex)
+_FIXED_MATS = {"H": _H_MAT, "X": _X_MAT, "CNOT": _CNOT_MAT, "CZ": _CZ_MAT}
 
 
 @dataclass(frozen=True)
@@ -66,13 +68,6 @@ class Gate:
             k = len(self.targets) - 1
             if k < 1 or self.matrix.shape != (2**k, 2**k):
                 raise ValueError("CU payload shape does not match its targets")
-
-    def angle(self, params: np.ndarray) -> float:
-        if self.param_ref is None:
-            return float(self.fixed_angle)
-        if not 0 <= self.param_ref < len(params):
-            raise IndexError(f"parameter index {self.param_ref} out of range")
-        return self.offset + self.scale * float(params[self.param_ref])
 
 
 def h(q: int) -> Gate:
@@ -130,55 +125,24 @@ class ParamCircuit:
 
 
 def rotation_matrix(kind: str, angle: float | np.ndarray) -> np.ndarray:
-    """2x2 matrix of a rotation; a 1-D array of angles gives a (B, 2, 2) stack."""
-    if isinstance(angle, np.ndarray) and angle.ndim:  # not np.ndim: a scalar's gate stays fast
-        return _rotation_stack(kind, angle.astype(float, copy=False))
+    """The 2x2 matrix of a rotation at each angle of an array of shape S, as S + (2, 2)."""
+    angle = np.asarray(angle, dtype=float)
     half = angle / 2.0
-    c, s = math.cos(half), math.sin(half)
-    if kind == "RX":
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if kind == "RY":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if kind == "RZ":
-        return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]])
-    if kind == "PHASE":
-        return np.array([[1, 0], [0, np.exp(1j * angle)]])
-    raise ValueError(f"{kind} is not a rotation kind")
-
-
-def _rotation_stack(kind: str, angles: np.ndarray) -> np.ndarray:
-    """rotation_matrix for each angle of a 1-D array, as a (B, 2, 2) stack."""
-    half = angles / 2.0
-    out = np.zeros((len(angles), 2, 2), dtype=complex)
+    out = np.zeros(angle.shape + (2, 2), dtype=complex)
     if kind in ("RX", "RY"):
         c, s = np.cos(half), np.sin(half)
-        out[:, 0, 0] = out[:, 1, 1] = c
+        out[..., 0, 0] = out[..., 1, 1] = c
         if kind == "RX":
-            out[:, 0, 1] = out[:, 1, 0] = -1j * s
+            out[..., 0, 1] = out[..., 1, 0] = -1j * s
         else:
-            out[:, 0, 1], out[:, 1, 0] = -s, s
+            out[..., 0, 1], out[..., 1, 0] = -s, s
     elif kind == "RZ":
-        out[:, 0, 0], out[:, 1, 1] = np.exp(-1j * half), np.exp(1j * half)
+        out[..., 0, 0], out[..., 1, 1] = np.exp(-1j * half), np.exp(1j * half)
     elif kind == "PHASE":
-        out[:, 0, 0], out[:, 1, 1] = 1.0, np.exp(1j * angles)
+        out[..., 0, 0], out[..., 1, 1] = 1.0, np.exp(1j * angle)
     else:
         raise ValueError(f"{kind} is not a rotation kind")
     return out
-
-
-def gate_matrix(g: Gate, angle: float | None = None) -> np.ndarray:
-    """Dense matrix of the gate on its own targets (controls excluded for CU)."""
-    if g.kind in ROTATION_KINDS:
-        return rotation_matrix(g.kind, angle)
-    if g.kind == "H":
-        return _H_MAT
-    if g.kind == "X":
-        return _X_MAT
-    if g.kind == "CNOT":
-        return _CNOT_MAT
-    if g.kind == "CZ":
-        return _CZ_MAT
-    return g.matrix
 
 
 @lru_cache(maxsize=None)
@@ -221,33 +185,41 @@ def control_embed(mat: np.ndarray) -> np.ndarray:
     return full
 
 
-def full_gate_matrix(g: Gate, angle: float | None = None) -> np.ndarray:
-    """Dense matrix of the gate on all of g.targets, a CU gate's control included."""
-    mat = gate_matrix(g, angle)
-    return control_embed(mat) if g.kind == "CU" else mat
+def gate_matrices(c: ParamCircuit, angles: np.ndarray) -> list:
+    """Each gate's matrix on all of its targets, a CU gate's control included.
+
+    (G,) angles give each rotation a 2x2 matrix; (G, B) angles give it a
+    (B, 2, 2) stack, one matrix per column. Each rotation kind is built in
+    one rotation_matrix call over its gates' angles, so the builder's fixed
+    cost of a few microseconds is paid per kind, not per gate.
+    """
+    mats, rotations = [], {}
+    for i, g in enumerate(c.gates):
+        if g.kind in ROTATION_KINDS:
+            rotations.setdefault(g.kind, []).append(i)
+        mats.append(control_embed(g.matrix) if g.kind == "CU" else _FIXED_MATS.get(g.kind))
+    for kind, idx in rotations.items():
+        for i, mat in zip(idx, rotation_matrix(kind, angles[idx])):
+            mats[i] = mat
+    return mats
 
 
 def effective_angles(c: ParamCircuit, params) -> np.ndarray:
     """Per-gate resolved angles (nan for gates without one).
 
-    A (B, n_params) array of parameter draws gives (G, B) angles, one column
-    per draw.
+    (n_params,) parameters give (G,) angles; a (B, n_params) array of
+    parameter draws gives (G, B) angles, one column per draw.
     """
     params = np.asarray(params, dtype=float)
-    if params.ndim == 2 and params.shape[1] == c.n_params:
-        out = np.full((len(c.gates), len(params)), np.nan)
-        for i, g in enumerate(c.gates):
-            if g.kind in ROTATION_KINDS:
-                out[i] = (g.fixed_angle if g.param_ref is None
-                          else g.offset + g.scale * params[:, g.param_ref])
-        return out
-    if params.shape != (c.n_params,):
+    if params.ndim not in (1, 2) or params.shape[-1] != c.n_params:
         raise ValueError(f"expected {c.n_params} parameters, got {params.shape}")
-    out = np.full(len(c.gates), np.nan)
+    draws = np.atleast_2d(params)
+    out = np.full((len(c.gates), len(draws)), np.nan)
     for i, g in enumerate(c.gates):
         if g.kind in ROTATION_KINDS:
-            out[i] = g.angle(params)
-    return out
+            out[i] = (g.fixed_angle if g.param_ref is None
+                      else g.offset + g.scale * draws[:, g.param_ref])
+    return out if params.ndim == 2 else out[:, 0]
 
 
 def run_with_angles(c: ParamCircuit, amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -261,9 +233,8 @@ def run_block(c: ParamCircuit, block: np.ndarray, angles: np.ndarray) -> np.ndar
     (G,) angles are shared by every column; (G, B) angles give each column
     its own, as effective_angles returns them for B parameter draws.
     """
-    n = c.n_qubits
-    for i, g in enumerate(c.gates):
-        block = _apply_kq(block, full_gate_matrix(g, angles[i]), g.targets, n)
+    for g, mat in zip(c.gates, gate_matrices(c, angles)):
+        block = _apply_kq(block, mat, g.targets, c.n_qubits)
     return block
 
 

@@ -27,7 +27,7 @@ class ImageBatch:
         imgs = np.asarray(self.images, dtype=float)
         if imgs.ndim != 2 or imgs.shape[1] != 256:
             raise ValueError(f"images must be (n, 256), got {imgs.shape}")
-        if np.any(imgs < 0) or np.any(imgs > 1):
+        if not np.all((imgs >= 0) & (imgs <= 1)):  # NaN fails both comparisons
             raise ValueError("pixel values must lie in [0, 1]")
         object.__setattr__(self, "images", imgs)
         if self.labels is not None:
@@ -52,8 +52,10 @@ class SyntheticSpec:
             raise ValueError("need at least two modes")
         if self.n_modes > len(_template_family()):
             raise ValueError(f"at most {len(_template_family())} modes supported")
-        if self.noise_sigma < 0:
-            raise ValueError("noise sigma must be non-negative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        if type(self.pattern_seed) is not int or self.pattern_seed < 0:
+            raise ValueError(f"pattern seed must be an integer >= 0, got {self.pattern_seed!r}")
         if self.per_mode < 1:
             raise ValueError("need at least one sample per mode")
 

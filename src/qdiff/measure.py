@@ -42,7 +42,7 @@ from .circuit import (
     circuit_unitary,
     control_embed,
     effective_angles,
-    full_gate_matrix,
+    gate_matrices,
     run_block,
 )
 from .circuit import run_with_angles  # unused here; perfbench/spans.py's tracer wraps this name
@@ -148,9 +148,8 @@ def _hadamard_with_angles(psi: StateVector, c: ParamCircuit, angles: np.ndarray)
     block = np.zeros((2 * dim, 1), dtype=complex)
     block[:dim, 0] = psi.amps
     block = _apply_kq(block, _H_MAT, (0,), n + 1)
-    for i, g in enumerate(c.gates):
-        payload = control_embed(full_gate_matrix(g, angles[i]))
-        block = _apply_kq(block, payload, (0, *(t + 1 for t in g.targets)), n + 1)
+    for g, mat in zip(c.gates, gate_matrices(c, angles)):
+        block = _apply_kq(block, control_embed(mat), (0, *(t + 1 for t in g.targets)), n + 1)
     amps = _apply_kq(block, _H_MAT, (0,), n + 1)[:, 0]
     p0 = float(np.sum(np.abs(amps[:dim]) ** 2))
     p1 = float(np.sum(np.abs(amps[dim:]) ** 2))
@@ -207,7 +206,7 @@ def adjoint_gradient(c: ParamCircuit, params, phi_out: np.ndarray, bra_out: np.n
     <lambda|dU_i phi_before> = <lambda|G_i phi> with dU_i = G_i U_i; then U_i^dag
     is un-applied to both at once. Returns (grad, C^dag bra_out).
     """
-    angles = effective_angles(c, params)
+    mats = gate_matrices(c, effective_angles(c, params))
     n = c.n_qubits
     b = phi_out.shape[1]
     both = np.concatenate([phi_out, bra_out], axis=1)
@@ -217,7 +216,7 @@ def adjoint_gradient(c: ParamCircuit, params, phi_out: np.ndarray, bra_out: np.n
         if g.param_ref is not None:
             d_phi = _apply_kq(both[:, :b], _GENERATORS[g.kind], g.targets, n)
             grad[g.param_ref] += coeff * g.scale * float(np.vdot(both[:, b:], d_phi).real)
-        both = _apply_kq(both, full_gate_matrix(g, angles[i]).conj().T, g.targets, n)
+        both = _apply_kq(both, mats[i].conj().T, g.targets, n)
     return grad, both[:, b:]
 
 

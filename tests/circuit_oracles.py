@@ -2,24 +2,31 @@
 
 full_unitary_oracle multiplies out a circuit from each gate's matrix
 embedded on the full register by explicit index arithmetic; it never runs
-the gate kernel (`circuit._apply_kq`), so it stays an independent reference
-for everything that does. random_mixed_circuit draws small circuits that
+the gate kernel (`circuit._apply_kq`) or the circuit's matrix list
+(`circuit.gate_matrices`), so it stays an independent reference for
+everything that does. random_mixed_circuit draws small circuits that
 exercise every gate kind and angle binding.
 """
 import numpy as np
 
 from qdiff.circuit import (
     ROTATION_KINDS,
+    _CNOT_MAT,
+    _CZ_MAT,
+    _H_MAT,
+    _X_MAT,
     Gate,
     ParamCircuit,
     cnot,
     controlled,
     cz,
     effective_angles,
-    gate_matrix,
     h,
     phase,
+    rotation_matrix,
 )
+
+FIXED_MATS = {"H": _H_MAT, "X": _X_MAT, "CNOT": _CNOT_MAT, "CZ": _CZ_MAT}
 
 
 def embed(m, targets, n):
@@ -49,11 +56,14 @@ def full_unitary_oracle(c, params):
     u = np.eye(dim, dtype=complex)
     angles = effective_angles(c, params)
     for g, ang in zip(c.gates, angles):
-        m = gate_matrix(g, ang)
-        if g.kind == "CU":
-            k = m.shape[0]
+        if g.kind in ROTATION_KINDS:
+            m = rotation_matrix(g.kind, ang)
+        elif g.kind == "CU":
+            k = g.matrix.shape[0]
             m = np.block([[np.eye(k), np.zeros((k, k))],
-                          [np.zeros((k, k)), m]]).astype(complex)
+                          [np.zeros((k, k)), g.matrix]]).astype(complex)
+        else:
+            m = FIXED_MATS[g.kind]
         full = embed(m, g.targets, c.n_qubits)
         u = full @ u
     return u

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qdiff import bench
+from qdiff import bench, cli
 from qdiff.bench import (
     N_BINS,
     BenchReport,
@@ -26,7 +26,7 @@ from qdiff.bench import (
     qubit_reductions,
     sample_fidelities,
 )
-from qdiff.circuit import ParamCircuit, build_ansatz, run_circuit, rx, ry, rz
+from qdiff.circuit import ROTATION_KINDS, ParamCircuit, build_ansatz, run_circuit, rx, ry, rz
 from qdiff.qcore import StateVector, basis_state
 
 
@@ -283,8 +283,9 @@ def test_block_descriptors_match_per_state_oracles(n, layers):
         bloch_values(rhos, 5)
 
 
-def test_block_layout_pins_the_results(monkeypatch):
-    """A draw's value does not depend on how many draws share its block."""
+def test_block_layout_pins_the_results(monkeypatch, tmp_path):
+    """A draw's value does not depend on how many draws share its block, and
+    a block's amplitudes and rotation matrices fit in BLOCK_AMPS entries."""
     c, psi0, s = build_ansatz(4, 2), basis_state(4), 21
     fids = sample_fidelities(c, psi0, 125, s)
     pts = bloch_points(c, psi0, 1, 125, s)
@@ -298,12 +299,20 @@ def test_block_layout_pins_the_results(monkeypatch):
         widths.append(block.shape[1])
         return run_block(circ, block, angles)
 
-    run_block = bench.run_block
+    run_block, budget = bench.run_block, bench.BLOCK_AMPS
     monkeypatch.setattr(bench, "run_block", recording_run_block)
-    monkeypatch.setattr(bench, "BLOCK_AMPS", 3 * 16)
+    monkeypatch.setattr(bench, "BLOCK_AMPS", 3 * (16 + 4 * 38))  # 38 rotation gates
     assert np.array_equal(sample_fidelities(c, psi0, 125, s), fids)
     assert widths == [2] * 125  # one pair per block
     widths.clear()
     assert np.array_equal(bloch_points(c, psi0, 1, 125, s), pts)
     assert entangling_capability(c, psi0, 125, s) == qbar
     assert widths == 2 * ([3] * 41 + [2])
+
+    # qdiff bench at its default sizes: 5000 pairs, 1000 + 200 single draws
+    widths.clear()
+    monkeypatch.setattr(bench, "BLOCK_AMPS", budget)
+    assert cli.main(["bench", "--out", str(tmp_path)]) == 0
+    n_rot = sum(g.kind in ROTATION_KINDS for g in build_ansatz(4, 1).gates)
+    assert sum(widths) == 2 * 5000 + 1000 + 200 and len(widths) > 3
+    assert all(w * (16 + 4 * n_rot) <= budget for w in widths)

@@ -4,6 +4,7 @@ The heavy check here is compositional: applying gates one by one to a state
 must agree with multiplying out the full circuit unitary, and the two-qubit
 block must synthesize exp(-i(a XX + b YY + c ZZ)) up to global phase.
 """
+import cmath
 import math
 
 import numpy as np
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdiff import circuit
 from qdiff.circuit import (
+    ROTATION_KINDS,
     Gate,
     ParamCircuit,
     _apply_kq,
@@ -37,7 +40,7 @@ from qdiff.circuit import (
 )
 from qdiff.qcore import PAULI_X, PAULI_Y, PAULI_Z, basis_state, expm_hermitian
 
-from circuit_oracles import full_unitary_oracle, random_mixed_circuit
+from circuit_oracles import FIXED_MATS, full_unitary_oracle, random_mixed_circuit
 
 H2 = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
@@ -47,29 +50,36 @@ def random_state_vec(n, rng):
     return v / np.linalg.norm(v)
 
 
+def rotation_closed_form(kind, t):
+    c, s = math.cos(t / 2), math.sin(t / 2)
+    return {"RZ": [[cmath.exp(-0.5j * t), 0], [0, cmath.exp(0.5j * t)]],
+            "RY": [[c, -s], [s, c]],
+            "RX": [[c, -1j * s], [-1j * s, c]],
+            "PHASE": [[1, 0], [0, cmath.exp(1j * t)]]}[kind]
+
+
 def test_rotation_conventions():
+    """rotation_matrix on a scalar angle is the 2x2 closed form."""
     th = 0.73
-    assert np.allclose(rotation_matrix("RZ", th),
-                       np.diag([np.exp(-0.5j * th), np.exp(0.5j * th)]))
-    assert np.allclose(rotation_matrix("RY", th),
-                       [[math.cos(th / 2), -math.sin(th / 2)],
-                        [math.sin(th / 2), math.cos(th / 2)]])
-    assert np.allclose(rotation_matrix("RX", th),
-                       [[math.cos(th / 2), -1j * math.sin(th / 2)],
-                        [-1j * math.sin(th / 2), math.cos(th / 2)]])
-    assert np.allclose(rotation_matrix("PHASE", th),
-                       np.diag([1.0, np.exp(1j * th)]))
+    for kind in ("RX", "RY", "RZ", "PHASE"):
+        got = rotation_matrix(kind, th)
+        assert got.shape == (2, 2)
+        assert np.max(np.abs(got - np.array(rotation_closed_form(kind, th)))) < 1e-15
 
 
 @pytest.mark.parametrize("kind", ["RX", "RY", "RZ", "PHASE"])
 def test_rotation_matrix_stacks_one_matrix_per_angle(kind):
-    angles = np.random.default_rng(3).uniform(-2 * np.pi, 2 * np.pi, 9)
-    stack = rotation_matrix(kind, angles)
-    assert stack.shape == (9, 2, 2)
-    for a, m in zip(angles, stack):
-        assert np.max(np.abs(m - rotation_matrix(kind, float(a)))) < 1e-15
-    with pytest.raises(ValueError):
-        rotation_matrix("H", angles)
+    """rotation_matrix on an angle array of shape S is S + (2, 2), each entry
+    the closed form at its angle."""
+    rng = np.random.default_rng(3)
+    for shape in [(9,), (3, 2)]:
+        angles = rng.uniform(-2 * np.pi, 2 * np.pi, shape)
+        got = rotation_matrix(kind, angles)
+        assert got.shape == shape + (2, 2)
+        for t, m in zip(angles.ravel(), got.reshape(-1, 2, 2)):
+            assert np.max(np.abs(m - np.array(rotation_closed_form(kind, t)))) < 1e-15
+        with pytest.raises(ValueError, match="H is not a rotation kind"):
+            rotation_matrix("H", angles)
 
 
 def one_gate(n, g, state):
@@ -231,6 +241,45 @@ def test_per_column_angles_match_single_state_runs(seed, b):
     for j in range(b):
         alone = run_with_angles(c, block[:, j].copy(), effective_angles(c, draws[j]))
         assert np.max(np.abs(out[:, j] - alone)) < 1e-12
+
+
+def test_gate_matrices_build_each_rotation_kind_in_one_call(monkeypatch):
+    """(G,) angles give the fixed kinds' module constants, a CU gate's matrix
+    with its control and one 2x2 matrix per rotation; (G, B) angles give each
+    rotation a (B, 2, 2) stack whose column j is the (G,) build at draw j,
+    bitwise. rotation_matrix runs once per rotation kind present."""
+    calls = []
+
+    def counting_rotation_matrix(kind, angle):
+        calls.append(kind)
+        return rotation_matrix(kind, angle)
+
+    monkeypatch.setattr(circuit, "rotation_matrix", counting_rotation_matrix)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        c = random_mixed_circuit(rng, fixed_angles=True)
+        draws = rng.uniform(0, 2 * np.pi, (3, c.n_params))
+        kinds = {g.kind for g in c.gates if g.kind in ROTATION_KINDS}
+        calls.clear()
+        stacks = circuit.gate_matrices(c, effective_angles(c, draws))
+        assert sorted(calls) == sorted(kinds)
+        for j, p in enumerate(draws):
+            angles = effective_angles(c, p)
+            calls.clear()
+            mats = circuit.gate_matrices(c, angles)
+            assert sorted(calls) == sorted(kinds)
+            for g, a, mat, stack in zip(c.gates, angles, mats, stacks):
+                if g.kind in ROTATION_KINDS:
+                    assert mat.shape == (2, 2) and stack.shape == (3, 2, 2)
+                    assert np.array_equal(mat, rotation_matrix(g.kind, a))
+                    assert np.array_equal(stack[j], mat)
+                elif g.kind == "CU":
+                    d = len(g.matrix)
+                    embedded = np.eye(2 * d, dtype=complex)
+                    embedded[d:, d:] = g.matrix
+                    assert np.array_equal(mat, embedded) and np.array_equal(stack, embedded)
+                else:
+                    assert mat is FIXED_MATS[g.kind] and stack is FIXED_MATS[g.kind]
 
 
 def test_stacked_gate_matrices_must_match_the_block_width():

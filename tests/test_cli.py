@@ -554,6 +554,19 @@ def test_too_many_modes_exits_2_writing_nothing(trained_dir, tmp_path, capsys):
     assert os.listdir(tmp_path / "sample") == []
 
 
+@pytest.mark.parametrize("command", ["train", "sample"])
+@pytest.mark.parametrize("key,value", [("noise-sigma", "nan"), ("noise-sigma", "inf"),
+                                       ("pattern-seed", "-1")])
+def test_bad_synthetic_data_setting_exits_2_writing_nothing(trained_dir, tmp_path, capsys,
+                                                            command, key, value):
+    out = tmp_path / command
+    argv = (train_args(out) if command == "train" else
+            ["sample", "--out", str(out), "--checkpoint", str(trained_dir / "checkpoint.qdc")])
+    code, _, err = run(argv + [f"--{key}", value], capsys)
+    assert code == 2 and f"{key.replace('-', ' ')} must be" in err
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_sample_needs_at_least_one_trajectory(trained_dir, tmp_path, capsys, n):
     code, _, err = run(["sample", "--out", str(tmp_path), "--n-trajectories", n,

@@ -171,6 +171,11 @@ def test_image_batch_validation():
         ImageBatch(np.zeros((2, 100)))
     with pytest.raises(ValueError):
         ImageBatch(np.full((2, 256), 1.5))
+    for bad in (np.nan, np.inf, -np.inf):
+        imgs = np.zeros((2, 256))
+        imgs[1, 7] = bad
+        with pytest.raises(ValueError, match="pixel values must lie in"):
+            ImageBatch(imgs)
     with pytest.raises(ValueError):
         ImageBatch(np.zeros((2, 256)), labels=np.zeros(3, dtype=int))
     b = ImageBatch(np.zeros((2, 256)))
@@ -180,8 +185,13 @@ def test_image_batch_validation():
 def test_synthetic_spec_validation():
     with pytest.raises(ValueError):
         SyntheticSpec(n_modes=1)
-    with pytest.raises(ValueError):
-        SyntheticSpec(noise_sigma=-0.1)
+    for sigma in (-0.1, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="noise sigma must be finite and >= 0"):
+            SyntheticSpec(noise_sigma=sigma)
+    for seed in (-1, 1.0, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="pattern seed must be an integer >= 0"):
+            SyntheticSpec(pattern_seed=seed)
+    SyntheticSpec(noise_sigma=0.0, pattern_seed=7)
     with pytest.raises(ValueError):
         SyntheticSpec(per_mode=0)
 

@@ -8,6 +8,8 @@ the defining module (outside the name's own definition), and elsewhere an
 import of the name or a `module.name` attribute read; an unrelated variable
 that happens to share the name does not count. A library function that only
 its own unit test calls fails here, so it either gains a caller or goes.
+The same holds for every module-level private name in src/qdiff, which
+only the library itself may use.
 """
 import ast
 from pathlib import Path
@@ -35,8 +37,8 @@ def exports():
 
 def references(path, modules):
     """(module, name) pairs that the file at `path` references, for `module` one of
-    `modules`: bare names inside the module's own file (outside the definition of
-    the name), and elsewhere `from <module> import name` and `module.name` reads."""
+    `modules`: bare names read inside the module's own file (outside the definition
+    of the name), and elsewhere `from <module> import name` and `module.name` reads."""
     tree = ast.parse(path.read_text())
     own = path.stem if path.parent.name == "qdiff" else None
     aliases = {}  # local name -> qdiff module, from `from qdiff import model` and the like
@@ -49,7 +51,8 @@ def references(path, modules):
         node, inside = stack.pop()  # inside: the names of the enclosing definitions
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             inside |= {node.name}
-        if isinstance(node, ast.Name) and own is not None and node.id not in inside:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and own is not None \
+                and node.id not in inside:
             found.add((own, node.id))
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                 and node.value.id in aliases:
@@ -70,6 +73,29 @@ def test_every_export_has_a_caller_outside_the_tests():
     unused = [name for module, name in names
               if name not in NAMED_REFERENCES and (module, name) not in found]
     assert unused == []
+
+
+def private_definitions(path):
+    """Module-level private names the file at `path` defines: functions,
+    classes and assigned names that start with one underscore."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_name_has_a_caller_in_the_library():
+    """A private helper that only the tests call fails here, as an export does above."""
+    paths = sorted((ROOT / "src" / "qdiff").glob("*.py"))
+    modules = {path.stem for path in paths}
+    found = set().union(*(references(path, modules) for path in paths))
+    defined = [(path.stem, name) for path in paths for name in sorted(private_definitions(path))]
+    assert len(defined) > 10
+    assert [f"{module}.{name}" for module, name in defined if (module, name) not in found] == []
 
 
 def test_named_references_are_exported():
