@@ -18,17 +18,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ROTATION_KINDS, ParamCircuit, effective_angles, run_block
+from .circuit import ParamCircuit, effective_angles, run_block
 from .circuit import run_with_angles  # unused here; perfbench/spans.py's tracer wraps this name
 from .qcore import DensityMatrix, PAULI_X, PAULI_Y, PAULI_Z, StateVector, partial_trace, purity, sqrtm_psd
 
 N_BINS = 75
 FRECHET_EPS = 1e-6
 # Complex entries per simulated block (4 MB of complex128): a column holds
-# its 2^n amplitudes and a 2x2 matrix per rotation gate, since run_block
-# builds every rotation's (B, 2, 2) stack at once. The draws are split into
-# blocks of whole rows, so memory stays flat in the qubit count and the
-# depth. Columns are independent, so the split changes no result.
+# its 2^n amplitudes and a 2x2 matrix per rotation bound to a parameter,
+# since run_block builds every such rotation's (B, 2, 2) stack at once (a
+# fixed-angle rotation has one 2x2 matrix for all columns). A per-draw
+# rotation costs each column 2 complex multiplies and 1 add per amplitude,
+# elementwise, with no call of its own. run_block's second work block and
+# scratch array bring the peak to about 3 x BLOCK_AMPS entries, which
+# tests/test_bench.py holds at n = 10. The draws are split into blocks of
+# whole rows, so memory stays flat in the qubit count and the depth.
+# Columns are independent, so the split changes no result.
 BLOCK_AMPS = 2**18
 
 
@@ -102,6 +107,8 @@ def haar_bin_masses(n_dim: int, n_bins: int = N_BINS) -> np.ndarray:
     integrating beats evaluating the pdf at bin centers, which is biased
     where the density decays fast.
     """
+    if n_dim < 2:
+        raise ValueError("need Hilbert dimension >= 2")
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     upper = (1.0 - edges) ** (n_dim - 1)
     return upper[:-1] - upper[1:]
@@ -124,23 +131,29 @@ def haar_fidelities(dim: int, n_pairs: int, seed: int) -> np.ndarray:
     return out
 
 
-def _final_states(c: ParamCircuit, psi0: StateVector, draws: np.ndarray):
-    """The circuit on psi0 at every draw of an (N, k, n_params) array.
+def _reduce_final_states(c: ParamCircuit, psi0: StateVector, draws: np.ndarray, reduce):
+    """reduce of the circuit on psi0 at every draw of an (N, k, n_params) array.
 
-    Yields one (2^n, m * k) block per m consecutive rows, draw (i, j) of
-    those rows in column i * k + j; a block holds at most BLOCK_AMPS complex
-    entries, amplitudes and rotation matrices, or one row.
+    The draws run as one (2^n, m * k) block per m consecutive rows, draw
+    (i, j) of those rows in column i * k + j; a block holds at most
+    BLOCK_AMPS complex entries, amplitudes and per-draw rotation matrices,
+    or one row. reduce maps a block to one value per draw (or pair), and
+    the values of all blocks are concatenated; only one block is alive at a
+    time.
     """
     if psi0.n_qubits != c.n_qubits:
         raise ValueError(f"state has {psi0.n_qubits} qubits, circuit {c.n_qubits}")
     n_rows, k = draws.shape[:2]
-    n_rot = sum(g.kind in ROTATION_KINDS for g in c.gates)
-    step = max(1, BLOCK_AMPS // (k * (psi0.dim + 4 * n_rot)))
+    n_bound = sum(g.param_ref is not None for g in c.gates)
+    step = max(1, BLOCK_AMPS // (k * (psi0.dim + 4 * n_bound)))
+    parts = []
     for lo in range(0, n_rows, step):
         rows = draws[lo:lo + step]
         flat = rows.reshape(len(rows) * k, c.n_params)
-        block = np.repeat(psi0.amps[:, None], len(flat), axis=1)
-        yield run_block(c, block, effective_angles(c, flat))
+        # no reference kept here, so run_block frees the input after its first gate
+        parts.append(reduce(run_block(c, np.repeat(psi0.amps[:, None], len(flat), axis=1),
+                                      effective_angles(c, flat))))
+    return np.concatenate(parts)
 
 
 def sample_fidelities(
@@ -156,9 +169,9 @@ def sample_fidelities(
     rng = np.random.default_rng(seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=(n_pairs, 2, c.n_params))
     # column-wise vdot of each pair's two states, adjacent columns of a block
-    overlaps = [np.einsum("ij,ij->j", out[:, 0::2].conj(), out[:, 1::2])
-                for out in _final_states(c, psi0, params)]
-    return np.minimum(np.abs(np.concatenate(overlaps)) ** 2, 1.0)
+    overlaps = _reduce_final_states(
+        c, psi0, params, lambda out: np.einsum("ij,ij->j", out[:, 0::2].conj(), out[:, 1::2]))
+    return np.minimum(np.abs(overlaps) ** 2, 1.0)
 
 
 def expressibility(fids, n_dim: int) -> float:
@@ -229,9 +242,9 @@ def entangling_capability(
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=(n_samples, c.n_params))
-    qs = [meyer_wallach_values(qubit_reductions(out))
-          for out in _final_states(c, psi0, params[:, None])]
-    return float(np.mean(np.concatenate(qs)))
+    qs = _reduce_final_states(c, psi0, params[:, None],
+                              lambda out: meyer_wallach_values(qubit_reductions(out)))
+    return float(np.mean(qs))
 
 
 def bloch_points_of_state(amps, qubit: int) -> list:
@@ -257,8 +270,8 @@ def bloch_points(
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=(n_samples, c.n_params))
-    return np.concatenate([bloch_values(qubit_reductions(out), qubit)
-                           for out in _final_states(c, psi0, params[:, None])])
+    return _reduce_final_states(c, psi0, params[:, None],
+                                lambda out: bloch_values(qubit_reductions(out), qubit))
 
 
 def frechet_gaussian(set_a, set_b) -> float:

@@ -10,14 +10,18 @@ dense matrix to a (2^n, B) block of states, one column per state. A single
 state is a one-column block, and the dense unitary is the circuit run on the
 identity. `gate_matrices` is the one map from a circuit's angles to those
 matrices (a CU gate's control included). A block may also carry one
-parameter draw per column: (G, B) angles give each rotation a (B, 2, 2)
-stack of matrices, one per column.
+parameter draw per column: (G, B) angles give each rotation bound to a
+parameter a (B, 2, 2) stack of matrices, one per column, which the kernel
+applies elementwise along the batch axis; a fixed-angle rotation keeps one
+2x2 matrix for every column. `effective_angles` resolves the angles from a
+table that each circuit builds once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +66,10 @@ class Gate:
                 raise ValueError(f"{self.kind} needs exactly one of param_ref/fixed_angle")
         elif self.param_ref is not None or self.fixed_angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
+        for name in ("fixed_angle", "scale", "offset"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{self.kind} {name} must be finite, got {value!r}")
         if self.kind == "CU":
             if self.matrix is None:
                 raise ValueError("CU needs a unitary payload")
@@ -106,6 +114,28 @@ def controlled(control: int, targets, matrix: np.ndarray) -> Gate:
     return Gate("CU", (control, *targets), matrix=np.asarray(matrix, dtype=complex))
 
 
+class _GateTable(NamedTuple):
+    """What effective_angles and gate_matrices read, built once per circuit.
+
+    bound, refs, scales, offsets: the indices of the gates bound to a
+    parameter, their refs, and their scales and offsets as (m, 1) columns.
+    fixed, fixed_angles: the indices and angles of the fixed-angle gates.
+    rotations: per rotation kind present, its bound gates' and fixed gates'
+    indices, and the two joined in that order. constants: each other gate's
+    matrix on all of its targets (a CU gate's control included), None for a
+    rotation.
+    """
+
+    bound: np.ndarray
+    refs: np.ndarray
+    scales: np.ndarray
+    offsets: np.ndarray
+    fixed: np.ndarray
+    fixed_angles: np.ndarray
+    rotations: tuple
+    constants: tuple
+
+
 @dataclass(frozen=True)
 class ParamCircuit:
     """Ordered gate list over n_qubits with n_params trainable angles."""
@@ -113,8 +143,13 @@ class ParamCircuit:
     n_qubits: int
     gates: tuple
     n_params: int
+    table: _GateTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n_qubits < 1:
+            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        if self.n_params < 0:
+            raise ValueError(f"n_params must be >= 0, got {self.n_params}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             for t in g.targets:
@@ -122,6 +157,24 @@ class ParamCircuit:
                     raise ValueError(f"gate target {t} out of range for {self.n_qubits} qubits")
             if g.param_ref is not None and not 0 <= g.param_ref < self.n_params:
                 raise ValueError(f"param_ref {g.param_ref} out of range for {self.n_params} params")
+        bound = [i for i, g in enumerate(self.gates) if g.param_ref is not None]
+        fixed = [i for i, g in enumerate(self.gates) if g.fixed_angle is not None]
+        by_kind = {}
+        for i, g in enumerate(self.gates):
+            if g.kind in ROTATION_KINDS:
+                by_kind.setdefault(g.kind, ([], []))[g.param_ref is None].append(i)
+
+        def values(idx, name, dtype=float):
+            return np.array([getattr(self.gates[i], name) for i in idx], dtype=dtype)
+
+        object.__setattr__(self, "table", _GateTable(
+            np.array(bound, dtype=int), values(bound, "param_ref", int),
+            values(bound, "scale")[:, None], values(bound, "offset")[:, None],
+            np.array(fixed, dtype=int), values(fixed, "fixed_angle"),
+            tuple((kind, np.array(b, dtype=int), np.array(f, dtype=int), b + f)
+                  for kind, (b, f) in by_kind.items()),
+            tuple(control_embed(g.matrix) if g.kind == "CU" else _FIXED_MATS.get(g.kind)
+                  for g in self.gates)))
 
 
 def rotation_matrix(kind: str, angle: float | np.ndarray) -> np.ndarray:
@@ -148,33 +201,61 @@ def rotation_matrix(kind: str, angle: float | np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _axis_orders(qubits: tuple, n: int):
     """Axis order that puts `qubits` first, the other wires next and the batch
-    axis last, and its inverse."""
+    axis last, and its inverse; None when `qubits` already lead."""
     order = qubits + tuple(a for a in range(n + 1) if a not in qubits)
+    if order == tuple(range(n + 1)):
+        return None
     inverse = tuple(sorted(range(n + 1), key=order.__getitem__))
     return order, inverse
 
 
-def _apply_kq(block: np.ndarray, mat: np.ndarray, qubits, n: int) -> np.ndarray:
-    """mat on `qubits` of every column of a (2^n, B) block of states.
+def _apply_kq(block: np.ndarray, mat: np.ndarray, qubits, n: int,
+              out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+    """mat on `qubits` of every column of a (2^n, B) block of states, into out.
 
-    The block is viewed as a (2,)*n + (B,) tensor; one transpose brings the
-    target axes to the front, so mat acts on the leading 2^k rows, and the
-    inverse transpose puts every axis back. A (d, d) mat acts on every
-    column; a (B, d, d) stack acts column by column, as one batched matmul
-    on the (B, d, R) view. The only code that applies a gate.
+    A (d, d) mat acts on every column: the block is gathered into out in the
+    axis order that puts the targets first, mat acts on the leading 2^k rows
+    as one matmul into work, and the inverse transpose scatters it back into
+    out. A (B, 2, 2) stack acts on one qubit q column by column, elementwise
+    along the batch axis of the block's (2^q, 2, R, B) view:
+    out[:, i] = mat[:, i, 0] * t[:, 0] + mat[:, i, 1] * t[:, 1]. That is four
+    multiplies and two adds over half the block each, with no transpose and
+    no matmul per column; each entry reads only its own column, so a
+    column's result does not depend on B.
+
+    out ((2^n, B) complex, not overlapping block) and work (block.size
+    complex entries) are allocated when not given; run_block passes both,
+    so no gate allocates. The only code that applies a gate.
     """
-    order, inverse = _axis_orders(tuple(qubits), n)
-    t = block.reshape((2,) * n + (-1,)).transpose(order)
+    if out is None:
+        out = np.empty(block.shape, dtype=complex)
+    if work is None:
+        work = np.empty(block.size, dtype=complex)
     if mat.ndim == 2:
-        t = mat @ t.reshape(mat.shape[1], -1)
-    else:
-        if len(mat) != block.shape[1]:
-            raise ValueError(f"{len(mat)} gate matrices for a block of {block.shape[1]} columns")
-        # contiguous per column, so a column's product does not depend on B
-        cols = np.ascontiguousarray(t.reshape(mat.shape[1], -1, len(mat)).transpose(2, 0, 1))
-        t = (mat @ cols).transpose(1, 2, 0)
-    t = t.reshape((2,) * n + (-1,))
-    return t.transpose(inverse).reshape(block.shape)
+        d, orders = len(mat), _axis_orders(tuple(qubits), n)
+        if orders is None:  # the targets lead: the block is already gathered
+            np.matmul(mat, block.reshape(d, -1), out=out.reshape(d, -1))
+            return out
+        # the batch axis stays last, so the gathered order has the block's shape
+        shape = (2,) * n + (block.shape[1],)
+        gathered = out.reshape(shape)
+        gathered[...] = block.reshape(shape).transpose(orders[0])
+        product = work.reshape(d, -1)
+        np.matmul(mat, gathered.reshape(d, -1), out=product)
+        gathered[...] = product.reshape(shape).transpose(orders[1])
+        return out
+    if len(mat) != block.shape[1]:
+        raise ValueError(f"{len(mat)} gate matrices for a block of {block.shape[1]} columns")
+    (q,) = qubits  # per-column stacks come from one-qubit rotations
+    t = block.reshape(2**q, 2, -1, block.shape[1])
+    o = out.reshape(t.shape)
+    term = work[:block.size // 2].reshape(o[:, 0].shape)
+    m = np.ascontiguousarray(mat.transpose(1, 2, 0))
+    for i in range(2):
+        np.multiply(t[:, 0], m[i, 0], out=o[:, i])
+        np.multiply(t[:, 1], m[i, 1], out=term)
+        o[:, i] += term
+    return out
 
 
 def control_embed(mat: np.ndarray) -> np.ndarray:
@@ -188,18 +269,20 @@ def control_embed(mat: np.ndarray) -> np.ndarray:
 def gate_matrices(c: ParamCircuit, angles: np.ndarray) -> list:
     """Each gate's matrix on all of its targets, a CU gate's control included.
 
-    (G,) angles give each rotation a 2x2 matrix; (G, B) angles give it a
-    (B, 2, 2) stack, one matrix per column. Each rotation kind is built in
-    one rotation_matrix call over its gates' angles, so the builder's fixed
+    (G,) angles give each rotation a 2x2 matrix. (G, B) angles give each
+    rotation bound to a parameter a (B, 2, 2) stack, one matrix per column;
+    a fixed-angle rotation has the same angle in every column, so it gets
+    one 2x2 matrix, from column 0. Each rotation kind is built in one
+    rotation_matrix call over its gates' angles, so the builder's fixed
     cost of a few microseconds is paid per kind, not per gate.
     """
-    mats, rotations = [], {}
-    for i, g in enumerate(c.gates):
-        if g.kind in ROTATION_KINDS:
-            rotations.setdefault(g.kind, []).append(i)
-        mats.append(control_embed(g.matrix) if g.kind == "CU" else _FIXED_MATS.get(g.kind))
-    for kind, idx in rotations.items():
-        for i, mat in zip(idx, rotation_matrix(kind, angles[idx])):
+    mats = list(c.table.constants)
+    for kind, bound, fixed, order in c.table.rotations:
+        per_draw = angles[bound]
+        shared = angles[fixed, 0] if angles.ndim == 2 else angles[fixed]
+        built = rotation_matrix(kind, np.concatenate([per_draw.ravel(), shared]))
+        stacks = built[:per_draw.size].reshape(per_draw.shape + (2, 2))
+        for i, mat in zip(order, [*stacks, *built[per_draw.size:]]):
             mats[i] = mat
     return mats
 
@@ -208,17 +291,17 @@ def effective_angles(c: ParamCircuit, params) -> np.ndarray:
     """Per-gate resolved angles (nan for gates without one).
 
     (n_params,) parameters give (G,) angles; a (B, n_params) array of
-    parameter draws gives (G, B) angles, one column per draw.
+    parameter draws gives (G, B) angles, one column per draw: one array
+    expression, offset + scale * param, over the circuit's table.
     """
     params = np.asarray(params, dtype=float)
     if params.ndim not in (1, 2) or params.shape[-1] != c.n_params:
         raise ValueError(f"expected {c.n_params} parameters, got {params.shape}")
+    t = c.table
     draws = np.atleast_2d(params)
     out = np.full((len(c.gates), len(draws)), np.nan)
-    for i, g in enumerate(c.gates):
-        if g.kind in ROTATION_KINDS:
-            out[i] = (g.fixed_angle if g.param_ref is None
-                      else g.offset + g.scale * draws[:, g.param_ref])
+    out[t.fixed] = t.fixed_angles[:, None]
+    out[t.bound] = t.offsets + t.scales * draws[:, t.refs].T
     return out if params.ndim == 2 else out[:, 0]
 
 
@@ -233,8 +316,24 @@ def run_block(c: ParamCircuit, block: np.ndarray, angles: np.ndarray) -> np.ndar
     (G,) angles are shared by every column; (G, B) angles give each column
     its own, as effective_angles returns them for B parameter draws.
     """
-    for g, mat in zip(c.gates, gate_matrices(c, angles)):
-        block = _apply_kq(block, mat, g.targets, c.n_qubits)
+    dim, n_gates = 2**c.n_qubits, len(c.gates)
+    if block.ndim != 2 or block.shape[0] != dim:
+        raise ValueError(f"expected a ({dim}, B) block for {c.n_qubits} qubits, got {block.shape}")
+    width = block.shape[1]
+    if angles.ndim not in (1, 2) or len(angles) != n_gates:
+        raise ValueError(f"expected ({n_gates},) or ({n_gates}, {width}) angles, got {angles.shape}")
+    if angles.ndim == 2 and angles.shape[1] != width:
+        raise ValueError(f"angles {angles.shape} give {angles.shape[1]} gate matrices "
+                         f"for a block of {width} columns")
+    # The gates ping-pong between two work blocks and share one scratch array,
+    # so no gate allocates: a fresh multi-megabyte array per gate had the
+    # allocator hand pages back and fault them in again, which at n = 12 cost
+    # more than the arithmetic. The caller's block is read, never written.
+    work, spare = np.empty(block.size, dtype=complex), None
+    for i, (g, mat) in enumerate(zip(c.gates, gate_matrices(c, angles))):
+        out = np.empty(block.shape, dtype=complex) if spare is None else spare
+        spare = block if i else None
+        block = _apply_kq(block, mat, g.targets, c.n_qubits, out, work)
     return block
 
 

@@ -4,8 +4,9 @@ full_unitary_oracle multiplies out a circuit from each gate's matrix
 embedded on the full register by explicit index arithmetic; it never runs
 the gate kernel (`circuit._apply_kq`) or the circuit's matrix list
 (`circuit.gate_matrices`), so it stays an independent reference for
-everything that does. random_mixed_circuit draws small circuits that
-exercise every gate kind and angle binding.
+everything that does. effective_angles_oracle resolves the angles one gate
+at a time, the reference for the circuit's angle table. random_mixed_circuit
+draws small circuits that exercise every gate kind and angle binding.
 """
 import numpy as np
 
@@ -48,6 +49,19 @@ def embed(m, targets, n):
                 col = (col << 1) | bj[t]
             full[i, j] = m[row, col]
     return full
+
+
+def effective_angles_oracle(c, params):
+    """effective_angles gate by gate: nan for a gate without an angle, its
+    fixed angle, or offset + scale * params[param_ref] at each draw."""
+    params = np.asarray(params, dtype=float)
+    draws = np.atleast_2d(params)
+    out = np.full((len(c.gates), len(draws)), np.nan)
+    for i, g in enumerate(c.gates):
+        if g.kind in ROTATION_KINDS:
+            out[i] = (g.fixed_angle if g.param_ref is None
+                      else g.offset + g.scale * draws[:, g.param_ref])
+    return out if params.ndim == 2 else out[:, 0]
 
 
 def full_unitary_oracle(c, params):

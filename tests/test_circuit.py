@@ -6,6 +6,7 @@ block must synthesize exp(-i(a XX + b YY + c ZZ)) up to global phase.
 """
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,7 +41,12 @@ from qdiff.circuit import (
 )
 from qdiff.qcore import PAULI_X, PAULI_Y, PAULI_Z, basis_state, expm_hermitian
 
-from circuit_oracles import FIXED_MATS, full_unitary_oracle, random_mixed_circuit
+from circuit_oracles import (
+    FIXED_MATS,
+    effective_angles_oracle,
+    full_unitary_oracle,
+    random_mixed_circuit,
+)
 
 H2 = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
@@ -122,6 +128,56 @@ def test_gate_validation():
         Gate("ROT", (0,))  # unknown kind
     with pytest.raises(ValueError):
         controlled(0, (1,), np.eye(3))  # payload not 2^k
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gate_rejects_non_finite_angle_maps(bad):
+    with pytest.raises(ValueError, match="RX fixed_angle must be finite"):
+        rx(0, angle=bad)
+    with pytest.raises(ValueError, match="RY scale must be finite"):
+        ry(0, ref=0, scale=bad)
+    with pytest.raises(ValueError, match="PHASE offset must be finite"):
+        phase(0, ref=0, offset=bad)
+
+
+def test_circuit_rejects_bad_sizes():
+    with pytest.raises(ValueError, match="n_qubits must be >= 1, got 0"):
+        ParamCircuit(0, (), 0)
+    with pytest.raises(ValueError, match="n_params must be >= 0, got -1"):
+        ParamCircuit(1, (), -1)
+
+
+def test_run_block_checks_block_and_angle_shapes():
+    """A block that is not (2^n, B), or angles that are not (G,) or (G, B),
+    fail naming both shapes instead of being reshaped or indexed past."""
+    bell = ParamCircuit(2, (h(0), cnot(0, 1)), 0)
+    for shape in [(8, 3), (4,), (2, 2, 2)]:
+        msg = re.escape(f"a (4, B) block for 2 qubits, got {shape}")
+        with pytest.raises(ValueError, match=msg):
+            run_block(bell, np.zeros(shape, dtype=complex), effective_angles(bell, ()))
+    c = build_ansatz(2, 2)
+    block = np.eye(4, 2, dtype=complex)
+    for shape in [(3,), (26, 2, 1), (3, 2)]:
+        with pytest.raises(ValueError, match=re.escape(f"(26,) or (26, 2) angles, got {shape}")):
+            run_block(c, block, np.zeros(shape))
+    # every rotation fixed: no per-draw matrix reaches the kernel's own check
+    fixed = ParamCircuit(1, (rx(0, angle=0.3), h(0)), 0)
+    with pytest.raises(ValueError, match="3 gate matrices for a block of 2 columns"):
+        run_block(fixed, np.eye(2, dtype=complex), np.zeros((2, 3)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(1e-3, 1e6))
+def test_effective_angles_table_matches_the_per_gate_loop(seed, b, spread):
+    """The table-driven angles equal the per-gate loop bitwise, nan included,
+    for (n,) parameters and (B, n) draws, with shared refs and fixed angles."""
+    rng = np.random.default_rng(seed)
+    c = random_mixed_circuit(rng, fixed_angles=True)
+    for params in (rng.uniform(-spread, spread, c.n_params),
+                   rng.uniform(-spread, spread, (b, c.n_params))):
+        got, want = effective_angles(c, params), effective_angles_oracle(c, params)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_effective_angles_affine_map():
@@ -217,8 +273,8 @@ def test_apply_gates_matches_full_unitary(n):
     assert np.max(np.abs(lib_unitary - column_unitary_oracle(c, params))) < 1e-12
 
 
-@pytest.mark.parametrize("n,layers", [(4, 2), (3, 3)])
-@pytest.mark.parametrize("n_cols", [1, 2, 8, 64])
+@pytest.mark.parametrize("n,layers", [(4, 2), (3, 3), (6, 1), (8, 1)])
+@pytest.mark.parametrize("n_cols", [1, 2, 8, 64, 300])
 def test_block_columns_equal_single_state_runs_bitwise(n, layers, n_cols):
     rng = np.random.default_rng(100 * n + n_cols)
     c = build_ansatz(n, layers)
@@ -243,11 +299,30 @@ def test_per_column_angles_match_single_state_runs(seed, b):
         assert np.max(np.abs(out[:, j] - alone)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_per_draw_columns_do_not_depend_on_the_block(n):
+    """With (G, B) angles a draw's column is bitwise the same in every block
+    of 1 to 300 columns it runs in, at any position, and within 1e-12 of the
+    draw's state run alone with (G,) angles."""
+    rng = np.random.default_rng(60 + n)
+    c = build_ansatz(n, 1)
+    draws = rng.uniform(0, 2 * np.pi, (300, c.n_params))
+    block = np.stack([random_state_vec(n, rng) for _ in range(300)], axis=1)
+    full = run_block(c, block, effective_angles(c, draws))
+    for lo, width in [(0, 1), (299, 1), (5, 7), (100, 64), (1, 299)]:
+        part = run_block(c, block[:, lo:lo + width], effective_angles(c, draws[lo:lo + width]))
+        assert np.array_equal(part, full[:, lo:lo + width])
+    for j in range(300):
+        alone = run_with_angles(c, block[:, j].copy(), effective_angles(c, draws[j]))
+        assert np.max(np.abs(full[:, j] - alone)) < 1e-12
+
+
 def test_gate_matrices_build_each_rotation_kind_in_one_call(monkeypatch):
     """(G,) angles give the fixed kinds' module constants, a CU gate's matrix
     with its control and one 2x2 matrix per rotation; (G, B) angles give each
-    rotation a (B, 2, 2) stack whose column j is the (G,) build at draw j,
-    bitwise. rotation_matrix runs once per rotation kind present."""
+    rotation bound to a parameter a (B, 2, 2) stack whose column j is the (G,)
+    build at draw j, bitwise, and each fixed-angle rotation the one 2x2 matrix
+    of its (G,) build. rotation_matrix runs once per rotation kind present."""
     calls = []
 
     def counting_rotation_matrix(kind, angle):
@@ -270,9 +345,12 @@ def test_gate_matrices_build_each_rotation_kind_in_one_call(monkeypatch):
             assert sorted(calls) == sorted(kinds)
             for g, a, mat, stack in zip(c.gates, angles, mats, stacks):
                 if g.kind in ROTATION_KINDS:
-                    assert mat.shape == (2, 2) and stack.shape == (3, 2, 2)
+                    assert mat.shape == (2, 2)
                     assert np.array_equal(mat, rotation_matrix(g.kind, a))
-                    assert np.array_equal(stack[j], mat)
+                    if g.param_ref is None:
+                        assert stack.shape == (2, 2) and np.array_equal(stack, mat)
+                    else:
+                        assert stack.shape == (3, 2, 2) and np.array_equal(stack[j], mat)
                 elif g.kind == "CU":
                     d = len(g.matrix)
                     embedded = np.eye(2 * d, dtype=complex)
