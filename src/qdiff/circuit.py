@@ -15,17 +15,25 @@ parameter a (B, 2, 2) stack of matrices, one per column, which the kernel
 applies elementwise along the batch axis; a fixed-angle rotation keeps one
 2x2 matrix for every column. `effective_angles` resolves the angles from a
 table that each circuit builds once.
+
+The adjoint sweep (measure.adjoint_gradient) walks a circuit back through
+fused units rather than gates: `ParamCircuit.units` groups the gates once,
+each rotation bound to a parameter with the run of fixed gates before it, so
+long as their wires number at most MAX_UNIT_WIRES (a unit's matrix is then
+at most 16x16; units as wide as a 6- or 7-qubit register were slower than
+the gates they replaced). On a register of at most MAX_UNIT_WIRES wires
+every unit spans all of it, so the kernel applies it as one matmul.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import StateVector
+from .qcore import PAULI_X, PAULI_Y, PAULI_Z, StateVector
 
 ROTATION_KINDS = ("RX", "RY", "RZ", "PHASE")
 FIXED_KINDS = ("H", "X", "CNOT", "CZ", "CU")
@@ -37,6 +45,15 @@ _CNOT_MAT = np.array(
 )
 _CZ_MAT = np.diag([1, 1, 1, -1]).astype(complex)
 _FIXED_MATS = {"H": _H_MAT, "X": _X_MAT, "CNOT": _CNOT_MAT, "CZ": _CZ_MAT}
+# dU(a)/da = G U(a) for each rotation kind: RX/RY/RZ are exp(-i a P / 2),
+# PHASE is diag(1, e^{ia}).
+_GENERATORS = {
+    "RX": -0.5j * PAULI_X,
+    "RY": -0.5j * PAULI_Y,
+    "RZ": -0.5j * PAULI_Z,
+    "PHASE": np.diag([0.0, 1.0j]),
+}
+MAX_UNIT_WIRES = 4  # the adjoint sweep's widest fused unit (see the module docstring)
 
 
 @dataclass(frozen=True)
@@ -175,6 +192,84 @@ class ParamCircuit:
                   for kind, (b, f) in by_kind.items()),
             tuple(control_embed(g.matrix) if g.kind == "CU" else _FIXED_MATS.get(g.kind)
                   for g in self.gates)))
+
+    @cached_property
+    def units(self) -> _UnitPlan:
+        """The adjoint sweep's fused units, built on first use (_fuse_units)."""
+        return _fuse_units(self)
+
+
+class _UnitPlan(NamedTuple):
+    """A circuit's gates grouped into the adjoint sweep's units, in gate order.
+
+    wires: each unit's wires, the order its matrix indexes them. daggers: a
+    fixed-only unit's U^dag, None for a trainable one. Trainable unit i holds
+    bound gate table.bound[i] last; for these:
+    kinds: per rotation kind, the trainable units it is the rotation of.
+    groups: per unit size D and place p of the rotation's wire among the unit's,
+      (D, the units, their fixed parts' conjugates F* shaped (m, 2^p, 2, R) so
+      that axis 2 is that wire's bit of the row and a matmul by R* acts on it).
+    lead: (m, 2^n) row orders that put each rotation's wire first in a block.
+    generators: (m, 2, 2), each rotation's G with dU/da = G U.
+    """
+
+    wires: tuple
+    daggers: tuple
+    kinds: tuple
+    groups: tuple
+    lead: np.ndarray
+    generators: np.ndarray
+
+
+def _fuse_units(c: ParamCircuit) -> _UnitPlan:
+    """Group c's gates into units: each bound rotation closes one with the fixed
+    gates before it, and a run of fixed gates closes a fixed-only unit when one more
+    gate would take it past MAX_UNIT_WIRES wires, or at the circuit's end.
+
+    A unit acts on the whole register when that has at most MAX_UNIT_WIRES wires,
+    else on its gates' wires in ascending order. Its fixed part is multiplied out
+    here, once, by circuit_unitary on the unit's wires.
+    """
+    n = c.n_qubits
+    runs, run = [], []
+    for i, g in enumerate(c.gates):
+        if run and len({t for j in run + [i] for t in c.gates[j].targets}) > MAX_UNIT_WIRES:
+            runs.append(run)
+            run = []
+        run.append(i)
+        if g.param_ref is not None:
+            runs.append(run)
+            run = []
+    if run:
+        runs.append(run)
+
+    wires, daggers, groups, lead, gens = [], [], {}, [], []
+    for run in runs:
+        gates = [c.gates[i] for i in run]
+        w = tuple(range(n)) if n <= MAX_UNIT_WIRES else tuple(
+            sorted({t for g in gates for t in g.targets}))
+        at = {t: p for p, t in enumerate(w)}
+        rot = gates.pop() if gates[-1].param_ref is not None else None
+        fixed = circuit_unitary(ParamCircuit(len(w), tuple(
+            replace(g, targets=tuple(at[t] for t in g.targets)) for g in gates), 0))
+        wires.append(w)
+        if rot is None:
+            daggers.append(np.ascontiguousarray(fixed.conj().T))
+            continue
+        daggers.append(None)
+        (q,) = rot.targets
+        d, p = len(fixed), at[q]
+        group = groups.setdefault((d, p), ([], []))
+        group[0].append(len(lead))
+        group[1].append(fixed.conj().reshape(2**p, 2, -1))
+        lead.append(np.arange(2**n).reshape(2**q, 2, -1).transpose(1, 0, 2).ravel())
+        gens.append(_GENERATORS[rot.kind])
+    kinds = tuple((kind, np.searchsorted(c.table.bound, bound))
+                  for kind, bound, _, _ in c.table.rotations if len(bound))
+    return _UnitPlan(tuple(wires), tuple(daggers), kinds,
+                     tuple((d, np.array(u), np.array(f)) for (d, _), (u, f) in groups.items()),
+                     np.array(lead, dtype=int).reshape(len(lead), 2**n),
+                     np.array(gens, dtype=complex).reshape(len(gens), 2, 2))
 
 
 def rotation_matrix(kind: str, angle: float | np.ndarray) -> np.ndarray:

@@ -11,10 +11,17 @@ GlobalProbe adds Re<psi|U(theta)|psi>, which the model reads as <psi|(U+U^dag)/2
 Gradient routes: a feature is linear in its observable's matrix M, so the
 bank needs no rule. Every circuit angle is differentiated by one adjoint
 sweep (Jones & Gacon, arXiv:2009.02823), adjoint_gradient: the circuit's
-output block phi and a bra block lambda are walked back through the gates
-together, and each parameterized gate contributes
-coeff * scale * Re sum_b <lambda_b|dU_i phi_b> (the chain rule through
-angle = offset + scale * param; gates sharing a parameter add up). Two
+output block phi and a bra block lambda are walked back together through
+the circuit's fused units (circuit.ParamCircuit.units). A unit is one
+rotation bound to a parameter with the run of fixed gates before it, on at
+most MAX_UNIT_WIRES = 4 wires (a whole register of up to 4 qubits), so
+un-applying it is one kernel call with a matrix of at most 16x16; on the
+model's 4-qubit circuits that is one matmul per trainable gate. Each
+parameterized gate contributes coeff * scale * Re sum_b <lambda_b|dU_i phi_b>
+(the chain rule through angle = offset + scale * param; gates sharing a
+parameter add up), read off the blocks just after its unit; the sweep keeps
+those blocks and contracts them with the generators in one batched step per
+KEPT_AMPS amplitudes kept (once per sweep on the model's circuits). Two
 callers set (lambda, coeff), and the sweep also returns C^dag lambda:
   * two-sided <psi(theta)|H|psi(theta)> (ansatz angles): lambda = H C psi,
     coeff = 2;
@@ -43,20 +50,14 @@ from .circuit import (
     control_embed,
     effective_angles,
     gate_matrices,
+    rotation_matrix,
     run_block,
 )
 from .circuit import run_with_angles  # unused here; perfbench/spans.py's tracer wraps this name
-from .qcore import PAULI_X, PAULI_Y, PAULI_Z, StateVector
+from .qcore import StateVector
 
-# dU(a)/da = G U(a) for each rotation kind: RX/RY/RZ are exp(-i a P / 2),
-# PHASE is diag(1, e^{ia}).
-_GENERATORS = {
-    "RX": -0.5j * PAULI_X,
-    "RY": -0.5j * PAULI_Y,
-    "RZ": -0.5j * PAULI_Z,
-    "PHASE": np.diag([0.0, 1.0j]),
-}
 REAL_TOL = 1e-10
+KEPT_AMPS = 2**14  # the adjoint sweep's kept blocks between contractions (256 KB)
 
 
 @dataclass(frozen=True)
@@ -197,27 +198,80 @@ def shift_gradient(c: ParamCircuit, params, value, one_sided: bool = False) -> n
     return grad
 
 
+def _unit_daggers(c: ParamCircuit, params) -> list:
+    """U^dag of each trainable unit of c.units at params, in c.table.bound's order.
+
+    Each rotation's 2x2 matrix (one rotation_matrix call per kind) acts on the
+    bit of its wire in the rows of its unit's cached fixed part: one batched
+    matmul per unit size and wire place gives the units' U* = R* F*, whose
+    transposes are the U^dag.
+    """
+    plan = c.units
+    angles = effective_angles(c, params)[c.table.bound]
+    rots = np.empty((len(angles), 2, 2), dtype=complex)
+    for kind, pos in plan.kinds:
+        rots[pos] = rotation_matrix(kind, angles[pos])
+    rots = rots.conj()[:, None]
+    daggers = [None] * len(angles)
+    for d, pos, fixed in plan.groups:
+        for i, mat in zip(pos, np.matmul(rots[pos], fixed).reshape(-1, d, d).transpose(0, 2, 1)):
+            daggers[i] = mat
+    return daggers
+
+
 def adjoint_gradient(c: ParamCircuit, params, phi_out: np.ndarray, bra_out: np.ndarray,
                      coeff: float):
     """coeff * Re sum_b <bra_out_b| dC/dparams |phi_in_b> by one reverse sweep.
 
-    phi_out = C(params) phi_in and bra_out are (2^n, B) blocks. Walking back
-    from the last gate, both blocks hold the states just after gate i, where
-    <lambda|dU_i phi_before> = <lambda|G_i phi> with dU_i = G_i U_i; then U_i^dag
-    is un-applied to both at once. Returns (grad, C^dag bra_out).
+    phi_out = C(params) phi_in and bra_out are (2^n, B) blocks. The sweep walks
+    back through c.units, one kernel call per unit un-applying its U^dag from
+    both blocks at once, each step writing a new slot of a buffer of KEPT_AMPS
+    amplitudes. Just after a trainable unit, whose rotation U_i comes last,
+    <lambda|dU_i phi_before> = <lambda|G_i phi> with dU_i = G_i U_i; those slots
+    stay until the buffer is full, and then all their <lambda|G_i phi> are one
+    batched contraction. Returns (grad, C^dag bra_out).
     """
-    mats = gate_matrices(c, effective_angles(c, params))
-    n = c.n_qubits
-    b = phi_out.shape[1]
-    both = np.concatenate([phi_out, bra_out], axis=1)
-    grad = np.zeros(c.n_params)
-    for i in reversed(range(len(c.gates))):
-        g = c.gates[i]
-        if g.param_ref is not None:
-            d_phi = _apply_kq(both[:, :b], _GENERATORS[g.kind], g.targets, n)
-            grad[g.param_ref] += coeff * g.scale * float(np.vdot(both[:, b:], d_phi).real)
-        both = _apply_kq(both, mats[i].conj().T, g.targets, n)
-    return grad, both[:, b:]
+    n, dim = c.n_qubits, 2**c.n_qubits
+    if phi_out.ndim != 2 or phi_out.shape[0] != dim or np.shape(bra_out) != phi_out.shape:
+        raise ValueError(f"expected two ({dim}, B) blocks of the same B, got "
+                         f"{phi_out.shape} and {np.shape(bra_out)}")
+    plan, b = c.units, phi_out.shape[1]
+    rotated = _unit_daggers(c, params)
+    terms, pending = np.empty(len(rotated)), []
+
+    def contract():
+        slots, units = np.array(pending, dtype=int).reshape(-1, 2).T
+        # the kept blocks [phi | lambda], rows reordered so each rotation's wire leads
+        g = buf[slots[:, None], plan.lead[units]].reshape(len(units), 2, dim // 2, 2 * b)
+        lam = np.conjugate(g[..., b:], out=g[..., b:])
+        overlaps = np.einsum("maxb,mcxb->mac", lam, g[..., :b])  # sum conj(lambda_a) phi_c
+        terms[units] = (plan.generators[units] * overlaps).sum(axis=(1, 2)).real
+        pending.clear()
+
+    # one slot per unit up to KEPT_AMPS; slot s holds the blocks after a unit, and
+    # the step before it writes slot s - 1 (the top slot again after contracting)
+    buf = np.empty((min(len(plan.wires), max(1, KEPT_AMPS // (2 * b * dim))) + 1, dim, 2 * b),
+                   dtype=complex)
+    work = np.empty(buf[0].size, dtype=complex)
+    s = len(buf) - 1
+    np.concatenate([phi_out, bra_out], axis=1, out=buf[s])
+    j = len(rotated)
+    for wires, mat in zip(reversed(plan.wires), reversed(plan.daggers)):
+        if mat is None:  # a trainable unit
+            j -= 1
+            mat = rotated[j]
+            pending.append((s, j))
+        src = s
+        if s == 0:
+            contract()
+            s = len(buf)
+        _apply_kq(buf[src], mat, wires, n, buf[s - 1], work)
+        s -= 1
+    if pending:
+        contract()
+    t = c.table
+    grad = coeff * np.bincount(t.refs, weights=t.scales[:, 0] * terms, minlength=c.n_params)
+    return grad, buf[s][:, b:].copy()
 
 
 def _as_block(psi, n_qubits: int) -> np.ndarray:

@@ -21,22 +21,23 @@ import math
 import os
 import struct
 import time
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ParamCircuit, build_ansatz, effective_angles, run_block
+from .circuit import ParamCircuit, build_ansatz, circuit_unitary, effective_angles, run_block
 from .diffusion import NoiseSchedule, forward_sample, linear_schedule
+from .measure import REAL_TOL, GlobalProbe, adjoint_gradient
+# unused here; perfbench/spans.py's tracer wraps these names
+from .circuit import run_circuit
 from .measure import (
-    REAL_TOL,
-    GlobalProbe,
-    adjoint_gradient,
+    ano_features,
+    grad_expectation_wrt_circuit,
     grad_hadamard_wrt_probe,
+    hadamard_test,
     probe_hermitian_part,
 )
-# unused here; perfbench/spans.py's tracer wraps these names
-from .circuit import circuit_unitary, run_circuit
-from .measure import ano_features, grad_expectation_wrt_circuit, hadamard_test
 
 INPUT_DIM = 256
 N_QUBITS = 4
@@ -44,7 +45,7 @@ LATENT_DIM = 2**N_QUBITS
 LEAKY_SLOPE = 0.01
 
 CKPT_MAGIC = b"QDFC"
-CKPT_VERSION = 1
+CKPT_VERSION = 2  # version 1 had no payload checksum; it still loads
 
 PARAM_GROUPS = ("encoder", "theta", "bank", "probe", "decoder")
 ADAM_CHUNK = 16384  # adam_step's entries per pass; whole-buffer temporaries lift peak RSS
@@ -253,7 +254,8 @@ def forward_trace(model: HybridModel, X, ts):
 
     The ansatz runs once on the (16, B) block of encoded states. The K bank features
     and the probe's <psi|(U+U^dag)/2|psi> (the ancilla Hadamard test's Re<psi|U|psi>)
-    are one contraction with the stacked (K+1, 16, 16) Hermitians.
+    are one contraction with the stacked (K+1, 16, 16) Hermitians; the trace keeps
+    the probe's dense U for backward.
     """
     X = _rows(X, "input")
     t_steps = model.hyper["t_steps"]
@@ -262,8 +264,9 @@ def forward_trace(model: HybridModel, X, ts):
     z, psi_in, r, enc_inputs = _encode(model, X, ts / t_steps)
     psi_out = run_block(model.ansatz, psi_in.T, effective_angles(model.ansatz, model.theta))
     m = model.bank[:, 0] + 1j * model.bank[:, 1]
+    u_probe = circuit_unitary(model.probe.circuit, model.probe.params)
     obs = np.concatenate([0.5 * (m + m.conj().transpose(0, 2, 1)),
-                          probe_hermitian_part(model.probe)[None]])
+                          0.5 * (u_probe + u_probe.conj().T)[None]])
     vals = np.einsum("ib,kij,jb->bk", psi_out.conj(), obs, psi_out)
     if np.max(np.abs(vals.imag)) > REAL_TOL:
         raise ValueError(f"expectation has imaginary residue {np.max(np.abs(vals.imag)):.3e}")
@@ -281,7 +284,7 @@ def forward_trace(model: HybridModel, X, ts):
     if bad.size:
         raise ValueError(f"non-finite model output (batch index {bad[0]})")
     return h, dict(out=h, z=z, r=r, enc_inputs=enc_inputs, psi_out=psi_out, obs=obs,
-                   feats=feats, dec_inputs=dec_inputs, pre_acts=pre_acts)
+                   u_probe=u_probe, feats=feats, dec_inputs=dec_inputs, pre_acts=pre_acts)
 
 
 def forward(model: HybridModel, x_t, t: int) -> np.ndarray:
@@ -363,7 +366,8 @@ def backward(model: HybridModel, batch, lam: float | None = None):
     the batch, and the classical stacks backpropagate as (B, .) matmuls. Row b's
     theta-dependent terms (K features, probe feature, infidelity) form one Hermitian
     G_b; one adjoint sweep from the forward's output block gives the theta gradient
-    and C^dag G_b psi_b, the encoder's cotangent. One more gives the probe gradient.
+    and C^dag G_b psi_b, the encoder's cotangent. One more, from U_p psi_b with the
+    probe unitary U_p that forward_trace kept, gives the probe gradient.
     """
     if lam is None:
         lam = trained_setting(model, "lam")
@@ -384,15 +388,18 @@ def backward(model: HybridModel, batch, lam: float | None = None):
             g = g * np.where(tr["pre_acts"][i - 1] > 0, 1.0, LEAKY_SLOPE)
     u_feat = g[:, : k + 1]
 
-    psi_out = tr["psi_out"]
-    g_mats = np.einsum("bk,kij->bij", u_feat, tr["obs"])
+    psi_out, d = tr["psi_out"], LATENT_DIM
+    g_mats = (u_feat @ tr["obs"].reshape(k + 1, -1)).reshape(-1, d, d)
     if tgt is not None:
         g_mats -= lam * np.einsum("bi,bj->bij", tgt["psi"], tgt["psi"].conj())
     bra = np.einsum("bij,jb->ib", g_mats, psi_out)
     d_theta, c_dag_bra = adjoint_gradient(model.ansatz, model.theta, psi_out, bra, 2.0)
     grads["theta"] += d_theta
-    grads["probe"] += grad_hadamard_wrt_probe(psi_out, model.probe, u_feat[:, k])
-    outer = np.einsum("bk,ib,jb->kij", u_feat[:, :k], psi_out.conj(), psi_out)
+    # the probe feature's Re<psi|U|psi>: one sweep from U psi, bra psi weighted by its cotangent
+    grads["probe"] += adjoint_gradient(model.probe.circuit, model.probe.params,
+                                       tr["u_probe"] @ psi_out, psi_out * u_feat[:, k], 1.0)[0]
+    rank_one = (psi_out.conj().T[:, :, None] * psi_out.T[:, None, :]).reshape(len(X), -1)
+    outer = (u_feat[:, :k].T @ rank_one).reshape(k, d, d)
     g_bank = _group_view(grad, model.layout, "bank").reshape(model.bank.shape)
     g_bank[:, 0] += outer.real
     g_bank[:, 1] -= outer.imag
@@ -584,10 +591,21 @@ def sample(model: HybridModel, t_steps: int, seed: int) -> list:
     return [frame.copy() for frame in sample_block(model, [seed])[0]]
 
 
+def _crc32(vecs) -> int:
+    """CRC-32 of the vectors' bytes in order, read from their buffers without a copy."""
+    crc = 0
+    for vec in vecs:
+        crc = zlib.crc32(vec, crc)
+    return crc
+
+
 def checkpoint_bytes(model: HybridModel, opt: AdamState | None = None,
                      rng_state: dict | None = None, step: int = 0) -> bytes:
     """Single-file format: magic, version, JSON header, then model.params as float64
-    (param_tensors' order) and, with Adam, the first and second moments in that layout."""
+    (param_tensors' order) and, with Adam, the first and second moments in that layout.
+    The header's crc32 is the CRC-32 of that payload."""
+    vecs = [vec.astype("<f8", copy=False)
+            for vec in [model.params] + ([opt.m, opt.v] if opt is not None else [])]
     header = {
         "hyper": model.hyper,
         "shapes": [list(shape) for _, shape, _ in model.layout],
@@ -595,23 +613,23 @@ def checkpoint_bytes(model: HybridModel, opt: AdamState | None = None,
         "adam_step": opt.step if opt is not None else 0,
         "rng_state": rng_state,
         "step": step,
+        "crc32": _crc32(vecs),
     }
     head = json.dumps(header).encode()
-    vecs = [model.params] + ([opt.m, opt.v] if opt is not None else [])
-    return b"".join([struct.pack("<4sIQ", CKPT_MAGIC, CKPT_VERSION, len(head)), head,
-                     *(vec.astype("<f8", copy=False) for vec in vecs)])
+    return b"".join([struct.pack("<4sIQ", CKPT_MAGIC, CKPT_VERSION, len(head)), head, *vecs])
 
 
 def load_checkpoint(path):
     """Returns dict with model, opt (or None), rng_state (or None), step. The payload
-    is read straight into model.params and, with Adam, two fresh moment vectors."""
+    is read straight into model.params and, with Adam, two fresh moment vectors; from
+    version 2 on, its CRC-32 must match the header's crc32 (version 1 has none)."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         start = fh.read(16)
         if len(start) < 16 or start[:4] != CKPT_MAGIC:
             raise ValueError("not a model checkpoint (bad magic)")
         _, version, hlen = struct.unpack("<4sIQ", start)
-        if version != CKPT_VERSION:
+        if version not in (1, CKPT_VERSION):
             raise ValueError(f"unsupported checkpoint version {version}")
         try:
             if hlen > size - 16:
@@ -623,6 +641,9 @@ def load_checkpoint(path):
             step = header.get("step", 0)
             adam_step = header["adam_step"] if has_adam else 0
             rng_state = header.get("rng_state")
+            crc = header["crc32"] if version > 1 else None
+            if crc is not None and (type(crc) is not int or not 0 <= crc < 2**32):
+                raise ValueError(f"crc32 {crc!r} is not a CRC-32")
             if any(key not in hyper for key in _HYPER_KEYS) or hyper["n_qubits"] != N_QUBITS:
                 raise KeyError("hyper")
             if any(type(n) is not int or n < 0 for n in (step, adam_step)):
@@ -645,6 +666,8 @@ def load_checkpoint(path):
             name = _non_finite(model, vec)
             if name is not None:
                 raise ValueError(f"checkpoint tensor {what}{name} holds non-finite values")
+        if crc is not None and _crc32(vecs) != crc:
+            raise ValueError("corrupt checkpoint payload (CRC-32 mismatch)")
     return {
         "model": model,
         "opt": AdamState(adam_step, *vecs[1:]) if has_adam else None,

@@ -8,20 +8,27 @@ the ancilla Hadamard test) for every shifted angle, to 1e-12. All of these
 run through the one gate kernel, so one test also checks the measure routes
 against dense unitaries that never touch it (tests/circuit_oracles.py).
 """
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdiff import measure
 from qdiff.circuit import (
+    MAX_UNIT_WIRES,
     ParamCircuit,
     build_ansatz,
     circuit_unitary,
+    cz,
+    h,
     phase,
     run_circuit,
     run_with_angles,
     rx,
     ry,
+    x,
 )
 from qdiff.measure import (
     AdaptiveObservable,
@@ -315,6 +322,66 @@ def test_block_gradients_equal_sum_of_single_states(seed, b):
     bra = rng.standard_normal((d, b)) + 1j * rng.standard_normal((d, b))
     _, pulled = adjoint_gradient(c, params, u @ block, bra, 1.0)
     assert np.max(np.abs(pulled - u.conj().T @ bra)) < 1e-12
+
+
+def assert_sweep_matches_shift_rules(c, rng):
+    """Both adjoint callers on one random state against their parameter-shift oracles."""
+    psi = random_state(c.n_qubits, rng)
+    params = rng.uniform(0, 2 * np.pi, c.n_params)
+    h_mat = random_hermitian(2**c.n_qubits, rng)
+    assert_same_gradient(grad_expectation_wrt_circuit(c, psi, params, h_mat),
+                         shift_expectation_grad(c, psi, params, h_mat))
+    probe = GlobalProbe(c, params)
+    assert_same_gradient(grad_hadamard_wrt_probe(psi, probe), shift_hadamard_grad(psi, probe))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_unit_sweep_matches_shift_rule_with_fixed_angles_and_x(seed):
+    """Random 1-3 qubit circuits (CU, PHASE, shared refs) whose fixed runs, folded
+    into the units, also hold fixed-angle rotations and an X gate."""
+    rng = np.random.default_rng(seed)
+    c = random_mixed_circuit(rng, fixed_angles=True)
+    gates = list(c.gates)
+    gates.insert(int(rng.integers(0, len(gates) + 1)), x(int(rng.integers(0, c.n_qubits))))
+    assert_sweep_matches_shift_rules(ParamCircuit(c.n_qubits, tuple(gates), c.n_params), rng)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("kept_amps", [measure.KEPT_AMPS, 1])
+def test_unit_sweep_matches_shift_rule_on_ansatz_circuits(n, kept_amps, monkeypatch):
+    """Units span the register at n = 4 and fewer wires beyond it; kept_amps = 1
+    contracts the generator terms after every unit instead of once per sweep."""
+    monkeypatch.setattr(measure, "KEPT_AMPS", kept_amps)
+    assert_sweep_matches_shift_rules(build_ansatz(n, 1), np.random.default_rng(60 + n))
+
+
+def test_fusion_plan_groups_the_gates_into_units():
+    # the default model's ansatz and probe: one unit per trainable rotation, each on
+    # the whole 4-qubit register, since both circuits end on a trainable RX
+    for layers, count in ((2, 26), (1, 13)):
+        plan = build_ansatz(4, layers).units
+        assert len(plan.wires) == count
+        assert all(w == (0, 1, 2, 3) for w in plan.wires)
+        assert all(mat is None for mat in plan.daggers)
+    wide = build_ansatz(6, 2).units
+    assert max(len(w) for w in wide.wires) == MAX_UNIT_WIRES
+    # a run closes before a fifth wire, and a trailing run is a fixed-only unit
+    c = ParamCircuit(6, (h(0), h(1), h(2), h(3), h(4), rx(5, ref=0), cz(0, 1)), 1)
+    plan = c.units
+    assert plan.wires == ((0, 1, 2, 3), (4, 5), (0, 1))
+    assert [mat is None for mat in plan.daggers] == [False, True, False]
+    assert_sweep_matches_shift_rules(c, np.random.default_rng(66))
+
+
+@pytest.mark.parametrize("phi_shape, bra_shape", [((4, 2), (4, 3)), ((4, 2), (8, 2)),
+                                                  ((8, 2), (8, 2)), ((4,), (4,))])
+def test_adjoint_gradient_checks_its_blocks(phi_shape, bra_shape):
+    c = build_ansatz(2, 1)
+    with pytest.raises(ValueError, match=rf"{re.escape(str(phi_shape))} and "
+                                         rf"{re.escape(str(bra_shape))}"):
+        adjoint_gradient(c, np.zeros(c.n_params), np.ones(phi_shape, dtype=complex),
+                         np.ones(bra_shape, dtype=complex), 1.0)
 
 
 def test_gradient_callers_reject_mismatched_shapes():

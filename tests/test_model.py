@@ -13,6 +13,7 @@ from qdiff.diffusion import linear_schedule
 from qdiff.measure import (
     AdaptiveObservable,
     ObservableBank,
+    adjoint_gradient,
     ano_features,
     hadamard_test,
     hermitize,
@@ -550,6 +551,34 @@ def test_checkpoint_header_nested_past_the_parser_is_a_value_error(tiny_checkpoi
         load_checkpoint(tmp_path / "deep.qdc")
 
 
+def test_checkpoint_refuses_a_flipped_payload_bit(tmp_path):
+    raw = bytearray(checkpoint_bytes(small_model(5)))
+    (hlen,) = struct.unpack_from("<Q", raw, 8)
+    # the lowest mantissa bit of a weight: the value stays finite and the size right
+    pos = 16 + hlen + 8 * 100
+    raw[pos] ^= 1
+    (tmp_path / "flip.qdc").write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="CRC-32 mismatch"):
+        load_checkpoint(tmp_path / "flip.qdc")
+
+
+def test_version_1_checkpoints_without_a_checksum_still_load(tiny_checkpoint, tmp_path):
+    raw = tiny_checkpoint
+    assert struct.unpack_from("<I", raw, 4) == (2,)
+    (hlen,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16: 16 + hlen])
+    old = _with_header(raw, {k: v for k, v in header.items() if k != "crc32"})
+    (tmp_path / "v1.qdc").write_bytes(old[:4] + struct.pack("<I", 1) + old[8:])
+    (tmp_path / "v2.qdc").write_bytes(raw)
+    v1, v2 = load_checkpoint(tmp_path / "v1.qdc"), load_checkpoint(tmp_path / "v2.qdc")
+    assert np.array_equal(v1["model"].params, v2["model"].params)
+    assert np.array_equal(v1["opt"].v, v2["opt"].v)
+    # a version 2 header must carry its checksum
+    (tmp_path / "bare.qdc").write_bytes(old)
+    with pytest.raises(ValueError, match="corrupt checkpoint header"):
+        load_checkpoint(tmp_path / "bare.qdc")
+
+
 def model_attributes(m):
     """(table name, array) for each parameter array the model's own attributes hold."""
     out = [(f"encoder.{i}.{part}", getattr(layer, part)) for i, layer in enumerate(m.encoder)
@@ -807,12 +836,17 @@ def test_backward_rejects_misshapen_target_naming_its_row():
 
 
 def test_backward_names_the_tensor_of_a_non_finite_gradient(monkeypatch):
-    def nan_probe_gradient(psi, probe, weights=None):
-        return np.full(probe.params.shape, np.nan)
+    m = small_model()
 
-    monkeypatch.setattr("qdiff.model.grad_hadamard_wrt_probe", nan_probe_gradient)
+    def nan_probe_sweep(c, params, phi_out, bra_out, coeff):
+        grad, pulled = adjoint_gradient(c, params, phi_out, bra_out, coeff)
+        if c is m.probe.circuit:
+            grad = np.full_like(grad, np.nan)
+        return grad, pulled
+
+    monkeypatch.setattr("qdiff.model.adjoint_gradient", nan_probe_sweep)
     with pytest.raises(RuntimeError, match="non-finite gradient in parameter probe$"):
-        backward(small_model(), small_batch(np.random.default_rng(27)), 0.25)
+        backward(m, small_batch(np.random.default_rng(27)), 0.25)
 
 
 def test_backward_rejects_misshapen_input_naming_its_row():
