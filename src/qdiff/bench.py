@@ -144,13 +144,12 @@ def _reduce_final_states(c: ParamCircuit, psi0: StateVector, draws: np.ndarray, 
     if psi0.n_qubits != c.n_qubits:
         raise ValueError(f"state has {psi0.n_qubits} qubits, circuit {c.n_qubits}")
     n_rows, k = draws.shape[:2]
-    n_bound = sum(g.param_ref is not None for g in c.gates)
-    step = max(1, BLOCK_AMPS // (k * (psi0.dim + 4 * n_bound)))
+    step = max(1, BLOCK_AMPS // (k * (psi0.dim + 4 * len(c.table.bound))))
     parts = []
     for lo in range(0, n_rows, step):
         rows = draws[lo:lo + step]
         flat = rows.reshape(len(rows) * k, c.n_params)
-        # no reference kept here, so run_block frees the input after its first gate
+        # no reference kept here, so run_block frees the input after its first step
         parts.append(reduce(run_block(c, np.repeat(psi0.amps[:, None], len(flat), axis=1),
                                       effective_angles(c, flat))))
     return np.concatenate(parts)

@@ -5,16 +5,24 @@ angle = offset + scale * params[param_ref], which lets structural blocks bake
 fixed angle offsets into the gate while keeping the underlying parameter
 trainable.
 
-Every simulation runs through one kernel, `_apply_kq`: it applies a gate's
-dense matrix to a (2^n, B) block of states, one column per state. A single
-state is a one-column block, and the dense unitary is the circuit run on the
-identity. `gate_matrices` is the one map from a circuit's angles to those
-matrices (a CU gate's control included). A block may also carry one
-parameter draw per column: (G, B) angles give each rotation bound to a
-parameter a (B, 2, 2) stack of matrices, one per column, which the kernel
-applies elementwise along the batch axis; a fixed-angle rotation keeps one
-2x2 matrix for every column. `effective_angles` resolves the angles from a
-table that each circuit builds once.
+Every simulation runs through `run_block` on a (2^n, B) block of states, one
+column per state; a single state is a one-column block, and the dense
+unitary is the circuit run on the identity. It walks the circuit's steps
+(`ParamCircuit.steps`, planned once per circuit), which are of two kinds.
+Each maximal run of fixed gates whose matrices hold one nonzero entry per
+row (X, CNOT, CZ, a fixed-angle RZ or PHASE, a CU gate with such a payload)
+is one gather-and-scale step on the full register: its gates multiplied
+out are a permutation of the amplitudes times a phase, so the step is one
+row gather and one elementwise multiply. Every other gate (H, a rotation
+bound to a parameter, a dense CU) is one call of the kernel, `_apply_kq`,
+which applies the gate's matrix from `gate_matrices`, the one map from a
+circuit's angles to its gates' matrices (a CU gate's control included). A
+block may also carry one parameter draw per column: (G, B) angles give each
+rotation bound to a parameter a (B, 2, 2) stack of matrices, one per column,
+which the kernel applies elementwise along the batch axis; a fixed-angle
+rotation keeps one 2x2 matrix for every column. Both step kinds act on each
+column alone, so a column's result does not depend on B. `effective_angles`
+resolves the angles from a table that each circuit builds once.
 
 The adjoint sweep (measure.adjoint_gradient) walks a circuit back through
 fused units rather than gates: `ParamCircuit.units` groups the gates once,
@@ -198,6 +206,71 @@ class ParamCircuit:
         """The adjoint sweep's fused units, built on first use (_fuse_units)."""
         return _fuse_units(self)
 
+    @cached_property
+    def steps(self) -> tuple:
+        """run_block's steps, built on first use (_plan_steps)."""
+        return _plan_steps(self)
+
+
+class _Gather(NamedTuple):
+    """A run of fixed monomial gates as one step: out[j] = diag[j] * in[perm[j]].
+
+    gates: the run's gate indices. perm: (2^n,) int32 row indices. diag: (2^n, 1)
+    phases, None when every one is 1.
+    """
+
+    gates: range
+    perm: np.ndarray
+    diag: np.ndarray | None
+
+
+def _monomial(mat: np.ndarray | None):
+    """(cols, phases) with mat[r, cols[r]] = phases[r] the only nonzero entry of
+    row r, or None when mat (None for a rotation bound to a parameter) has a
+    row with more or fewer."""
+    if mat is None:
+        return None
+    nonzero = mat != 0
+    if not np.all(np.count_nonzero(nonzero, axis=1) == 1):
+        return None
+    cols = np.argmax(nonzero, axis=1)
+    return cols, mat[np.arange(len(mat)), cols]
+
+
+def _plan_steps(c: ParamCircuit) -> tuple:
+    """c's gates as run_block's steps, in order: each maximal run of consecutive
+    fixed monomial gates (X, CNOT, CZ, a fixed RZ or PHASE, a CU whose payload is
+    one) as one _Gather on the full register, every other gate as its index.
+
+    Whether a gate is monomial is read from its matrix. A gate whose row r
+    holds phases[r] in column cols[r] maps register row (r, s), r its bits on
+    the gate's targets and s the rest, to phases[r] times row (cols[r], s); a
+    run composes its gates' maps in order.
+    """
+    n = c.n_qubits
+    rows = np.arange(2**n, dtype=np.int32)  # half the bytes of intp; np.take is as fast
+    steps = []
+    for i, (g, mat) in enumerate(zip(c.gates, c.table.constants)):
+        mono = _monomial(rotation_matrix(g.kind, g.fixed_angle)
+                         if g.fixed_angle is not None else mat)
+        if mono is None:
+            steps.append(i)
+            continue
+        cols, phases = mono
+        # the register rows as (r, s): the gate's targets first, in its order
+        rs = np.moveaxis(rows.reshape((2,) * n), g.targets, range(len(g.targets)))
+        rs = rs.reshape(len(cols), -1)
+        perm, diag = np.empty_like(rows), np.empty((len(rows), 1), dtype=complex)
+        perm[rs], diag[rs, 0] = rs[cols], phases[:, None]
+        run = steps[-1] if steps else None
+        if isinstance(run, _Gather):  # the gate after the run: diag[j] * run(in)[perm[j]]
+            steps[-1] = _Gather(range(run.gates.start, i + 1), run.perm[perm],
+                                diag * run.diag[perm])
+        else:
+            steps.append(_Gather(range(i, i + 1), perm, diag))
+    return tuple(step if isinstance(step, int) or np.any(step.diag != 1)
+                 else step._replace(diag=None) for step in steps)
+
 
 class _UnitPlan(NamedTuple):
     """A circuit's gates grouped into the adjoint sweep's units, in gate order.
@@ -320,7 +393,9 @@ def _apply_kq(block: np.ndarray, mat: np.ndarray, qubits, n: int,
 
     out ((2^n, B) complex, not overlapping block) and work (block.size
     complex entries) are allocated when not given; run_block passes both,
-    so no gate allocates. The only code that applies a gate.
+    so no gate allocates. It applies every gate that run_block does not
+    gather (ParamCircuit.steps), and every gate of the Hadamard test and the
+    adjoint sweep.
     """
     if out is None:
         out = np.empty(block.shape, dtype=complex)
@@ -406,7 +481,8 @@ def run_with_angles(c: ParamCircuit, amps: np.ndarray, angles: np.ndarray) -> np
 
 
 def run_block(c: ParamCircuit, block: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """The circuit on every column of a (2^n, B) block, one kernel call per gate.
+    """The circuit on every column of a (2^n, B) block, one step of c.steps at a time:
+    a gather and a multiply per run of fixed monomial gates, a kernel call per other gate.
 
     (G,) angles are shared by every column; (G, B) angles give each column
     its own, as effective_angles returns them for B parameter draws.
@@ -420,15 +496,21 @@ def run_block(c: ParamCircuit, block: np.ndarray, angles: np.ndarray) -> np.ndar
     if angles.ndim == 2 and angles.shape[1] != width:
         raise ValueError(f"angles {angles.shape} give {angles.shape[1]} gate matrices "
                          f"for a block of {width} columns")
-    # The gates ping-pong between two work blocks and share one scratch array,
-    # so no gate allocates: a fresh multi-megabyte array per gate had the
+    # The steps ping-pong between two work blocks and share one scratch array,
+    # so no step allocates: a fresh multi-megabyte array per gate had the
     # allocator hand pages back and fault them in again, which at n = 12 cost
     # more than the arithmetic. The caller's block is read, never written.
-    work, spare = np.empty(block.size, dtype=complex), None
-    for i, (g, mat) in enumerate(zip(c.gates, gate_matrices(c, angles))):
+    work, spare, mats = np.empty(block.size, dtype=complex), None, gate_matrices(c, angles)
+    for i, step in enumerate(c.steps):
         out = np.empty(block.shape, dtype=complex) if spare is None else spare
         spare = block if i else None
-        block = _apply_kq(block, mat, g.targets, c.n_qubits, out, work)
+        if isinstance(step, _Gather):
+            # mode="clip": the default "raise" buffers out before writing it
+            block = np.take(block, step.perm, axis=0, out=out, mode="clip")
+            if step.diag is not None:
+                block *= step.diag
+        else:
+            block = _apply_kq(block, mats[step], c.gates[step].targets, c.n_qubits, out, work)
     return block
 
 

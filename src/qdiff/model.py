@@ -45,7 +45,7 @@ LATENT_DIM = 2**N_QUBITS
 LEAKY_SLOPE = 0.01
 
 CKPT_MAGIC = b"QDFC"
-CKPT_VERSION = 2  # version 1 had no payload checksum; it still loads
+CKPT_VERSION = 3  # version 1 had no checksum and version 2 none over the header; both still load
 
 PARAM_GROUPS = ("encoder", "theta", "bank", "probe", "decoder")
 ADAM_CHUNK = 16384  # adam_step's entries per pass; whole-buffer temporaries lift peak RSS
@@ -599,11 +599,24 @@ def _crc32(vecs) -> int:
     return crc
 
 
+def _header_crc32(header: dict) -> int:
+    """CRC-32 of the header's JSON with sorted keys and without its own header_crc32,
+    so it reads the same from the parsed header as from the one written."""
+    rest = {key: value for key, value in header.items() if key != "header_crc32"}
+    return zlib.crc32(json.dumps(rest, sort_keys=True).encode())
+
+
+def _header_bytes(header: dict) -> bytes:
+    """The JSON header as checkpoint_bytes writes it, its header_crc32 set to its digest."""
+    return json.dumps(dict(header, header_crc32=_header_crc32(header))).encode()
+
+
 def checkpoint_bytes(model: HybridModel, opt: AdamState | None = None,
                      rng_state: dict | None = None, step: int = 0) -> bytes:
     """Single-file format: magic, version, JSON header, then model.params as float64
     (param_tensors' order) and, with Adam, the first and second moments in that layout.
-    The header's crc32 is the CRC-32 of that payload."""
+    The header's crc32 is the CRC-32 of that payload, and its header_crc32 that of
+    the rest of the header (_header_crc32)."""
     vecs = [vec.astype("<f8", copy=False)
             for vec in [model.params] + ([opt.m, opt.v] if opt is not None else [])]
     header = {
@@ -615,26 +628,31 @@ def checkpoint_bytes(model: HybridModel, opt: AdamState | None = None,
         "step": step,
         "crc32": _crc32(vecs),
     }
-    head = json.dumps(header).encode()
+    head = _header_bytes(header)
     return b"".join([struct.pack("<4sIQ", CKPT_MAGIC, CKPT_VERSION, len(head)), head, *vecs])
 
 
 def load_checkpoint(path):
     """Returns dict with model, opt (or None), rng_state (or None), step. The payload
     is read straight into model.params and, with Adam, two fresh moment vectors; from
-    version 2 on, its CRC-32 must match the header's crc32 (version 1 has none)."""
+    version 2 on, its CRC-32 must match the header's crc32 (version 1 has none), and
+    from version 3 on, the header's own digest its header_crc32."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         start = fh.read(16)
         if len(start) < 16 or start[:4] != CKPT_MAGIC:
             raise ValueError("not a model checkpoint (bad magic)")
         _, version, hlen = struct.unpack("<4sIQ", start)
-        if version not in (1, CKPT_VERSION):
+        if version not in range(1, CKPT_VERSION + 1):
             raise ValueError(f"unsupported checkpoint version {version}")
         try:
             if hlen > size - 16:
                 raise ValueError(f"header length {hlen} runs past the end of the file")
             header = json.loads(fh.read(hlen).decode())
+            if version > 2:
+                digest = header["header_crc32"]
+                if type(digest) is not int or digest != _header_crc32(header):
+                    raise ValueError("header CRC-32 mismatch")
             hyper = header["hyper"]
             shapes = [tuple(s) for s in header["shapes"]]
             has_adam = bool(header["has_adam"])

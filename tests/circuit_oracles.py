@@ -25,6 +25,7 @@ from qdiff.circuit import (
     h,
     phase,
     rotation_matrix,
+    x,
 )
 
 FIXED_MATS = {"H": _H_MAT, "X": _X_MAT, "CNOT": _CNOT_MAT, "CZ": _CZ_MAT}
@@ -90,8 +91,11 @@ def random_hermitian(d, rng):
 
 def random_mixed_circuit(rng, fixed_angles=False):
     """1-3 qubits, 1-3 parameters shared across RX/RY/RZ/PHASE gates with
-    random scale/offset, interleaved with fixed H, CNOT, CZ and controlled-U
-    gates. A PHASE gate is always present so its own shift rule is always
+    random scale/offset, interleaved with fixed H, X, CNOT, CZ and controlled-U
+    gates. A controlled-U's payload is a random unitary or a random permutation
+    times random unit phases, so runs of fixed gates with one nonzero entry per
+    row (which run_block applies as one gather-and-scale step) hold X and CU
+    gates too. A PHASE gate is always present so its own shift rule is always
     exercised. With fixed_angles, about half the rotations carry a fixed
     angle instead of a parameter."""
     n = int(rng.integers(1, 4))
@@ -99,7 +103,7 @@ def random_mixed_circuit(rng, fixed_angles=False):
     gates = []
     for _ in range(int(rng.integers(2, 8))):
         q = int(rng.integers(0, n))
-        pick = int(rng.integers(0, 8))
+        pick = int(rng.integers(0, 10))
         if pick < len(ROTATION_KINDS):
             if fixed_angles and rng.uniform() < 0.5:
                 gates.append(Gate(ROTATION_KINDS[pick], (q,),
@@ -109,6 +113,8 @@ def random_mixed_circuit(rng, fixed_angles=False):
                                   param_ref=int(rng.integers(0, n_params)),
                                   scale=float(rng.uniform(-2, 2)),
                                   offset=float(rng.uniform(-np.pi, np.pi))))
+        elif pick == 8:
+            gates.append(x(q))
         elif pick == 4 or n == 1:
             gates.append(h(q))
         elif pick == 5:
@@ -117,7 +123,11 @@ def random_mixed_circuit(rng, fixed_angles=False):
             gates.append(cz(q, (q + int(rng.integers(1, n))) % n))
         else:  # controlled-U on one wire, or on two when there are three qubits
             wires = [w for w in rng.permutation(n) if w != q][: int(rng.integers(1, n))]
-            u, _ = np.linalg.qr(random_hermitian(2 ** len(wires), rng))
+            d = 2 ** len(wires)
+            if pick == 7:
+                u, _ = np.linalg.qr(random_hermitian(d, rng))
+            else:
+                u = np.exp(1j * rng.uniform(-np.pi, np.pi, (d, 1))) * np.eye(d)[rng.permutation(d)]
             gates.append(controlled(q, tuple(int(w) for w in wires), u))
     at = int(rng.integers(0, len(gates) + 1))
     gates.insert(at, phase(int(rng.integers(0, n)), ref=int(rng.integers(0, n_params)),

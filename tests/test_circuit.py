@@ -18,6 +18,7 @@ from qdiff.circuit import (
     ROTATION_KINDS,
     Gate,
     ParamCircuit,
+    _Gather,
     _apply_kq,
     build_ansatz,
     circuit_unitary,
@@ -217,12 +218,17 @@ def test_apply_gates_matches_full_unitary(n):
     n_params = 4
     kinds = ["h", "x", "rx", "ry", "rz", "phase"]
     if n >= 2:
-        kinds += ["cnot", "cz", "cu"]
+        kinds += ["cnot", "cz", "cu", "monomial cu"]
 
-    def random_controlled(q, q2, n_wires):
+    def random_controlled(q, q2, n_wires, monomial=False):
+        """A random unitary on n_wires wires controlled by q, or with monomial a
+        random permutation times random unit phases."""
         wires = [q2] + [int(w) for w in rng.permutation(n) if w not in (q, q2)][:n_wires - 1]
         d = 2 ** len(wires)
-        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        if monomial:
+            u = np.exp(1j * rng.uniform(-np.pi, np.pi, (d, 1))) * np.eye(d)[rng.permutation(d)]
+        else:
+            u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
         return controlled(q, wires, u)
 
     for _ in range(12):
@@ -249,12 +255,22 @@ def test_apply_gates_matches_full_unitary(n):
             elif kind == "cz":
                 gates.append(cz(q, q2))
             else:
-                gates.append(random_controlled(q, q2, int(rng.integers(1, min(n - 1, 2) + 1))))
+                gates.append(random_controlled(q, q2, int(rng.integers(1, min(n - 1, 2) + 1)),
+                                               monomial=kind == "monomial cu"))
+    # a run of fixed monomial gates, which run_block applies as one gather-and-scale step
+    q, q2 = (int(w) for w in rng.permutation(n)[:2]) if n >= 2 else (0, None)
+    run = [x(q), rz(q, angle=float(rng.uniform(-np.pi, np.pi))),
+           phase(q, angle=float(rng.uniform(-np.pi, np.pi)))]
+    if n >= 2:
+        run += [cnot(q, q2), cz(q2, q), x(q2),
+                random_controlled(q2, q, min(n - 1, 2), monomial=True)]
+    gates += run
     if n >= 2:
         # every multi-qubit draw ends on a controlled gate, with two target wires when n >= 3
         q, q2 = (int(w) for w in rng.permutation(n)[:2])
         gates.append(random_controlled(q, q2, min(n - 1, 2)))
     c = ParamCircuit(n, tuple(gates), n_params)
+    assert any(isinstance(step, _Gather) and len(step.gates) >= len(run) for step in c.steps)
     params = rng.uniform(-np.pi, np.pi, n_params)
     psi0 = random_state_vec(n, rng)
 
@@ -271,6 +287,40 @@ def test_apply_gates_matches_full_unitary(n):
     lib_unitary = circuit_unitary(c, params)
     assert np.max(np.abs(lib_unitary - oracle)) < 1e-12
     assert np.max(np.abs(lib_unitary - column_unitary_oracle(c, params))) < 1e-12
+
+
+@pytest.mark.parametrize("layers,n_steps,n_gathers", [(2, 50, 16), (1, 25, 8)])
+def test_step_plan_gathers_each_run_of_fixed_monomial_gates(layers, n_steps, n_gathers):
+    """The default model's ansatz and probe: every fixed RZ, CNOT and CZ lies in a
+    gather-and-scale step, each maximal run of them in one, and every H and
+    trainable rotation is a kernel step; the steps cover the gates in order."""
+    c = build_ansatz(4, layers)
+    assert (len(c.gates), len(c.steps)) == (35 * layers, n_steps)
+    gathers = [step for step in c.steps if isinstance(step, _Gather)]
+    assert len(gathers) == n_gathers
+    order = [i for step in c.steps for i in (step.gates if isinstance(step, _Gather) else [step])]
+    assert order == list(range(len(c.gates)))
+    monomial = {i for step in gathers for i in step.gates}
+    assert monomial == {i for i, g in enumerate(c.gates)
+                        if g.kind in ("CNOT", "CZ") or g.fixed_angle is not None}
+    assert all(step.gates.stop not in monomial for step in gathers)
+    assert all(step.diag is None or step.diag.shape == (16, 1) for step in gathers)
+
+
+def test_gather_steps_equal_their_gates_one_at_a_time_at_12_qubits():
+    c = build_ansatz(12, 2)
+    rng = np.random.default_rng(12)
+    mats = circuit.gate_matrices(c, effective_angles(c, np.zeros(c.n_params)))
+    block = np.stack([random_state_vec(12, rng) for _ in range(3)], axis=1)
+    gathers = [step for step in c.steps if isinstance(step, _Gather)]
+    assert len(gathers) == 48
+    assert {c.gates[i].kind for step in gathers for i in step.gates} == {"CNOT", "CZ", "RZ"}
+    for step in gathers:
+        one_at_a_time = block
+        for i in step.gates:
+            one_at_a_time = _apply_kq(one_at_a_time, mats[i], c.gates[i].targets, 12)
+        gathered = block[step.perm] if step.diag is None else step.diag * block[step.perm]
+        assert np.max(np.abs(gathered - one_at_a_time)) < 1e-15
 
 
 @pytest.mark.parametrize("n,layers", [(4, 2), (3, 3), (6, 1), (8, 1)])

@@ -14,6 +14,8 @@ import pytest
 
 from qdiff import cli, model
 
+from checkpoint_headers import read_header, with_header
+
 
 TINY_TRAIN = {
     "per_mode": 5,
@@ -52,14 +54,12 @@ def read_log_rows(path, strip_wall=True):
 def _with_hyper(raw, drop=(), top=(), **changes):
     """The checkpoint bytes `raw` with `changes` merged into its header's hyper,
     the keys in `drop` taken out of it, and `top` merged into the header itself."""
-    (hlen,) = struct.unpack_from("<Q", raw, 8)
-    header = json.loads(raw[16: 16 + hlen])
+    header = read_header(raw)
     header.update(top)
     header["hyper"].update(changes)
     for key in drop:
         del header["hyper"][key]
-    head = json.dumps(header).encode()
-    return raw[:8] + struct.pack("<Q", len(head)) + head + raw[16 + hlen:]
+    return with_header(raw, header)
 
 
 # ---------------------------------------------------------------------------

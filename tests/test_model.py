@@ -46,6 +46,8 @@ from qdiff.model import (
 )
 from qdiff.qcore import StateVector
 
+from checkpoint_headers import read_header, with_header
+
 
 def small_model(seed=0):
     return init_model(seed, k=4, t_steps=5, hidden_enc=16, hidden_dec=32,
@@ -451,13 +453,6 @@ def test_checkpoint_load_draws_no_weights(tmp_path, monkeypatch):
         assert np.array_equal(a, b)
 
 
-def _with_header(raw, header):
-    """The checkpoint bytes `raw` with its JSON header replaced by `header`."""
-    (hlen,) = struct.unpack_from("<Q", raw, 8)
-    head = json.dumps(header).encode()
-    return raw[:8] + struct.pack("<Q", len(head)) + head + raw[16 + hlen:]
-
-
 def test_checkpoint_rejects_incomplete_header(tmp_path):
     m = small_model(5)
     path = tmp_path / "ck.qdc"
@@ -474,13 +469,13 @@ def test_checkpoint_rejects_incomplete_header(tmp_path):
                                           if k != key}))
     broken.append(dict(header, hyper=dict(header["hyper"], n_qubits=5)))
     for i, bad in enumerate(broken):
-        (tmp_path / f"bad{i}.qdc").write_bytes(_with_header(raw, bad))
+        (tmp_path / f"bad{i}.qdc").write_bytes(with_header(raw, bad))
         with pytest.raises(ValueError, match="corrupt checkpoint header"):
             load_checkpoint(tmp_path / f"bad{i}.qdc")
-    (tmp_path / "same.qdc").write_bytes(_with_header(raw, header))
+    (tmp_path / "same.qdc").write_bytes(with_header(raw, header))
     load_checkpoint(tmp_path / "same.qdc")
     seedless = dict(header, hyper={k: v for k, v in header["hyper"].items() if k != "seed"})
-    (tmp_path / "seedless.qdc").write_bytes(_with_header(raw, seedless))
+    (tmp_path / "seedless.qdc").write_bytes(with_header(raw, seedless))
     load_checkpoint(tmp_path / "seedless.qdc")
 
 
@@ -506,13 +501,13 @@ def test_checkpoint_refuses_bad_counters_and_training_settings(tiny_checkpoint, 
     (hlen,) = struct.unpack_from("<Q", raw, 8)
     header = json.loads(raw[16: 16 + hlen])
     bad = dict(header, **top, hyper=dict(header["hyper"], **hyper))
-    (tmp_path / "bad.qdc").write_bytes(_with_header(raw, bad))
+    (tmp_path / "bad.qdc").write_bytes(with_header(raw, bad))
     with pytest.raises(ValueError, match="corrupt checkpoint header"):
         load_checkpoint(tmp_path / "bad.qdc")
     # a header written before train() recorded target_mode and the betas still loads
     old = dict(header, hyper={k: v for k, v in header["hyper"].items()
                               if k not in ("target_mode", "beta_start", "beta_end")})
-    (tmp_path / "old.qdc").write_bytes(_with_header(raw, old))
+    (tmp_path / "old.qdc").write_bytes(with_header(raw, old))
     ck = load_checkpoint(tmp_path / "old.qdc")
     assert (ck["step"], ck["opt"].step) == (1, 1)
 
@@ -524,7 +519,7 @@ def test_checkpoint_refuses_an_rng_state_of_another_generator(tiny_checkpoint, t
     state = header["rng_state"]
     for bad in (dict(state, bit_generator="MT19937"), "PCG64",
                 dict(state, state={"state": -1, "inc": 1})):
-        (tmp_path / "bad.qdc").write_bytes(_with_header(raw, dict(header, rng_state=bad)))
+        (tmp_path / "bad.qdc").write_bytes(with_header(raw, dict(header, rng_state=bad)))
         with pytest.raises(ValueError, match="corrupt checkpoint header"):
             load_checkpoint(tmp_path / "bad.qdc")
 
@@ -562,21 +557,38 @@ def test_checkpoint_refuses_a_flipped_payload_bit(tmp_path):
         load_checkpoint(tmp_path / "flip.qdc")
 
 
+def test_checkpoint_refuses_an_edited_header_value(tmp_path):
+    # an edit inside the valid range passes every value check; only a digest sees it
+    raw = checkpoint_bytes(init_model(0, k=2, hidden_enc=2, hidden_dec=2))
+    (hlen,) = struct.unpack_from("<Q", raw, 8)
+    head = raw[16: 16 + hlen]
+    assert head.count(b'"lr": 0.001,') == 1
+    edited = head.replace(b'"lr": 0.001,', b'"lr": 0.009,')
+    (tmp_path / "edited.qdc").write_bytes(raw[:16] + edited + raw[16 + hlen:])
+    with pytest.raises(ValueError, match="corrupt checkpoint header: header CRC-32 mismatch"):
+        load_checkpoint(tmp_path / "edited.qdc")
+
+
 def test_version_1_checkpoints_without_a_checksum_still_load(tiny_checkpoint, tmp_path):
     raw = tiny_checkpoint
-    assert struct.unpack_from("<I", raw, 4) == (2,)
-    (hlen,) = struct.unpack_from("<Q", raw, 8)
-    header = json.loads(raw[16: 16 + hlen])
-    old = _with_header(raw, {k: v for k, v in header.items() if k != "crc32"})
-    (tmp_path / "v1.qdc").write_bytes(old[:4] + struct.pack("<I", 1) + old[8:])
-    (tmp_path / "v2.qdc").write_bytes(raw)
-    v1, v2 = load_checkpoint(tmp_path / "v1.qdc"), load_checkpoint(tmp_path / "v2.qdc")
-    assert np.array_equal(v1["model"].params, v2["model"].params)
-    assert np.array_equal(v1["opt"].v, v2["opt"].v)
-    # a version 2 header must carry its checksum
-    (tmp_path / "bare.qdc").write_bytes(old)
-    with pytest.raises(ValueError, match="corrupt checkpoint header"):
-        load_checkpoint(tmp_path / "bare.qdc")
+    assert struct.unpack_from("<I", raw, 4) == (3,)
+    header = read_header(raw)
+    # version 2 had the payload checksum only, version 1 neither
+    v2 = {k: v for k, v in header.items() if k != "header_crc32"}
+    v1 = {k: v for k, v in v2.items() if k != "crc32"}
+    for version, old in ((1, v1), (2, v2)):
+        old = with_header(raw, old, digest=False)
+        (tmp_path / f"v{version}.qdc").write_bytes(old[:4] + struct.pack("<I", version) + old[8:])
+    (tmp_path / "v3.qdc").write_bytes(raw)
+    loaded = [load_checkpoint(tmp_path / f"v{version}.qdc") for version in (1, 2, 3)]
+    for ck in loaded[:2]:
+        assert np.array_equal(ck["model"].params, loaded[2]["model"].params)
+        assert np.array_equal(ck["opt"].v, loaded[2]["opt"].v)
+    # a version 3 header must carry both checksums
+    for bare in (with_header(raw, v2, digest=False), with_header(raw, v1)):
+        (tmp_path / "bare.qdc").write_bytes(bare)
+        with pytest.raises(ValueError, match="corrupt checkpoint header"):
+            load_checkpoint(tmp_path / "bare.qdc")
 
 
 def model_attributes(m):
