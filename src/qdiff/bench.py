@@ -160,8 +160,9 @@ def sample_fidelities(
 ) -> np.ndarray:
     """|<psi_theta|psi_phi>|^2 for i.i.d. uniform parameter pairs in [0, 2pi).
 
-    All random draws happen up front in one stream. threads is accepted for
-    the CLI's --threads; it changes neither the results nor the work done.
+    All random draws happen up front in one stream. threads changes neither
+    the results nor the work done: the CLI never passes it, and only the
+    benchmark's workload does (threads=1).
     """
     if n_pairs < 1:
         raise ValueError("need at least one pair")
@@ -234,8 +235,8 @@ def entangling_capability(
 ) -> float:
     """Mean Meyer-Wallach Q over uniform [0, 2pi) parameter draws.
 
-    threads is accepted for the CLI's --threads; it changes neither the
-    result nor the work done.
+    threads changes neither the result nor the work done: the CLI never
+    passes it, and only the benchmark's workload does (threads=1).
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -262,8 +263,8 @@ def bloch_points(
 ) -> np.ndarray:
     """Bloch coordinates of one qubit, one row per parameter draw.
 
-    threads is accepted for the CLI's --threads; it changes neither the
-    result nor the work done.
+    threads changes neither the result nor the work done: the CLI never
+    passes it, and only the benchmark's workload does (threads=1).
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")

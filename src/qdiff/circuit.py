@@ -3,31 +3,33 @@
 Gate angles may be bound to a trainable parameter through an affine map
 angle = offset + scale * params[param_ref], which lets structural blocks bake
 fixed angle offsets into the gate while keeping the underlying parameter
-trainable.
+trainable. A circuit's angles are those of its m gates bound to a parameter,
+in gate order: `effective_angles` maps (n_params,) parameters to (m,) angles
+and a (B, n_params) array of draws to (m, B), one column per draw. Every
+other gate's matrix, a fixed-angle rotation's included, is a constant that
+each circuit resolves once, in its table (`ParamCircuit.table`).
 
 Every simulation runs through `run_block` on a (2^n, B) block of states, one
 column per state; a single state is a one-column block, and the dense
 unitary is the circuit run on the identity. It walks the circuit's steps
 (`ParamCircuit.steps`, planned once per circuit), which are of two kinds.
-Each maximal run of fixed gates whose matrices hold one nonzero entry per
+Each maximal run of constant gates whose matrices hold one nonzero entry per
 row (X, CNOT, CZ, a fixed-angle RZ or PHASE, a CU gate with such a payload)
 is one gather-and-scale step on the full register: its gates multiplied
 out are a permutation of the amplitudes times a phase, so the step is one
 row gather and one elementwise multiply. Every other gate (H, a rotation
 bound to a parameter, a dense CU) is one call of the kernel, `_apply_kq`,
 which applies the gate's matrix from `gate_matrices`, the one map from a
-circuit's angles to its gates' matrices (a CU gate's control included). A
-block may also carry one parameter draw per column: (G, B) angles give each
-rotation bound to a parameter a (B, 2, 2) stack of matrices, one per column,
-which the kernel applies elementwise along the batch axis; a fixed-angle
-rotation keeps one 2x2 matrix for every column. Both step kinds act on each
-column alone, so a column's result does not depend on B. `effective_angles`
-resolves the angles from a table that each circuit builds once.
+circuit's angles to its gates' matrices (a CU gate's control included).
+(m, B) angles give each rotation bound to a parameter a (B, 2, 2) stack of
+matrices, one per column, which the kernel applies elementwise along the
+batch axis; a constant's one matrix acts on every column. Both step kinds
+act on each column alone, so a column's result does not depend on B.
 
 The adjoint sweep (measure.adjoint_gradient) walks a circuit back through
 fused units rather than gates: `ParamCircuit.units` groups the gates once,
-each rotation bound to a parameter with the run of fixed gates before it, so
-long as their wires number at most MAX_UNIT_WIRES (a unit's matrix is then
+each rotation bound to a parameter with the run of constant gates before it,
+so long as their wires number at most MAX_UNIT_WIRES (a unit's matrix is then
 at most 16x16; units as wide as a 6- or 7-qubit register were slower than
 the gates they replaced). On a register of at most MAX_UNIT_WIRES wires
 every unit spans all of it, so the kernel applies it as one matmul.
@@ -35,7 +37,7 @@ every unit spans all of it, so the kernel applies it as one matmul.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -101,6 +103,11 @@ class Gate:
             k = len(self.targets) - 1
             if k < 1 or self.matrix.shape != (2**k, 2**k):
                 raise ValueError("CU payload shape does not match its targets")
+            if not np.all(np.isfinite(self.matrix)):
+                raise ValueError("CU payload must be finite")
+            deviation = np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(2**k)))
+            if deviation > 1e-10:
+                raise ValueError(f"CU payload is not unitary: max |M^dag M - I| = {deviation:.3e}")
 
 
 def h(q: int) -> Gate:
@@ -142,21 +149,18 @@ def controlled(control: int, targets, matrix: np.ndarray) -> Gate:
 class _GateTable(NamedTuple):
     """What effective_angles and gate_matrices read, built once per circuit.
 
-    bound, refs, scales, offsets: the indices of the gates bound to a
+    bound, refs, scales, offsets: the indices of the m gates bound to a
     parameter, their refs, and their scales and offsets as (m, 1) columns.
-    fixed, fixed_angles: the indices and angles of the fixed-angle gates.
-    rotations: per rotation kind present, its bound gates' and fixed gates'
-    indices, and the two joined in that order. constants: each other gate's
-    matrix on all of its targets (a CU gate's control included), None for a
-    rotation.
+    rotations: per rotation kind bound to a parameter, its gates' places in
+    bound. constants: every other gate's matrix on all of its targets (a CU
+    gate's control included, a fixed-angle rotation at its angle), None for
+    a gate bound to a parameter.
     """
 
     bound: np.ndarray
     refs: np.ndarray
     scales: np.ndarray
     offsets: np.ndarray
-    fixed: np.ndarray
-    fixed_angles: np.ndarray
     rotations: tuple
     constants: tuple
 
@@ -183,22 +187,20 @@ class ParamCircuit:
             if g.param_ref is not None and not 0 <= g.param_ref < self.n_params:
                 raise ValueError(f"param_ref {g.param_ref} out of range for {self.n_params} params")
         bound = [i for i, g in enumerate(self.gates) if g.param_ref is not None]
-        fixed = [i for i, g in enumerate(self.gates) if g.fixed_angle is not None]
         by_kind = {}
-        for i, g in enumerate(self.gates):
-            if g.kind in ROTATION_KINDS:
-                by_kind.setdefault(g.kind, ([], []))[g.param_ref is None].append(i)
+        for p, i in enumerate(bound):
+            by_kind.setdefault(self.gates[i].kind, []).append(p)
 
-        def values(idx, name, dtype=float):
-            return np.array([getattr(self.gates[i], name) for i in idx], dtype=dtype)
+        def values(name, dtype=float):
+            return np.array([getattr(self.gates[i], name) for i in bound], dtype=dtype)
 
         object.__setattr__(self, "table", _GateTable(
-            np.array(bound, dtype=int), values(bound, "param_ref", int),
-            values(bound, "scale")[:, None], values(bound, "offset")[:, None],
-            np.array(fixed, dtype=int), values(fixed, "fixed_angle"),
-            tuple((kind, np.array(b, dtype=int), np.array(f, dtype=int), b + f)
-                  for kind, (b, f) in by_kind.items()),
-            tuple(control_embed(g.matrix) if g.kind == "CU" else _FIXED_MATS.get(g.kind)
+            np.array(bound, dtype=int), values("param_ref", int),
+            values("scale")[:, None], values("offset")[:, None],
+            tuple((kind, np.array(pos)) for kind, pos in by_kind.items()),
+            tuple(None if g.param_ref is not None
+                  else rotation_matrix(g.kind, g.fixed_angle) if g.fixed_angle is not None
+                  else control_embed(g.matrix) if g.kind == "CU" else _FIXED_MATS[g.kind]
                   for g in self.gates)))
 
     @cached_property
@@ -213,7 +215,7 @@ class ParamCircuit:
 
 
 class _Gather(NamedTuple):
-    """A run of fixed monomial gates as one step: out[j] = diag[j] * in[perm[j]].
+    """A run of constant monomial gates as one step: out[j] = diag[j] * in[perm[j]].
 
     gates: the run's gate indices. perm: (2^n,) int32 row indices. diag: (2^n, 1)
     phases, None when every one is 1.
@@ -239,10 +241,10 @@ def _monomial(mat: np.ndarray | None):
 
 def _plan_steps(c: ParamCircuit) -> tuple:
     """c's gates as run_block's steps, in order: each maximal run of consecutive
-    fixed monomial gates (X, CNOT, CZ, a fixed RZ or PHASE, a CU whose payload is
-    one) as one _Gather on the full register, every other gate as its index.
+    constant monomial gates (X, CNOT, CZ, a fixed RZ or PHASE, a CU whose payload
+    is one) as one _Gather on the full register, every other gate as its index.
 
-    Whether a gate is monomial is read from its matrix. A gate whose row r
+    Whether a gate is monomial is read from its constant matrix. A gate whose row r
     holds phases[r] in column cols[r] maps register row (r, s), r its bits on
     the gate's targets and s the rest, to phases[r] times row (cols[r], s); a
     run composes its gates' maps in order.
@@ -251,8 +253,7 @@ def _plan_steps(c: ParamCircuit) -> tuple:
     rows = np.arange(2**n, dtype=np.int32)  # half the bytes of intp; np.take is as fast
     steps = []
     for i, (g, mat) in enumerate(zip(c.gates, c.table.constants)):
-        mono = _monomial(rotation_matrix(g.kind, g.fixed_angle)
-                         if g.fixed_angle is not None else mat)
+        mono = _monomial(mat)
         if mono is None:
             steps.append(i)
             continue
@@ -276,9 +277,8 @@ class _UnitPlan(NamedTuple):
     """A circuit's gates grouped into the adjoint sweep's units, in gate order.
 
     wires: each unit's wires, the order its matrix indexes them. daggers: a
-    fixed-only unit's U^dag, None for a trainable one. Trainable unit i holds
+    constant unit's U^dag, None for a trainable one. Trainable unit i holds
     bound gate table.bound[i] last; for these:
-    kinds: per rotation kind, the trainable units it is the rotation of.
     groups: per unit size D and place p of the rotation's wire among the unit's,
       (D, the units, their fixed parts' conjugates F* shaped (m, 2^p, 2, R) so
       that axis 2 is that wire's bit of the row and a matmul by R* acts on it).
@@ -288,20 +288,20 @@ class _UnitPlan(NamedTuple):
 
     wires: tuple
     daggers: tuple
-    kinds: tuple
     groups: tuple
     lead: np.ndarray
     generators: np.ndarray
 
 
 def _fuse_units(c: ParamCircuit) -> _UnitPlan:
-    """Group c's gates into units: each bound rotation closes one with the fixed
-    gates before it, and a run of fixed gates closes a fixed-only unit when one more
-    gate would take it past MAX_UNIT_WIRES wires, or at the circuit's end.
+    """Group c's gates into units: each bound rotation closes one with the constant
+    gates before it, and a run of constant gates closes a constant unit when one
+    more gate would take it past MAX_UNIT_WIRES wires, or at the circuit's end.
 
     A unit acts on the whole register when that has at most MAX_UNIT_WIRES wires,
     else on its gates' wires in ascending order. Its fixed part is multiplied out
-    here, once, by circuit_unitary on the unit's wires.
+    here, once, by applying its gates' table.constants in order to the identity
+    on the unit's wires.
     """
     n = c.n_qubits
     runs, run = [], []
@@ -318,13 +318,14 @@ def _fuse_units(c: ParamCircuit) -> _UnitPlan:
 
     wires, daggers, groups, lead, gens = [], [], {}, [], []
     for run in runs:
-        gates = [c.gates[i] for i in run]
         w = tuple(range(n)) if n <= MAX_UNIT_WIRES else tuple(
-            sorted({t for g in gates for t in g.targets}))
+            sorted({t for i in run for t in c.gates[i].targets}))
         at = {t: p for p, t in enumerate(w)}
-        rot = gates.pop() if gates[-1].param_ref is not None else None
-        fixed = circuit_unitary(ParamCircuit(len(w), tuple(
-            replace(g, targets=tuple(at[t] for t in g.targets)) for g in gates), 0))
+        rot = c.gates[run.pop()] if c.gates[run[-1]].param_ref is not None else None
+        fixed = np.eye(2**len(w), dtype=complex)
+        for i in run:
+            fixed = _apply_kq(fixed, c.table.constants[i],
+                              tuple(at[t] for t in c.gates[i].targets), len(w))
         wires.append(w)
         if rot is None:
             daggers.append(np.ascontiguousarray(fixed.conj().T))
@@ -337,9 +338,7 @@ def _fuse_units(c: ParamCircuit) -> _UnitPlan:
         group[1].append(fixed.conj().reshape(2**p, 2, -1))
         lead.append(np.arange(2**n).reshape(2**q, 2, -1).transpose(1, 0, 2).ravel())
         gens.append(_GENERATORS[rot.kind])
-    kinds = tuple((kind, np.searchsorted(c.table.bound, bound))
-                  for kind, bound, _, _ in c.table.rotations if len(bound))
-    return _UnitPlan(tuple(wires), tuple(daggers), kinds,
+    return _UnitPlan(tuple(wires), tuple(daggers),
                      tuple((d, np.array(u), np.array(f)) for (d, _), (u, f) in groups.items()),
                      np.array(lead, dtype=int).reshape(len(lead), 2**n),
                      np.array(gens, dtype=complex).reshape(len(gens), 2, 2))
@@ -439,39 +438,36 @@ def control_embed(mat: np.ndarray) -> np.ndarray:
 def gate_matrices(c: ParamCircuit, angles: np.ndarray) -> list:
     """Each gate's matrix on all of its targets, a CU gate's control included.
 
-    (G,) angles give each rotation a 2x2 matrix. (G, B) angles give each
-    rotation bound to a parameter a (B, 2, 2) stack, one matrix per column;
-    a fixed-angle rotation has the same angle in every column, so it gets
-    one 2x2 matrix, from column 0. Each rotation kind is built in one
-    rotation_matrix call over its gates' angles, so the builder's fixed
-    cost of a few microseconds is paid per kind, not per gate.
+    angles are effective_angles', one row per gate bound to a parameter:
+    (m,) angles give each such rotation a 2x2 matrix, (m, B) angles a
+    (B, 2, 2) stack, one matrix per column. Every other gate's matrix is its
+    constant from c.table. Each rotation kind bound to a parameter is built
+    in one rotation_matrix call over its gates' angles, so the builder's
+    fixed cost of a few microseconds is paid per kind, not per gate.
     """
     mats = list(c.table.constants)
-    for kind, bound, fixed, order in c.table.rotations:
-        per_draw = angles[bound]
-        shared = angles[fixed, 0] if angles.ndim == 2 else angles[fixed]
-        built = rotation_matrix(kind, np.concatenate([per_draw.ravel(), shared]))
-        stacks = built[:per_draw.size].reshape(per_draw.shape + (2, 2))
-        for i, mat in zip(order, [*stacks, *built[per_draw.size:]]):
+    for kind, pos in c.table.rotations:
+        for i, mat in zip(c.table.bound[pos], rotation_matrix(kind, angles[pos])):
             mats[i] = mat
     return mats
 
 
 def effective_angles(c: ParamCircuit, params) -> np.ndarray:
-    """Per-gate resolved angles (nan for gates without one).
+    """The angles of c's gates bound to a parameter, offset + scale * param.
 
-    (n_params,) parameters give (G,) angles; a (B, n_params) array of
-    parameter draws gives (G, B) angles, one column per draw: one array
-    expression, offset + scale * param, over the circuit's table.
+    (n_params,) parameters give (m,) angles, one per gate of c.table.bound;
+    a (B, n_params) array of parameter draws gives (m, B) angles, one column
+    per draw. A non-finite parameter fails, naming its index (and draw).
     """
     params = np.asarray(params, dtype=float)
     if params.ndim not in (1, 2) or params.shape[-1] != c.n_params:
         raise ValueError(f"expected {c.n_params} parameters, got {params.shape}")
+    if not np.all(np.isfinite(params)):
+        *draw, j = np.argwhere(~np.isfinite(params))[0]
+        where = f" of draw {draw[0]}" if draw else ""
+        raise ValueError(f"parameter {j}{where} is not finite: {float(params[(*draw, j)])}")
     t = c.table
-    draws = np.atleast_2d(params)
-    out = np.full((len(c.gates), len(draws)), np.nan)
-    out[t.fixed] = t.fixed_angles[:, None]
-    out[t.bound] = t.offsets + t.scales * draws[:, t.refs].T
+    out = t.offsets + t.scales * np.atleast_2d(params)[:, t.refs].T
     return out if params.ndim == 2 else out[:, 0]
 
 
@@ -482,17 +478,18 @@ def run_with_angles(c: ParamCircuit, amps: np.ndarray, angles: np.ndarray) -> np
 
 def run_block(c: ParamCircuit, block: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """The circuit on every column of a (2^n, B) block, one step of c.steps at a time:
-    a gather and a multiply per run of fixed monomial gates, a kernel call per other gate.
+    a gather and a multiply per run of constant monomial gates, a kernel call per other gate.
 
-    (G,) angles are shared by every column; (G, B) angles give each column
-    its own, as effective_angles returns them for B parameter draws.
+    angles are effective_angles', one row per gate bound to a parameter: (m,)
+    angles are shared by every column; (m, B) angles give each column its
+    own, as effective_angles returns them for B parameter draws.
     """
-    dim, n_gates = 2**c.n_qubits, len(c.gates)
+    dim, m = 2**c.n_qubits, len(c.table.bound)
     if block.ndim != 2 or block.shape[0] != dim:
         raise ValueError(f"expected a ({dim}, B) block for {c.n_qubits} qubits, got {block.shape}")
     width = block.shape[1]
-    if angles.ndim not in (1, 2) or len(angles) != n_gates:
-        raise ValueError(f"expected ({n_gates},) or ({n_gates}, {width}) angles, got {angles.shape}")
+    if angles.ndim not in (1, 2) or len(angles) != m:
+        raise ValueError(f"expected ({m},) or ({m}, {width}) angles, got {angles.shape}")
     if angles.ndim == 2 and angles.shape[1] != width:
         raise ValueError(f"angles {angles.shape} give {angles.shape[1]} gate matrices "
                          f"for a block of {width} columns")

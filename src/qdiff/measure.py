@@ -176,44 +176,43 @@ def probe_hermitian_part(probe: GlobalProbe) -> np.ndarray:
 def shift_gradient(c: ParamCircuit, params, value, one_sided: bool = False) -> np.ndarray:
     """d value(effective_angles(c, params)) / d params by the parameter-shift rule.
 
-    value maps a vector of per-gate angles to a float. one_sided selects the
-    rule for a value in which the circuit enters once, unconjugated; the
-    module docstring gives both rules.
+    value maps the (m,) angles of c's gates bound to a parameter to a float;
+    the rule shifts each of them in turn, walking c.table.bound. one_sided
+    selects the rule for a value in which the circuit enters once,
+    unconjugated; the module docstring gives both rules.
     """
     base = effective_angles(c, params)
+    t = c.table
     grad = np.zeros(c.n_params)
-    for i, g in enumerate(c.gates):
-        if g.param_ref is None:
-            continue
-        if one_sided and g.kind != "PHASE":
+    for p, (i, ref, scale) in enumerate(zip(t.bound, t.refs, t.scales[:, 0])):
+        if one_sided and c.gates[i].kind != "PHASE":
             shift, coeff = np.pi, 0.25
         else:
             shift, coeff = np.pi / 2, 0.5
         vals = []
         for sgn in (+1.0, -1.0):
             angles = base.copy()
-            angles[i] += sgn * shift
+            angles[p] += sgn * shift
             vals.append(value(angles))
-        grad[g.param_ref] += g.scale * coeff * (vals[0] - vals[1])
+        grad[ref] += scale * coeff * (vals[0] - vals[1])
     return grad
 
 
 def _unit_daggers(c: ParamCircuit, params) -> list:
     """U^dag of each trainable unit of c.units at params, in c.table.bound's order.
 
-    Each rotation's 2x2 matrix (one rotation_matrix call per kind) acts on the
-    bit of its wire in the rows of its unit's cached fixed part: one batched
-    matmul per unit size and wire place gives the units' U* = R* F*, whose
-    transposes are the U^dag.
+    Each rotation's 2x2 matrix (one rotation_matrix call per kind, over
+    c.table.rotations) acts on the bit of its wire in the rows of its unit's
+    cached fixed part: one batched matmul per unit size and wire place gives
+    the units' U* = R* F*, whose transposes are the U^dag.
     """
-    plan = c.units
-    angles = effective_angles(c, params)[c.table.bound]
+    angles = effective_angles(c, params)
     rots = np.empty((len(angles), 2, 2), dtype=complex)
-    for kind, pos in plan.kinds:
+    for kind, pos in c.table.rotations:
         rots[pos] = rotation_matrix(kind, angles[pos])
     rots = rots.conj()[:, None]
     daggers = [None] * len(angles)
-    for d, pos, fixed in plan.groups:
+    for d, pos, fixed in c.units.groups:
         for i, mat in zip(pos, np.matmul(rots[pos], fixed).reshape(-1, d, d).transpose(0, 2, 1)):
             daggers[i] = mat
     return daggers

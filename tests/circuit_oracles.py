@@ -4,9 +4,11 @@ full_unitary_oracle multiplies out a circuit from each gate's matrix
 embedded on the full register by explicit index arithmetic; it never runs
 the gate kernel (`circuit._apply_kq`) or the circuit's matrix list
 (`circuit.gate_matrices`), so it stays an independent reference for
-everything that does. effective_angles_oracle resolves the angles one gate
-at a time, the reference for the circuit's angle table. random_mixed_circuit
-draws small circuits that exercise every gate kind and angle binding.
+everything that does, and it works out each gate's angle from the gate and
+the parameters itself. effective_angles_oracle resolves the bound gates'
+angles one gate at a time, the reference for the circuit's angle table.
+random_mixed_circuit draws small circuits that exercise every gate kind and
+angle binding.
 """
 import numpy as np
 
@@ -21,7 +23,6 @@ from qdiff.circuit import (
     cnot,
     controlled,
     cz,
-    effective_angles,
     h,
     phase,
     rotation_matrix,
@@ -52,16 +53,21 @@ def embed(m, targets, n):
     return full
 
 
+def gate_angle(g, draws):
+    """A rotation's angle at each row of (B, n_params) draws: its fixed angle,
+    or offset + scale * params[param_ref]."""
+    if g.param_ref is None:
+        return np.full(len(draws), g.fixed_angle)
+    return g.offset + g.scale * draws[:, g.param_ref]
+
+
 def effective_angles_oracle(c, params):
-    """effective_angles gate by gate: nan for a gate without an angle, its
-    fixed angle, or offset + scale * params[param_ref] at each draw."""
+    """effective_angles gate by gate: offset + scale * params[param_ref] for
+    each gate bound to a parameter, in gate order, at each draw."""
     params = np.asarray(params, dtype=float)
     draws = np.atleast_2d(params)
-    out = np.full((len(c.gates), len(draws)), np.nan)
-    for i, g in enumerate(c.gates):
-        if g.kind in ROTATION_KINDS:
-            out[i] = (g.fixed_angle if g.param_ref is None
-                      else g.offset + g.scale * draws[:, g.param_ref])
+    out = np.array([gate_angle(g, draws) for g in c.gates if g.param_ref is not None])
+    out = out.reshape(-1, len(draws))
     return out if params.ndim == 2 else out[:, 0]
 
 
@@ -69,10 +75,10 @@ def full_unitary_oracle(c, params):
     """Independent route: embed each gate's full matrix and multiply."""
     dim = 2**c.n_qubits
     u = np.eye(dim, dtype=complex)
-    angles = effective_angles(c, params)
-    for g, ang in zip(c.gates, angles):
+    draws = np.atleast_2d(np.asarray(params, dtype=float))
+    for g in c.gates:
         if g.kind in ROTATION_KINDS:
-            m = rotation_matrix(g.kind, ang)
+            m = rotation_matrix(g.kind, gate_angle(g, draws)[0])
         elif g.kind == "CU":
             k = g.matrix.shape[0]
             m = np.block([[np.eye(k), np.zeros((k, k))],

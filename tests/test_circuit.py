@@ -129,6 +129,16 @@ def test_gate_validation():
         Gate("ROT", (0,))  # unknown kind
     with pytest.raises(ValueError):
         controlled(0, (1,), np.eye(3))  # payload not 2^k
+    # a payload that is not unitary, or not finite, is refused: the adjoint sweep
+    # un-applies gates by their adjoints, which holds only for unitary ones
+    with pytest.raises(ValueError, match=re.escape("not unitary: max |M^dag M - I| = 3.000e+00")):
+        controlled(0, (1,), np.diag([2.0, 1.0]))
+    with pytest.raises(ValueError, match=re.escape("max |M^dag M - I| = 1.000e-09")):
+        controlled(0, (1, 2), np.diag([1.0, 1.0, 1.0, np.sqrt(1 + 1e-9)]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="CU payload must be finite"):
+            controlled(0, (1,), np.array([[bad, 0], [0, 1]]))
+    controlled(0, (1,), np.diag([1.0, 1.0 + 1e-12]))  # within 1e-10 of unitary
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -149,8 +159,9 @@ def test_circuit_rejects_bad_sizes():
 
 
 def test_run_block_checks_block_and_angle_shapes():
-    """A block that is not (2^n, B), or angles that are not (G,) or (G, B),
-    fail naming both shapes instead of being reshaped or indexed past."""
+    """A block that is not (2^n, B), or angles that are not (m,) or (m, B) for
+    the m gates bound to a parameter, fail naming both shapes instead of being
+    reshaped or indexed past."""
     bell = ParamCircuit(2, (h(0), cnot(0, 1)), 0)
     for shape in [(8, 3), (4,), (2, 2, 2)]:
         msg = re.escape(f"a (4, B) block for 2 qubits, got {shape}")
@@ -158,34 +169,38 @@ def test_run_block_checks_block_and_angle_shapes():
             run_block(bell, np.zeros(shape, dtype=complex), effective_angles(bell, ()))
     c = build_ansatz(2, 2)
     block = np.eye(4, 2, dtype=complex)
-    for shape in [(3,), (26, 2, 1), (3, 2)]:
-        with pytest.raises(ValueError, match=re.escape(f"(26,) or (26, 2) angles, got {shape}")):
+    for shape in [(3,), (10, 2, 1), (3, 2), (26,)]:
+        with pytest.raises(ValueError, match=re.escape(f"(10,) or (10, 2) angles, got {shape}")):
             run_block(c, block, np.zeros(shape))
-    # every rotation fixed: no per-draw matrix reaches the kernel's own check
+    # every rotation fixed: the angles have no rows, and their columns still must match
     fixed = ParamCircuit(1, (rx(0, angle=0.3), h(0)), 0)
     with pytest.raises(ValueError, match="3 gate matrices for a block of 2 columns"):
-        run_block(fixed, np.eye(2, dtype=complex), np.zeros((2, 3)))
+        run_block(fixed, np.eye(2, dtype=complex), np.zeros((0, 3)))
 
 
 @settings(deadline=None, max_examples=80)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(1e-3, 1e6))
 def test_effective_angles_table_matches_the_per_gate_loop(seed, b, spread):
-    """The table-driven angles equal the per-gate loop bitwise, nan included,
-    for (n,) parameters and (B, n) draws, with shared refs and fixed angles."""
+    """The table-driven angles equal the per-gate loop bitwise, for (n,)
+    parameters and (B, n) draws, with shared refs and fixed angles."""
     rng = np.random.default_rng(seed)
     c = random_mixed_circuit(rng, fixed_angles=True)
     for params in (rng.uniform(-spread, spread, c.n_params),
                    rng.uniform(-spread, spread, (b, c.n_params))):
         got, want = effective_angles(c, params), effective_angles_oracle(c, params)
         assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got, want)
 
 
 def test_effective_angles_affine_map():
+    """The bound RY gets offset + scale * param; the fixed RZ has no angle, its
+    matrix is the table's constant at its fixed angle."""
     c = ParamCircuit(1, (ry(0, ref=0, scale=-2.0, offset=0.5), rz(0, angle=1.0)), 1)
     angles = effective_angles(c, np.array([0.25]))
+    assert angles.shape == (1,)
     assert angles[0] == pytest.approx(-2.0 * 0.25 + 0.5)
-    assert angles[1] == pytest.approx(1.0)
+    assert c.table.constants[0] is None
+    assert np.allclose(c.table.constants[1], rotation_closed_form("RZ", 1.0))
 
 
 def test_effective_angles_one_column_per_draw():
@@ -193,11 +208,26 @@ def test_effective_angles_one_column_per_draw():
                          rz(1, angle=1.0), phase(0, ref=0)), 2)
     draws = np.random.default_rng(4).uniform(0, 2 * np.pi, (5, 2))
     angles = effective_angles(c, draws)
-    assert angles.shape == (4, 5)
+    assert angles.shape == (2, 5)
     for j, p in enumerate(draws):
-        assert np.array_equal(angles[:, j], effective_angles(c, p), equal_nan=True)
+        assert np.array_equal(angles[:, j], effective_angles(c, p))
     with pytest.raises(ValueError, match="expected 2 parameters"):
         effective_angles(c, np.zeros((5, 3)))
+
+
+def test_effective_angles_reject_non_finite_parameters():
+    """A NaN or infinite parameter fails where parameters become angles, naming
+    the first bad index and, for (B, n) draws, its draw, so no simulation
+    returns a NaN state without an error."""
+    c = ParamCircuit(2, (ry(0, ref=1), cnot(0, 1), rz(1, angle=1.0), phase(0, ref=0)), 3)
+    with pytest.raises(ValueError, match="parameter 1 is not finite: nan"):
+        effective_angles(c, [0.0, math.nan, math.inf])
+    with pytest.raises(ValueError, match="parameter 2 is not finite: -inf"):
+        circuit_unitary(c, [0.0, 1.0, -math.inf])
+    draws = np.zeros((4, 3))
+    draws[2, 0], draws[3, 1] = math.inf, math.nan
+    with pytest.raises(ValueError, match="parameter 0 of draw 2 is not finite: inf"):
+        effective_angles(c, draws)
 
 
 def column_unitary_oracle(c, params):
@@ -368,46 +398,52 @@ def test_per_draw_columns_do_not_depend_on_the_block(n):
 
 
 def test_gate_matrices_build_each_rotation_kind_in_one_call(monkeypatch):
-    """(G,) angles give the fixed kinds' module constants, a CU gate's matrix
-    with its control and one 2x2 matrix per rotation; (G, B) angles give each
-    rotation bound to a parameter a (B, 2, 2) stack whose column j is the (G,)
-    build at draw j, bitwise, and each fixed-angle rotation the one 2x2 matrix
-    of its (G,) build. rotation_matrix runs once per rotation kind present."""
+    """(m,) angles give each rotation bound to a parameter one 2x2 matrix; (m, B)
+    angles give it a (B, 2, 2) stack whose column j is the (m,) build at draw j,
+    bitwise. Every other gate gets its table constant for both: the fixed kinds'
+    module constants, a CU gate's matrix with its control, and a fixed-angle
+    rotation's matrix at its angle. rotation_matrix runs once per rotation kind
+    bound to a parameter."""
     calls = []
 
     def counting_rotation_matrix(kind, angle):
         calls.append(kind)
         return rotation_matrix(kind, angle)
 
-    monkeypatch.setattr(circuit, "rotation_matrix", counting_rotation_matrix)
     for seed in range(40):
         rng = np.random.default_rng(seed)
         c = random_mixed_circuit(rng, fixed_angles=True)
         draws = rng.uniform(0, 2 * np.pi, (3, c.n_params))
-        kinds = {g.kind for g in c.gates if g.kind in ROTATION_KINDS}
+        kinds = {g.kind for g in c.gates if g.param_ref is not None}
+        monkeypatch.setattr(circuit, "rotation_matrix", counting_rotation_matrix)
         calls.clear()
         stacks = circuit.gate_matrices(c, effective_angles(c, draws))
         assert sorted(calls) == sorted(kinds)
-        for j, p in enumerate(draws):
-            angles = effective_angles(c, p)
+        singles = []
+        for p in draws:
             calls.clear()
-            mats = circuit.gate_matrices(c, angles)
+            singles.append(circuit.gate_matrices(c, effective_angles(c, p)))
             assert sorted(calls) == sorted(kinds)
-            for g, a, mat, stack in zip(c.gates, angles, mats, stacks):
-                if g.kind in ROTATION_KINDS:
-                    assert mat.shape == (2, 2)
-                    assert np.array_equal(mat, rotation_matrix(g.kind, a))
-                    if g.param_ref is None:
-                        assert stack.shape == (2, 2) and np.array_equal(stack, mat)
-                    else:
-                        assert stack.shape == (3, 2, 2) and np.array_equal(stack[j], mat)
-                elif g.kind == "CU":
-                    d = len(g.matrix)
-                    embedded = np.eye(2 * d, dtype=complex)
-                    embedded[d:, d:] = g.matrix
-                    assert np.array_equal(mat, embedded) and np.array_equal(stack, embedded)
-                else:
-                    assert mat is FIXED_MATS[g.kind] and stack is FIXED_MATS[g.kind]
+        monkeypatch.undo()
+        for i, (g, stack) in enumerate(zip(c.gates, stacks)):
+            if g.param_ref is not None:
+                assert stack.shape == (3, 2, 2)
+                for j, (p, mats) in enumerate(zip(draws, singles)):
+                    a = g.offset + g.scale * p[g.param_ref]
+                    assert mats[i].shape == (2, 2)
+                    assert np.array_equal(mats[i], rotation_matrix(g.kind, a))
+                    assert np.array_equal(stack[j], mats[i])
+                continue
+            assert stack is c.table.constants[i] and all(m[i] is stack for m in singles)
+            if g.kind in ROTATION_KINDS:
+                assert np.array_equal(stack, rotation_matrix(g.kind, g.fixed_angle))
+            elif g.kind == "CU":
+                d = len(g.matrix)
+                embedded = np.eye(2 * d, dtype=complex)
+                embedded[d:, d:] = g.matrix
+                assert np.array_equal(stack, embedded)
+            else:
+                assert stack is FIXED_MATS[g.kind]
 
 
 def test_stacked_gate_matrices_must_match_the_block_width():

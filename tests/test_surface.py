@@ -9,7 +9,9 @@ import of the name or a `module.name` attribute read; an unrelated variable
 that happens to share the name does not count. A library function that only
 its own unit test calls fails here, so it either gains a caller or goes.
 The same holds for every module-level private name in src/qdiff, which
-only the library itself may use.
+only the library itself may use, and for every public module-level name that
+the package does not export: it needs a caller in the library, a demo or the
+benchmark, or a place in MODULE_REFERENCES below.
 """
 import ast
 from pathlib import Path
@@ -25,6 +27,16 @@ NAMED_REFERENCES = {
     "phase": "the PHASE gate's constructor; acceptance test_04 builds its probes with it",
     "controlled": "the CU gate's constructor; the random-circuit oracles draw CU gates",
     "x": "the X gate's constructor; the random-circuit oracles draw X gates",
+}
+
+# public, non-exported module-level names kept without a caller, each with why it stays
+MODULE_REFERENCES = {
+    "measure.shift_gradient": "the parameter-shift rule, the reference the adjoint sweep "
+                              "is tested against",
+    "bench.bloch_points_of_state": "one state's Bloch vector through the density matrix, "
+                                   "the reference for bloch_points' batched path",
+    "bench.haar_pdf": "the Haar fidelity density, the reference haar_bin_masses' closed-form "
+                      "bin integrals are tested against",
 }
 
 
@@ -75,9 +87,9 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert unused == []
 
 
-def private_definitions(path):
-    """Module-level private names the file at `path` defines: functions,
-    classes and assigned names that start with one underscore."""
+def module_definitions(path):
+    """Module-level names the file at `path` defines: functions, classes and
+    assigned names."""
     names = set()
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -85,7 +97,13 @@ def private_definitions(path):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return names
+
+
+def private_definitions(path):
+    """The module-level names that start with one underscore."""
+    return {name for name in module_definitions(path)
+            if name.startswith("_") and not name.startswith("__")}
 
 
 def test_every_private_name_has_a_caller_in_the_library():
@@ -100,3 +118,19 @@ def test_every_private_name_has_a_caller_in_the_library():
 
 def test_named_references_are_exported():
     assert set(NAMED_REFERENCES) <= {name for _, name in exports()}
+
+
+def test_every_public_module_name_has_a_caller_outside_the_tests():
+    """A public name the package does not export, such as measure.adjoint_gradient,
+    is held to the exports' rule: a caller in the library, a demo or the benchmark,
+    or a named reference."""
+    paths = [path for path in sorted((ROOT / "src" / "qdiff").glob("*.py")) if path != INIT]
+    modules = {path.stem for path in paths}
+    exported = set(exports())
+    found = set().union(*(references(path, modules) for d in CALLER_DIRS
+                          for path in sorted((ROOT / d).rglob("*.py")) if path != INIT))
+    defined = [(path.stem, name) for path in paths for name in sorted(module_definitions(path))
+               if not name.startswith("_") and (path.stem, name) not in exported]
+    assert len(defined) > 10
+    unused = [f"{module}.{name}" for module, name in defined if (module, name) not in found]
+    assert sorted(unused) == sorted(MODULE_REFERENCES)
