@@ -14,6 +14,7 @@ tested against.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +30,12 @@ FRECHET_EPS = 1e-6
 # since run_block builds every such rotation's (B, 2, 2) stack at once (a
 # fixed-angle rotation has one 2x2 matrix for all columns). A per-draw
 # rotation costs each column 2 complex multiplies and 1 add per amplitude,
-# elementwise, with no call of its own. run_block's second work block and
-# scratch array bring the peak to about 3 x BLOCK_AMPS entries, which
-# tests/test_bench.py holds at n = 10. The draws are split into blocks of
-# whole rows, so memory stays flat in the qubit count and the depth.
-# Columns are independent, so the split changes no result.
+# elementwise, with no call of its own; an RZ or PHASE costs it 1 multiply.
+# The second product fills the whole scratch array, so run_block's second
+# work block and that scratch array bring the peak to about 3 x BLOCK_AMPS
+# entries, which tests/test_bench.py holds at n = 10. The draws are split
+# into blocks of whole rows, so memory stays flat in the qubit count and the
+# depth. Columns are independent, so the split changes no result.
 BLOCK_AMPS = 2**18
 
 
@@ -91,12 +93,18 @@ class BenchReport:
         )
 
 
+def _check_hilbert_dim(n_dim) -> None:
+    if not isinstance(n_dim, numbers.Integral):
+        raise ValueError(f"need Hilbert dimension >= 2 as an integer, got {n_dim!r}")
+    if n_dim < 2:
+        raise ValueError("need Hilbert dimension >= 2")
+
+
 def haar_pdf(f: float, n_dim: int) -> float:
     """Haar fidelity density (N-1)(1-F)^(N-2) on [0, 1]."""
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"fidelity {f} outside [0, 1]")
-    if n_dim < 2:
-        raise ValueError("need Hilbert dimension >= 2")
+    _check_hilbert_dim(n_dim)
     return float((n_dim - 1) * (1.0 - f) ** (n_dim - 2))
 
 
@@ -107,8 +115,7 @@ def haar_bin_masses(n_dim: int, n_bins: int = N_BINS) -> np.ndarray:
     integrating beats evaluating the pdf at bin centers, which is biased
     where the density decays fast.
     """
-    if n_dim < 2:
-        raise ValueError("need Hilbert dimension >= 2")
+    _check_hilbert_dim(n_dim)
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     upper = (1.0 - edges) ** (n_dim - 1)
     return upper[:-1] - upper[1:]
@@ -176,6 +183,7 @@ def sample_fidelities(
 
 def expressibility(fids, n_dim: int) -> float:
     """KL divergence of the binned fidelity sample against the Haar masses."""
+    _check_hilbert_dim(n_dim)
     fids = np.asarray(fids, dtype=float)
     if len(fids) == 0:
         raise ValueError("expressibility needs at least one fidelity sample")
@@ -268,6 +276,8 @@ def bloch_points(
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if not 0 <= qubit < c.n_qubits:  # before any draw is simulated
+        raise ValueError(f"qubit {qubit} out of range")
     rng = np.random.default_rng(seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=(n_samples, c.n_params))
     return _reduce_final_states(c, psi0, params[:, None],
@@ -287,6 +297,10 @@ def frechet_gaussian(set_a, set_b) -> float:
         raise ValueError("need two 2-d sample sets with equal feature dims")
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise ValueError("need at least two samples per set")
+    for name, x in (("set_a", a), ("set_b", b)):
+        bad = ~np.all(np.isfinite(x), axis=1)
+        if np.any(bad):
+            raise ValueError(f"{name} row {int(np.argmax(bad))} is not finite")
     mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
     dim = a.shape[1]
     ridge = FRECHET_EPS * np.eye(dim)

@@ -23,7 +23,9 @@ which applies the gate's matrix from `gate_matrices`, the one map from a
 circuit's angles to its gates' matrices (a CU gate's control included).
 (m, B) angles give each rotation bound to a parameter a (B, 2, 2) stack of
 matrices, one per column, which the kernel applies elementwise along the
-batch axis; a constant's one matrix acts on every column. Both step kinds
+batch axis as two whole-block products, one with the stack's diagonal and one
+with its anti-diagonal (only the first for RZ and PHASE, diagonal by kind);
+a constant's one matrix acts on every column. Both step kinds
 act on each column alone, so a column's result does not depend on B.
 
 The adjoint sweep (measure.adjoint_gradient) walks a circuit back through
@@ -46,6 +48,7 @@ import numpy as np
 from .qcore import PAULI_X, PAULI_Y, PAULI_Z, StateVector
 
 ROTATION_KINDS = ("RX", "RY", "RZ", "PHASE")
+_DIAGONAL_KINDS = ("RZ", "PHASE")  # rotations whose matrix is diagonal at every angle
 FIXED_KINDS = ("H", "X", "CNOT", "CZ", "CU")
 
 _H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -377,18 +380,25 @@ def _axis_orders(qubits: tuple, n: int):
 
 
 def _apply_kq(block: np.ndarray, mat: np.ndarray, qubits, n: int,
-              out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+              out: np.ndarray | None = None, work: np.ndarray | None = None,
+              diagonal: bool = False) -> np.ndarray:
     """mat on `qubits` of every column of a (2^n, B) block of states, into out.
 
     A (d, d) mat acts on every column: the block is gathered into out in the
     axis order that puts the targets first, mat acts on the leading 2^k rows
     as one matmul into work, and the inverse transpose scatters it back into
     out. A (B, 2, 2) stack acts on one qubit q column by column, elementwise
-    along the batch axis of the block's (2^q, 2, R, B) view:
-    out[:, i] = mat[:, i, 0] * t[:, 0] + mat[:, i, 1] * t[:, 1]. That is four
-    multiplies and two adds over half the block each, with no transpose and
-    no matmul per column; each entry reads only its own column, so a
-    column's result does not depend on B.
+    along the batch axis of the block's (2^q, 2, R, B) view t: with the
+    stack's diagonal and anti-diagonal read as (2, B) views,
+    out = t * diag + t[:, ::-1] * anti, that is
+    out[:, i] = t[:, i] * mat[:, i, i] + t[:, 1 - i] * mat[:, i, 1 - i]. That
+    is two multiplies and one add over the whole block, with no copy, no
+    loop and no matmul per column; diagonal (an RZ or PHASE stack, as
+    run_block reads from the gate's kind) skips the anti-diagonal product.
+    Each entry sums the same two products, state times matrix entry, as
+    t[:, 0] * mat[:, i, 0] + t[:, 1] * mat[:, i, 1]; the sum commutes, so
+    the order of the two changes no bit. An entry reads only its own
+    column, so a column's result does not depend on B.
 
     out ((2^n, B) complex, not overlapping block) and work (block.size
     complex entries) are allocated when not given; run_block passes both,
@@ -418,12 +428,12 @@ def _apply_kq(block: np.ndarray, mat: np.ndarray, qubits, n: int,
     (q,) = qubits  # per-column stacks come from one-qubit rotations
     t = block.reshape(2**q, 2, -1, block.shape[1])
     o = out.reshape(t.shape)
-    term = work[:block.size // 2].reshape(o[:, 0].shape)
-    m = np.ascontiguousarray(mat.transpose(1, 2, 0))
-    for i in range(2):
-        np.multiply(t[:, 0], m[i, 0], out=o[:, i])
-        np.multiply(t[:, 1], m[i, 1], out=term)
-        o[:, i] += term
+    # every column's m[i, i] and m[i, 1 - i] as (2, 1, B) views, row i on axis 0
+    np.multiply(t, mat.diagonal(0, 1, 2).T[:, None], out=o)
+    if not diagonal:
+        anti = work[:block.size].reshape(t.shape)
+        np.multiply(t[:, ::-1], mat[:, :, ::-1].diagonal(0, 1, 2).T[:, None], out=anti)
+        o += anti
     return out
 
 
@@ -484,6 +494,7 @@ def run_block(c: ParamCircuit, block: np.ndarray, angles: np.ndarray) -> np.ndar
     angles are shared by every column; (m, B) angles give each column its
     own, as effective_angles returns them for B parameter draws.
     """
+    block = np.asarray(block, dtype=complex)  # no copy of a complex block
     dim, m = 2**c.n_qubits, len(c.table.bound)
     if block.ndim != 2 or block.shape[0] != dim:
         raise ValueError(f"expected a ({dim}, B) block for {c.n_qubits} qubits, got {block.shape}")
@@ -507,7 +518,9 @@ def run_block(c: ParamCircuit, block: np.ndarray, angles: np.ndarray) -> np.ndar
             if step.diag is not None:
                 block *= step.diag
         else:
-            block = _apply_kq(block, mats[step], c.gates[step].targets, c.n_qubits, out, work)
+            g = c.gates[step]
+            block = _apply_kq(block, mats[step], g.targets, c.n_qubits, out, work,
+                              g.kind in _DIAGONAL_KINDS)
     return block
 
 

@@ -215,6 +215,15 @@ def test_frechet_grows_with_noise_mismatch():
     assert frechet_gaussian(near, real) < frechet_gaussian(far, real)
 
 
+@pytest.mark.parametrize("name,bad", [("set_a", np.nan), ("set_b", np.inf), ("set_b", -np.inf)])
+def test_frechet_rejects_non_finite_samples(name, bad):
+    rng = np.random.default_rng(14)
+    sets = {"set_a": rng.standard_normal((6, 3)), "set_b": rng.standard_normal((5, 3))}
+    sets[name][2, 1] = sets[name][4, 0] = bad
+    with pytest.raises(ValueError, match=f"{name} row 2 is not finite"):
+        frechet_gaussian(sets["set_a"], sets["set_b"])
+
+
 def test_csv_round_trips():
     rng = np.random.default_rng(14)
     fids = rng.uniform(0, 1, 17)
@@ -242,6 +251,24 @@ def test_descriptors_reject_a_state_of_another_qubit_count():
         bloch_points(c, basis_state(4), 4, 4, seed=1)
 
 
+def test_bloch_points_checks_the_qubit_before_simulating(monkeypatch):
+    calls = []
+
+    def counting_run_block(*args):
+        calls.append(args)
+        return run_block(*args)
+
+    run_block = bench.run_block
+    monkeypatch.setattr(bench, "run_block", counting_run_block)
+    c = build_ansatz(4, 1)
+    for qubit in (4, -1):
+        with pytest.raises(ValueError, match=f"qubit {qubit} out of range"):
+            bloch_points(c, basis_state(4), qubit, 4, seed=1)
+    assert calls == []
+    bloch_points(c, basis_state(4), 3, 4, seed=1)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("fids,bad", [([float("nan"), 0.5], "nan at index 0"),
                                       ([0.25, 1.5, 0.5], "1.5 at index 1"),
                                       ([0.5, -0.125], "-0.125 at index 1"),
@@ -257,7 +284,7 @@ def test_sample_fidelities_peak_stays_within_three_blocks():
     """At n = 10 the transient peak of sample_fidelities stays within three
     times BLOCK_AMPS complex entries: one block of states with its per-draw
     rotation matrices, run_block's second work block and scratch array, and
-    the pair reduction (2.9x measured)."""
+    the pair reduction (2.85x measured)."""
     c, psi0 = build_ansatz(10, 1), basis_state(10)
     sample_fidelities(c, psi0, 2, 0)
     tracemalloc.start()
@@ -269,7 +296,7 @@ def test_sample_fidelities_peak_stays_within_three_blocks():
     assert peak <= 3 * bench.BLOCK_AMPS * np.dtype(complex).itemsize
 
 
-@pytest.mark.parametrize("n_dim", [1, 0, -3])
+@pytest.mark.parametrize("n_dim", [1, 0, -3, 16.5])
 def test_expressibility_needs_a_hilbert_dimension_of_two(n_dim):
     with pytest.raises(ValueError, match="need Hilbert dimension >= 2"):
         expressibility([0.25, 0.5], n_dim)

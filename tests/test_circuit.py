@@ -446,6 +446,45 @@ def test_gate_matrices_build_each_rotation_kind_in_one_call(monkeypatch):
                 assert stack is FIXED_MATS[g.kind]
 
 
+@pytest.mark.parametrize("kind", ROTATION_KINDS)
+@pytest.mark.parametrize("q", range(4))
+@pytest.mark.parametrize("b", [1, 3, 250])
+def test_per_draw_stacks_apply_the_row_times_column_formula_bitwise(kind, q, b):
+    """A (B, 2, 2) stack on qubit q of a 4-qubit block gives every entry
+    t0 * m[:, i, 0] + t1 * m[:, i, 1] of its own column, bit for bit; for the
+    diagonal kinds, the one product the kernel makes equals the two. Each
+    product is written state times matrix entry, as the kernel makes it:
+    numpy's complex multiply is not bitwise commutative on every machine,
+    so m * t and t * m can differ in the last bit."""
+    rng = np.random.default_rng(1000 * q + b)
+    block = rng.standard_normal((16, b)) + 1j * rng.standard_normal((16, b))
+    mat = rotation_matrix(kind, rng.uniform(0, 2 * np.pi, b))
+    t = block.reshape(2**q, 2, -1, b)
+    expect = np.empty_like(t)
+    for i in range(2):
+        expect[:, i] = t[:, 0] * mat[:, i, 0] + t[:, 1] * mat[:, i, 1]
+    diagonal = kind in ("RZ", "PHASE")
+    out = _apply_kq(block, mat, (q,), 4, diagonal=diagonal)
+    assert np.array_equal(out.view(np.uint64), expect.reshape(16, b).view(np.uint64))
+    if diagonal:
+        assert np.array_equal(out, _apply_kq(block, mat, (q,), 4))
+
+
+def test_a_real_block_runs_as_its_complex_block():
+    """run_block takes a real block as complex whether the circuit starts with
+    a gather step (CNOT) or a kernel call (H), with shared and per-draw
+    angles, and leaves the caller's block as it was."""
+    real = np.eye(4)[:, :2]
+    for first in (cnot(0, 1), h(0)):
+        c = ParamCircuit(2, (first, ry(1, ref=0)), 1)
+        for params in (np.zeros(1), np.array([[0.3], [1.1]])):
+            angles = effective_angles(c, params)
+            out = run_block(c, real, angles)
+            assert np.array_equal(out.view(np.uint64),
+                                  run_block(c, real.astype(complex), angles).view(np.uint64))
+    assert np.array_equal(real, np.eye(4)[:, :2])
+
+
 def test_stacked_gate_matrices_must_match_the_block_width():
     c = ParamCircuit(2, (cnot(0, 1), ry(1, ref=0)), 1)
     block = np.eye(4, 2, dtype=complex)
