@@ -28,13 +28,17 @@ with its anti-diagonal (only the first for RZ and PHASE, diagonal by kind);
 a constant's one matrix acts on every column. Both step kinds
 act on each column alone, so a column's result does not depend on B.
 
-The adjoint sweep (measure.adjoint_gradient) walks a circuit back through
-fused units rather than gates: `ParamCircuit.units` groups the gates once,
-each rotation bound to a parameter with the run of constant gates before it,
-so long as their wires number at most MAX_UNIT_WIRES (a unit's matrix is then
-at most 16x16; units as wide as a 6- or 7-qubit register were slower than
-the gates they replaced). On a register of at most MAX_UNIT_WIRES wires
-every unit spans all of it, so the kernel applies it as one matmul.
+A circuit is also a product of fused units: `ParamCircuit.units` groups the
+gates once, each rotation bound to a parameter with the run of constant gates
+before it, so long as their wires number at most MAX_UNIT_WIRES (a unit's
+matrix is then at most 16x16; units as wide as a 6- or 7-qubit register were
+slower than the gates they replaced). `unit_daggers` builds every unit's
+U^dag at a parameter state, and `unit_product` multiplies them out into the
+circuit's dense unitary. The model builds each circuit's units once per
+forward: their product gives its ansatz and probe unitaries, and the adjoint
+sweep (measure.adjoint_gradient) walks the circuit back through the same
+matrices. On a register of at most MAX_UNIT_WIRES wires every unit spans all
+of it, so the kernel applies it as one matmul.
 """
 from __future__ import annotations
 
@@ -208,7 +212,7 @@ class ParamCircuit:
 
     @cached_property
     def units(self) -> _UnitPlan:
-        """The adjoint sweep's fused units, built on first use (_fuse_units)."""
+        """The circuit's fused units, built on first use (_fuse_units)."""
         return _fuse_units(self)
 
     @cached_property
@@ -277,7 +281,7 @@ def _plan_steps(c: ParamCircuit) -> tuple:
 
 
 class _UnitPlan(NamedTuple):
-    """A circuit's gates grouped into the adjoint sweep's units, in gate order.
+    """A circuit's gates grouped into fused units, in gate order.
 
     wires: each unit's wires, the order its matrix indexes them. daggers: a
     constant unit's U^dag, None for a trainable one. Trainable unit i holds
@@ -403,8 +407,8 @@ def _apply_kq(block: np.ndarray, mat: np.ndarray, qubits, n: int,
     out ((2^n, B) complex, not overlapping block) and work (block.size
     complex entries) are allocated when not given; run_block passes both,
     so no gate allocates. It applies every gate that run_block does not
-    gather (ParamCircuit.steps), and every gate of the Hadamard test and the
-    adjoint sweep.
+    gather (ParamCircuit.steps), every gate of the Hadamard test, and every
+    unit of unit_product and the adjoint sweep.
     """
     if out is None:
         out = np.empty(block.shape, dtype=complex)
@@ -460,6 +464,42 @@ def gate_matrices(c: ParamCircuit, angles: np.ndarray) -> list:
         for i, mat in zip(c.table.bound[pos], rotation_matrix(kind, angles[pos])):
             mats[i] = mat
     return mats
+
+
+def unit_daggers(c: ParamCircuit, params) -> list:
+    """U^dag of each unit of c.units at params, in c.units' order.
+
+    A constant unit's is its cached dagger. Each rotation's 2x2 matrix (one
+    rotation_matrix call per kind, over c.table.rotations) acts on the bit of
+    its wire in the rows of its trainable unit's cached fixed part: one
+    batched matmul per unit size and wire place gives the units' U* = R* F*,
+    whose transposes are the U^dag.
+    """
+    angles = effective_angles(c, params)
+    rots = np.empty((len(angles), 2, 2), dtype=complex)
+    for kind, pos in c.table.rotations:
+        rots[pos] = rotation_matrix(kind, angles[pos])
+    rots = rots.conj()[:, None]
+    daggers = list(c.units.daggers)
+    trainable = [u for u, mat in enumerate(daggers) if mat is None]
+    for d, pos, fixed in c.units.groups:
+        for i, mat in zip(pos, np.matmul(rots[pos], fixed).reshape(-1, d, d).transpose(0, 2, 1)):
+            daggers[trainable[i]] = mat
+    return daggers
+
+
+def unit_product(c: ParamCircuit, daggers) -> np.ndarray:
+    """c's dense unitary from unit_daggers' matrices: their product
+    U^dag = U_1^dag ... U_K^dag, built by one kernel call per unit on the
+    identity from the last unit back, then conjugate-transposed. A unit on
+    the whole register is one matmul; a partial one (n > MAX_UNIT_WIRES)
+    acts on its wires."""
+    n = c.n_qubits
+    prod, spare = np.eye(2**n, dtype=complex), np.empty((2**n, 2**n), dtype=complex)
+    work = np.empty(prod.size, dtype=complex)
+    for wires, mat in zip(reversed(c.units.wires), reversed(daggers)):
+        prod, spare = _apply_kq(prod, mat, wires, n, spare, work), prod
+    return np.ascontiguousarray(prod.conj().T)
 
 
 def effective_angles(c: ParamCircuit, params) -> np.ndarray:

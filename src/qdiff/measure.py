@@ -16,10 +16,13 @@ the circuit's fused units (circuit.ParamCircuit.units). A unit is one
 rotation bound to a parameter with the run of fixed gates before it, on at
 most MAX_UNIT_WIRES = 4 wires (a whole register of up to 4 qubits), so
 un-applying it is one kernel call with a matrix of at most 16x16; on the
-model's 4-qubit circuits that is one matmul per trainable gate. Each
-parameterized gate contributes coeff * scale * Re sum_b <lambda_b|dU_i phi_b>
-(the chain rule through angle = offset + scale * param; gates sharing a
-parameter add up), read off the blocks just after its unit; the sweep keeps
+model's 4-qubit circuits that is one matmul per trainable gate. The caller
+passes the units' matrices at its parameter state (circuit.unit_daggers):
+the model hands the sweep the ones its forward built its unitaries from,
+and grad_expectation_wrt_circuit and grad_hadamard_wrt_probe build their
+own. Each parameterized gate contributes
+coeff * scale * Re sum_b <lambda_b|dU_i phi_b> (the chain rule through
+angle = offset + scale * param; gates sharing a parameter add up), read off the blocks just after its unit; the sweep keeps
 those blocks and contracts them with the generators in one batched step per
 KEPT_AMPS amplitudes kept (once per sweep on the model's circuits). Two
 callers set (lambda, coeff), and the sweep also returns C^dag lambda:
@@ -50,8 +53,8 @@ from .circuit import (
     control_embed,
     effective_angles,
     gate_matrices,
-    rotation_matrix,
     run_block,
+    unit_daggers,
 )
 from .circuit import run_with_angles  # unused here; perfbench/spans.py's tracer wraps this name
 from .qcore import StateVector
@@ -198,30 +201,11 @@ def shift_gradient(c: ParamCircuit, params, value, one_sided: bool = False) -> n
     return grad
 
 
-def _unit_daggers(c: ParamCircuit, params) -> list:
-    """U^dag of each trainable unit of c.units at params, in c.table.bound's order.
-
-    Each rotation's 2x2 matrix (one rotation_matrix call per kind, over
-    c.table.rotations) acts on the bit of its wire in the rows of its unit's
-    cached fixed part: one batched matmul per unit size and wire place gives
-    the units' U* = R* F*, whose transposes are the U^dag.
-    """
-    angles = effective_angles(c, params)
-    rots = np.empty((len(angles), 2, 2), dtype=complex)
-    for kind, pos in c.table.rotations:
-        rots[pos] = rotation_matrix(kind, angles[pos])
-    rots = rots.conj()[:, None]
-    daggers = [None] * len(angles)
-    for d, pos, fixed in c.units.groups:
-        for i, mat in zip(pos, np.matmul(rots[pos], fixed).reshape(-1, d, d).transpose(0, 2, 1)):
-            daggers[i] = mat
-    return daggers
-
-
-def adjoint_gradient(c: ParamCircuit, params, phi_out: np.ndarray, bra_out: np.ndarray,
+def adjoint_gradient(c: ParamCircuit, daggers, phi_out: np.ndarray, bra_out: np.ndarray,
                      coeff: float):
     """coeff * Re sum_b <bra_out_b| dC/dparams |phi_in_b> by one reverse sweep.
 
+    daggers are circuit.unit_daggers(c, params), one U^dag per unit of c.units;
     phi_out = C(params) phi_in and bra_out are (2^n, B) blocks. The sweep walks
     back through c.units, one kernel call per unit un-applying its U^dag from
     both blocks at once, each step writing a new slot of a buffer of KEPT_AMPS
@@ -235,8 +219,9 @@ def adjoint_gradient(c: ParamCircuit, params, phi_out: np.ndarray, bra_out: np.n
         raise ValueError(f"expected two ({dim}, B) blocks of the same B, got "
                          f"{phi_out.shape} and {np.shape(bra_out)}")
     plan, b = c.units, phi_out.shape[1]
-    rotated = _unit_daggers(c, params)
-    terms, pending = np.empty(len(rotated)), []
+    if len(daggers) != len(plan.wires):
+        raise ValueError(f"expected {len(plan.wires)} unit matrices, got {len(daggers)}")
+    terms, pending = np.empty(len(c.table.bound)), []
 
     def contract():
         slots, units = np.array(pending, dtype=int).reshape(-1, 2).T
@@ -254,11 +239,10 @@ def adjoint_gradient(c: ParamCircuit, params, phi_out: np.ndarray, bra_out: np.n
     work = np.empty(buf[0].size, dtype=complex)
     s = len(buf) - 1
     np.concatenate([phi_out, bra_out], axis=1, out=buf[s])
-    j = len(rotated)
-    for wires, mat in zip(reversed(plan.wires), reversed(plan.daggers)):
-        if mat is None:  # a trainable unit
+    j = len(terms)
+    for wires, mat, fixed in zip(reversed(plan.wires), reversed(daggers), reversed(plan.daggers)):
+        if fixed is None:  # a trainable unit
             j -= 1
-            mat = rotated[j]
             pending.append((s, j))
         src = s
         if s == 0:
@@ -300,7 +284,7 @@ def grad_expectation_wrt_circuit(
         lam = np.einsum("bij,jb->ib", h, phi_out)
     else:
         raise ValueError(f"expected H of shape ({d}, {d}) or ({b}, {d}, {d}), got {h.shape}")
-    return adjoint_gradient(c, params, phi_out, lam, 2.0)[0]
+    return adjoint_gradient(c, unit_daggers(c, params), phi_out, lam, 2.0)[0]
 
 
 def grad_hadamard_wrt_probe(psi, probe: GlobalProbe, weights=None) -> np.ndarray:
@@ -315,4 +299,4 @@ def grad_hadamard_wrt_probe(psi, probe: GlobalProbe, weights=None) -> np.ndarray
     if w.shape != (block.shape[1],):
         raise ValueError(f"expected {block.shape[1]} weights, got shape {w.shape}")
     phi_out = run_block(c, block, effective_angles(c, probe.params))
-    return adjoint_gradient(c, probe.params, phi_out, block * w, 1.0)[0]
+    return adjoint_gradient(c, unit_daggers(c, probe.params), phi_out, block * w, 1.0)[0]

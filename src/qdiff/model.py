@@ -2,9 +2,13 @@
 
 One batched path serves a (B, 256) block of 16x16 images: a complex linear
 stack on each [image || normalized timestep] row, amplitude encoding onto 4
-qubits, one ansatz run on the (16, B) block of states, K adaptive observables
-plus the probe feature <psi|(U+U^dag)/2|psi>, and a decoder on
-[features || input]. That feature equals the ancilla Hadamard test's
+qubits, the ansatz's dense unitary on each encoded state, K adaptive
+observables plus the probe feature <psi|(U+U^dag)/2|psi>, and a decoder on
+[features || input]. Each forward builds both circuits' fused-unit matrices
+once (circuit.unit_daggers) and multiplies them out into the ansatz's and
+the probe's unitaries; backward's two adjoint sweeps walk back through the
+same matrices. The gate-by-gate circuit.run_block stays the reference for
+the ansatz's output. The probe feature equals the ancilla Hadamard test's
 Re<psi|U|psi>; measure.hadamard_test stays as its reference.
 
 Training minimizes (1-lam) * MSE(prediction, target) + lam * infidelity
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
 import time
@@ -26,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ParamCircuit, build_ansatz, circuit_unitary, effective_angles, run_block
+from .circuit import ParamCircuit, build_ansatz, unit_daggers, unit_product
 from .diffusion import NoiseSchedule, forward_sample, linear_schedule
 from .measure import REAL_TOL, GlobalProbe, adjoint_gradient
 # unused here; perfbench/spans.py's tracer wraps these names
-from .circuit import run_circuit
+from .circuit import circuit_unitary, run_circuit
 from .measure import (
     ano_features,
     grad_expectation_wrt_circuit,
@@ -63,8 +68,11 @@ def leaky_relu(x: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
 
 
 def _per_row(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """w @ x_b for each row x_b of x, one BLAS matrix-vector product per row; matrix
-    products would load OpenBLAS's GEMM kernels and buffer (0.7 MB more peak RSS)."""
+    """w @ x_b for each row x_b of x, one BLAS matrix-vector product per row, so a
+    row's result does not depend on how many rows there are: the forward uses it
+    so that sample_block's rows are its single trajectories bit for bit. A matrix
+    product's blocking could change a row's last bits with B; backward, which
+    needs no such independence, uses matrix products."""
     return (w @ x[..., None])[..., 0]
 
 
@@ -252,19 +260,23 @@ def _encode(model: HybridModel, X: np.ndarray, time_fracs: np.ndarray):
 def forward_trace(model: HybridModel, X, ts):
     """Forward pass over a (B, 256) block at B timesteps in 0..T, keeping the intermediates.
 
-    The ansatz runs once on the (16, B) block of encoded states. The K bank features
+    Each circuit's unit matrices are built once (unit_daggers) and multiplied out
+    into its dense unitary (unit_product); the ansatz's acts on each encoded state
+    alone (_per_row), so row b's output does not depend on B. The K bank features
     and the probe's <psi|(U+U^dag)/2|psi> (the ancilla Hadamard test's Re<psi|U|psi>)
-    are one contraction with the stacked (K+1, 16, 16) Hermitians; the trace keeps
-    the probe's dense U for backward.
+    are one contraction with the stacked (K+1, 16, 16) Hermitians. The trace keeps
+    both circuits' unit matrices and the probe's dense U for backward.
     """
     X = _rows(X, "input")
     t_steps = model.hyper["t_steps"]
     ts = _timesteps(ts, len(X), 0, t_steps)
 
     z, psi_in, r, enc_inputs = _encode(model, X, ts / t_steps)
-    psi_out = run_block(model.ansatz, psi_in.T, effective_angles(model.ansatz, model.theta))
+    ansatz_units = unit_daggers(model.ansatz, model.theta)
+    probe_units = unit_daggers(model.probe.circuit, model.probe.params)
+    psi_out = _per_row(unit_product(model.ansatz, ansatz_units), psi_in).T
     m = model.bank[:, 0] + 1j * model.bank[:, 1]
-    u_probe = circuit_unitary(model.probe.circuit, model.probe.params)
+    u_probe = unit_product(model.probe.circuit, probe_units)
     obs = np.concatenate([0.5 * (m + m.conj().transpose(0, 2, 1)),
                           0.5 * (u_probe + u_probe.conj().T)[None]])
     vals = np.einsum("ib,kij,jb->bk", psi_out.conj(), obs, psi_out)
@@ -284,7 +296,8 @@ def forward_trace(model: HybridModel, X, ts):
     if bad.size:
         raise ValueError(f"non-finite model output (batch index {bad[0]})")
     return h, dict(out=h, z=z, r=r, enc_inputs=enc_inputs, psi_out=psi_out, obs=obs,
-                   u_probe=u_probe, feats=feats, dec_inputs=dec_inputs, pre_acts=pre_acts)
+                   ansatz_units=ansatz_units, probe_units=probe_units, u_probe=u_probe,
+                   feats=feats, dec_inputs=dec_inputs, pre_acts=pre_acts)
 
 
 def forward(model: HybridModel, x_t, t: int) -> np.ndarray:
@@ -363,11 +376,12 @@ def backward(model: HybridModel, batch, lam: float | None = None):
     (param_tensors(model, grad) names its slices).
 
     batch rows are (x_t, t, target) triples with t in 1..T. One forward_trace covers
-    the batch, and the classical stacks backpropagate as (B, .) matmuls. Row b's
-    theta-dependent terms (K features, probe feature, infidelity) form one Hermitian
-    G_b; one adjoint sweep from the forward's output block gives the theta gradient
-    and C^dag G_b psi_b, the encoder's cotangent. One more, from U_p psi_b with the
-    probe unitary U_p that forward_trace kept, gives the probe gradient.
+    the batch, and the classical stacks backpropagate as whole-batch matrix products.
+    Row b's theta-dependent terms (K features, probe feature, infidelity) form one
+    Hermitian G_b; one adjoint sweep from the forward's output block gives the theta
+    gradient and C^dag G_b psi_b, the encoder's cotangent. One more, from U_p psi_b
+    with the probe unitary U_p that forward_trace kept, gives the probe gradient.
+    Both sweeps walk back through the unit matrices the forward built.
     """
     if lam is None:
         lam = trained_setting(model, "lam")
@@ -381,22 +395,22 @@ def backward(model: HybridModel, batch, lam: float | None = None):
     # decoder backprop from the pixel loss
     g = (1.0 - lam) * 2.0 * (tr["out"] - targets) / INPUT_DIM
     for i in reversed(range(len(model.decoder))):
-        grads[f"decoder.{i}.w"] += _per_row(tr["dec_inputs"][i].T, g.T)
+        grads[f"decoder.{i}.w"] += g.T @ tr["dec_inputs"][i]
         grads[f"decoder.{i}.b"] += g.sum(axis=0)
-        g = _per_row(model.decoder[i].w.T, g)
         if i > 0:
-            g = g * np.where(tr["pre_acts"][i - 1] > 0, 1.0, LEAKY_SLOPE)
-    u_feat = g[:, : k + 1]
+            g = (g @ model.decoder[i].w) * np.where(tr["pre_acts"][i - 1] > 0, 1.0, LEAKY_SLOPE)
+    # the first layer's input gradient only on the k + 1 quantum features
+    u_feat = g @ model.decoder[0].w[:, : k + 1]
 
     psi_out, d = tr["psi_out"], LATENT_DIM
     g_mats = (u_feat @ tr["obs"].reshape(k + 1, -1)).reshape(-1, d, d)
     if tgt is not None:
         g_mats -= lam * np.einsum("bi,bj->bij", tgt["psi"], tgt["psi"].conj())
     bra = np.einsum("bij,jb->ib", g_mats, psi_out)
-    d_theta, c_dag_bra = adjoint_gradient(model.ansatz, model.theta, psi_out, bra, 2.0)
+    d_theta, c_dag_bra = adjoint_gradient(model.ansatz, tr["ansatz_units"], psi_out, bra, 2.0)
     grads["theta"] += d_theta
     # the probe feature's Re<psi|U|psi>: one sweep from U psi, bra psi weighted by its cotangent
-    grads["probe"] += adjoint_gradient(model.probe.circuit, model.probe.params,
+    grads["probe"] += adjoint_gradient(model.probe.circuit, tr["probe_units"],
                                        tr["u_probe"] @ psi_out, psi_out * u_feat[:, k], 1.0)[0]
     rank_one = (psi_out.conj().T[:, :, None] * psi_out.T[:, None, :]).reshape(len(X), -1)
     outer = (u_feat[:, :k].T @ rank_one).reshape(k, d, d)
@@ -417,14 +431,14 @@ def backward(model: HybridModel, batch, lam: float | None = None):
     # Im(g) = dL/dIm, a layer's weight gradient is g^T conj(z), its input's g conj(W)
     for i in reversed(range(len(model.encoder))):
         layer = model.encoder[i]
-        gw, gb = _per_row(enc_inputs[i].conj().T, g_z.T), g_z.sum(axis=0)
+        gw, gb = g_z.T @ enc_inputs[i].conj(), g_z.sum(axis=0)
         for part, d in (("w_real", gw.real), ("w_imag", gw.imag), ("b_real", gb.real),
                         ("b_imag", gb.imag)):
             grads[f"encoder.{i}.{part}"] += d
         if i > 0:
-            g_z = _per_row((layer.w_real - 1j * layer.w_imag).T, g_z)
+            g_z = g_z @ (layer.w_real - 1j * layer.w_imag)
 
-    grad /= len(X)
+    grad *= 1.0 / len(X)
     name = _non_finite(model, grad)
     if name is not None:
         raise RuntimeError(f"non-finite gradient in parameter {name}")
@@ -548,7 +562,8 @@ def sample_block(model: HybridModel, seeds) -> np.ndarray:
     """Reverse diffusion of one trajectory per seed over the model's T steps; returns
     (N, T+1, 256) frames, row j being trajectory j's [x_T, ..., x_0].
 
-    Trajectory j draws x_T from default_rng(seeds[j]) and is row j of one (N, 256)
+    Trajectory j draws x_T from default_rng(seeds[j]), seeds[j] an integer >= 0 (a
+    bad seed fails before any work, naming j), and is row j of one (N, 256)
     block, so each step is one forward_trace call and a row's frames do not depend
     on N. The step follows the model's target_mode: x_prev takes the prediction as
     the previous step; eps and x0 form the DDPM posterior mean on the schedule the
@@ -559,6 +574,9 @@ def sample_block(model: HybridModel, seeds) -> np.ndarray:
         raise ValueError(f"unknown target mode {mode!r}")
     if len(seeds) == 0:
         raise ValueError("sample_block needs at least one seed")
+    for j, s in enumerate(seeds):
+        if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 0:
+            raise ValueError(f"seed {s!r} of trajectory {j} is not an integer >= 0")
     t_steps = model.hyper["t_steps"]
     sched = _noise_schedule(model)
     x = np.stack([np.random.default_rng(s).standard_normal(INPUT_DIM) for s in seeds])
@@ -709,8 +727,8 @@ def gradient_audit(model: HybridModel, batch, lam: float | None = None,
     """
     if lam is None:
         lam = trained_setting(model, "lam")
-    if n_probe < 1:
-        raise ValueError("n_probe must be >= 1")
+    if isinstance(n_probe, bool) or not isinstance(n_probe, numbers.Integral) or n_probe < 1:
+        raise ValueError(f"n_probe must be an integer >= 1, got {n_probe!r}")
     if not 0.0 < fd_eps < np.inf:
         raise ValueError("fd_eps must be a finite number > 0")
     if fault_group is not None and fault_group not in PARAM_GROUPS:

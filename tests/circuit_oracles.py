@@ -95,16 +95,16 @@ def random_hermitian(d, rng):
     return m + m.conj().T
 
 
-def random_mixed_circuit(rng, fixed_angles=False):
-    """1-3 qubits, 1-3 parameters shared across RX/RY/RZ/PHASE gates with
-    random scale/offset, interleaved with fixed H, X, CNOT, CZ and controlled-U
-    gates. A controlled-U's payload is a random unitary or a random permutation
-    times random unit phases, so runs of fixed gates with one nonzero entry per
-    row (which run_block applies as one gather-and-scale step) hold X and CU
-    gates too. A PHASE gate is always present so its own shift rule is always
-    exercised. With fixed_angles, about half the rotations carry a fixed
-    angle instead of a parameter."""
-    n = int(rng.integers(1, 4))
+def random_mixed_circuit(rng, fixed_angles=False, n_qubits=None):
+    """1-3 qubits (or n_qubits), 1-3 parameters shared across RX/RY/RZ/PHASE
+    gates with random scale/offset, interleaved with fixed H, X, CNOT, CZ and
+    controlled-U gates. A controlled-U's payload, on one or two wires, is a
+    random unitary or a random permutation times random unit phases, so runs
+    of fixed gates with one nonzero entry per row (which run_block applies as
+    one gather-and-scale step) hold X and CU gates too. A PHASE gate is always
+    present so its own shift rule is always exercised. With fixed_angles,
+    about half the rotations carry a fixed angle instead of a parameter."""
+    n = int(rng.integers(1, 4)) if n_qubits is None else n_qubits
     n_params = int(rng.integers(1, 4))
     gates = []
     for _ in range(int(rng.integers(2, 8))):
@@ -127,8 +127,8 @@ def random_mixed_circuit(rng, fixed_angles=False):
             gates.append(cnot(q, (q + int(rng.integers(1, n))) % n))
         elif pick == 6:
             gates.append(cz(q, (q + int(rng.integers(1, n))) % n))
-        else:  # controlled-U on one wire, or on two when there are three qubits
-            wires = [w for w in rng.permutation(n) if w != q][: int(rng.integers(1, n))]
+        else:  # controlled-U on one wire, or on two when there are three qubits or more
+            wires = [w for w in rng.permutation(n) if w != q][: int(rng.integers(1, min(n, 3)))]
             d = 2 ** len(wires)
             if pick == 7:
                 u, _ = np.linalg.qr(random_hermitian(d, rng))

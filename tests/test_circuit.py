@@ -37,6 +37,8 @@ from qdiff.circuit import (
     rx,
     ry,
     rz,
+    unit_daggers,
+    unit_product,
     vw_block,
     x,
 )
@@ -351,6 +353,19 @@ def test_gather_steps_equal_their_gates_one_at_a_time_at_12_qubits():
             one_at_a_time = _apply_kq(one_at_a_time, mats[i], c.gates[i].targets, 12)
         gathered = block[step.perm] if step.diag is None else step.diag * block[step.perm]
         assert np.max(np.abs(gathered - one_at_a_time)) < 1e-15
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+def test_unit_product_is_the_circuit_unitary(seed, n):
+    """The product of a circuit's unit matrices is its column-by-column unitary, on
+    random circuits with X, monomial and dense CU gates and fixed-angle rotations;
+    beyond MAX_UNIT_WIRES = 4 wires the units span only some of them."""
+    rng = np.random.default_rng(seed)
+    c = random_mixed_circuit(rng, fixed_angles=True, n_qubits=n)
+    params = rng.uniform(0, 2 * np.pi, c.n_params)
+    u = unit_product(c, unit_daggers(c, params))
+    assert np.max(np.abs(u - circuit_unitary(c, params))) < 1e-12
 
 
 @pytest.mark.parametrize("n,layers", [(4, 2), (3, 3), (6, 1), (8, 1)])

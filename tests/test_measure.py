@@ -28,6 +28,7 @@ from qdiff.circuit import (
     run_with_angles,
     rx,
     ry,
+    unit_daggers,
     x,
 )
 from qdiff.measure import (
@@ -320,7 +321,7 @@ def test_block_gradients_equal_sum_of_single_states(seed, b):
     # the sweep's second output is the bra block pulled back through the circuit
     u = circuit_unitary(c, params)
     bra = rng.standard_normal((d, b)) + 1j * rng.standard_normal((d, b))
-    _, pulled = adjoint_gradient(c, params, u @ block, bra, 1.0)
+    _, pulled = adjoint_gradient(c, unit_daggers(c, params), u @ block, bra, 1.0)
     assert np.max(np.abs(pulled - u.conj().T @ bra)) < 1e-12
 
 
@@ -380,8 +381,8 @@ def test_adjoint_gradient_checks_its_blocks(phi_shape, bra_shape):
     c = build_ansatz(2, 1)
     with pytest.raises(ValueError, match=rf"{re.escape(str(phi_shape))} and "
                                          rf"{re.escape(str(bra_shape))}"):
-        adjoint_gradient(c, np.zeros(c.n_params), np.ones(phi_shape, dtype=complex),
-                         np.ones(bra_shape, dtype=complex), 1.0)
+        adjoint_gradient(c, unit_daggers(c, np.zeros(c.n_params)),
+                         np.ones(phi_shape, dtype=complex), np.ones(bra_shape, dtype=complex), 1.0)
 
 
 def test_gradient_callers_reject_mismatched_shapes():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdiff.circuit import run_circuit
+from qdiff.circuit import effective_angles, run_block, run_circuit, unit_daggers
 from qdiff.diffusion import linear_schedule
 from qdiff.measure import (
     AdaptiveObservable,
@@ -26,6 +26,7 @@ from qdiff.model import (
     PARAM_GROUPS,
     AdamState,
     TrainConfig,
+    _encode,
     _group_view,
     adam_step,
     backward,
@@ -155,11 +156,15 @@ def test_forward_trace_matches_manual_composition():
     r = np.linalg.norm(z, axis=1)
     psi_in = StateVector(z[0] / r[0])
 
+    # the circuits' unit products against the gate-by-gate run and the column-by-column
+    # unitary; the rest is built from the trace's state and probe unitary, so it matches bitwise
     psi_out = run_circuit(m.ansatz, psi_in, m.theta)
+    assert np.max(np.abs(tr["psi_out"][:, 0] - psi_out.amps)) < 1e-12
+    probe_part = 0.5 * (tr["u_probe"] + tr["u_probe"].conj().T)
+    assert np.max(np.abs(probe_part - probe_hermitian_part(m.probe))) < 1e-12
     # the bank's Hermitian parts and the probe's (U + U^dag)/2, one contraction
-    obs = np.stack([hermitize(o) for o in reference_bank(m).observables]
-                   + [probe_hermitian_part(m.probe)])
-    col = psi_out.amps[:, None]
+    obs = np.stack([hermitize(o) for o in reference_bank(m).observables] + [probe_part])
+    col = tr["psi_out"]
     feats = np.einsum("ib,kij,jb->bk", col.conj(), obs, col).real
     d = np.concatenate([feats, x_t[None]], axis=1)
     for i, layer in enumerate(m.decoder):
@@ -168,7 +173,6 @@ def test_forward_trace_matches_manual_composition():
             d = leaky_relu(d)
 
     assert np.max(np.abs(out - d)) == 0.0
-    assert np.max(np.abs(tr["psi_out"][:, 0] - psi_out.amps)) == 0.0
     assert np.max(np.abs(tr["feats"] - feats)) == 0.0
     # the probe feature is the ancilla Hadamard test's value
     assert abs(tr["feats"][0, -1] - hadamard_test(psi_out, m.probe)) < 1e-12
@@ -212,6 +216,19 @@ def test_gradient_audit_needs_a_probe(n_probe):
     m = small_model()
     batch = small_batch(np.random.default_rng(3))
     with pytest.raises(ValueError, match="n_probe"):
+        gradient_audit(m, batch, n_probe=n_probe)
+
+
+@pytest.mark.parametrize("n_probe", [2.5, True, "3"])
+def test_gradient_audit_needs_an_integer_probe_count(n_probe, monkeypatch):
+    m = small_model()
+    batch = small_batch(np.random.default_rng(3))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("gradient_audit ran backward")
+
+    monkeypatch.setattr("qdiff.model.backward", no_work)
+    with pytest.raises(ValueError, match=rf"n_probe must be an integer >= 1, got {n_probe!r}"):
         gradient_audit(m, batch, n_probe=n_probe)
 
 
@@ -773,6 +790,24 @@ def test_sample_block_needs_a_seed():
         sample_block(small_model(), [])
 
 
+@pytest.mark.parametrize("seeds, bad", [([1.5], 0), ([4, "a"], 1), ([2, 3, -3], 2),
+                                        ([True], 0), ([5, None], 1)])
+def test_sample_block_checks_each_seed_before_any_work(seeds, bad, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sample_block ran the model")
+
+    monkeypatch.setattr("qdiff.model.forward_trace", no_work)
+    with pytest.raises(ValueError, match=rf"seed .* of trajectory {bad} is not an integer >= 0"):
+        sample_block(small_model(), seeds)
+
+
+def test_sample_block_takes_numpy_integer_seeds_as_their_values():
+    m = small_model(9)
+    want = sample_block(m, [0, 7, 2**40])
+    got = sample_block(m, [np.int64(0), np.uint32(7), np.uint64(2**40)])
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("t_steps", [3, 6, 0])
 def test_sample_refuses_a_chain_length_other_than_the_models(t_steps):
     with pytest.raises(ValueError, match=f"t_steps {t_steps} is not the model's T = 5"):
@@ -808,6 +843,33 @@ def test_forward_trace_rows_match_single_forward_calls():
         oracle = np.concatenate([ano_features(psi, reference_bank(m)),
                                  [hadamard_test(psi, m.probe)]])
         assert np.max(np.abs(tr["feats"][b] - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("b", [1, 3, 8])
+def test_forward_trace_states_match_the_gate_by_gate_run(b):
+    """The ansatz's unit product on each encoded state against run_block on the block."""
+    rng = np.random.default_rng(30 + b)
+    m = small_model(6)
+    X = rng.standard_normal((b, INPUT_DIM))
+    ts = rng.integers(0, 6, b)
+    _, psi_in, _, _ = _encode(m, X, ts / m.hyper["t_steps"])
+    _, tr = forward_trace(m, X, ts)
+    gate_by_gate = run_block(m.ansatz, psi_in.T, effective_angles(m.ansatz, m.theta))
+    assert np.max(np.abs(tr["psi_out"] - gate_by_gate)) < 1e-12
+
+
+def test_backward_builds_each_circuits_units_once(monkeypatch):
+    m = small_model()
+    built = []
+
+    def counting(c, params):
+        built.append(c)
+        return unit_daggers(c, params)
+
+    monkeypatch.setattr("qdiff.model.unit_daggers", counting)
+    backward(m, small_batch(np.random.default_rng(28), n=3), 0.25)
+    assert len(built) == 2
+    assert {id(c) for c in built} == {id(m.ansatz), id(m.probe.circuit)}
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
