@@ -128,7 +128,9 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_fidelities(dim: int, n_pairs: int, seed: int) -> np.ndarray:
-    """Calibration samples |<a|b>|^2 for exact-Haar pairs."""
+    """Calibration samples |<a|b>|^2 for exact-Haar pairs, n_pairs an integer >= 1."""
+    if isinstance(n_pairs, bool) or not isinstance(n_pairs, numbers.Integral) or n_pairs < 1:
+        raise ValueError(f"n_pairs must be an integer >= 1, got {n_pairs!r}")
     rng = np.random.default_rng(seed)
     out = np.empty(n_pairs)
     for i in range(n_pairs):

@@ -33,12 +33,13 @@ gates once, each rotation bound to a parameter with the run of constant gates
 before it, so long as their wires number at most MAX_UNIT_WIRES (a unit's
 matrix is then at most 16x16; units as wide as a 6- or 7-qubit register were
 slower than the gates they replaced). `unit_daggers` builds every unit's
-U^dag at a parameter state, and `unit_product` multiplies them out into the
-circuit's dense unitary. The model builds each circuit's units once per
-forward: their product gives its ansatz and probe unitaries, and the adjoint
-sweep (measure.adjoint_gradient) walks the circuit back through the same
-matrices. On a register of at most MAX_UNIT_WIRES wires every unit spans all
-of it, so the kernel applies it as one matmul.
+U^dag at a parameter state, a trainable one's as alpha A + beta B from two
+cached matrices, and `unit_suffixes` multiplies them out into the stack of
+the circuit's suffix products, whose first entry is its U^dag. The model
+builds each circuit's stack once per forward: it runs the circuit, and the
+adjoint gradient (measure.adjoint_gradient) reads every unit's states from
+it. On a register of at most MAX_UNIT_WIRES wires every unit spans all of
+it, so the kernel applies it as one matmul.
 """
 from __future__ import annotations
 
@@ -70,7 +71,10 @@ _GENERATORS = {
     "RZ": -0.5j * PAULI_Z,
     "PHASE": np.diag([0.0, 1.0j]),
 }
-MAX_UNIT_WIRES = 4  # the adjoint sweep's widest fused unit (see the module docstring)
+# R(a) = cos(a/2) I - i sin(a/2) P; PHASE, diag(1, e^{ia}), mixes I and Z
+_PAULIS = {"RX": PAULI_X, "RY": PAULI_Y, "RZ": PAULI_Z, "PHASE": PAULI_Z}
+MAX_UNIT_WIRES = 4  # the widest fused unit (see the module docstring)
+SUFFIX_BYTES = 2**27  # unit_suffixes' largest stack, 128 MiB: 127 units at n = 8
 
 
 @dataclass(frozen=True)
@@ -286,16 +290,17 @@ class _UnitPlan(NamedTuple):
     wires: each unit's wires, the order its matrix indexes them. daggers: a
     constant unit's U^dag, None for a trainable one. Trainable unit i holds
     bound gate table.bound[i] last; for these:
-    groups: per unit size D and place p of the rotation's wire among the unit's,
-      (D, the units, their fixed parts' conjugates F* shaped (m, 2^p, 2, R) so
-      that axis 2 is that wire's bit of the row and a matmul by R* acts on it).
+    trainable: (m,) each one's place in wires.
+    terms: per unit size D, (their places among the m, A = F^dag, B = F^dag P),
+      the last two (m_D, D, D); F is the fixed part, P the rotation's _PAULIS.
     lead: (m, 2^n) row orders that put each rotation's wire first in a block.
     generators: (m, 2, 2), each rotation's G with dU/da = G U.
     """
 
     wires: tuple
     daggers: tuple
-    groups: tuple
+    trainable: np.ndarray
+    terms: tuple
     lead: np.ndarray
     generators: np.ndarray
 
@@ -306,9 +311,9 @@ def _fuse_units(c: ParamCircuit) -> _UnitPlan:
     more gate would take it past MAX_UNIT_WIRES wires, or at the circuit's end.
 
     A unit acts on the whole register when that has at most MAX_UNIT_WIRES wires,
-    else on its gates' wires in ascending order. Its fixed part is multiplied out
-    here, once, by applying its gates' table.constants in order to the identity
-    on the unit's wires.
+    else on its gates' wires in ascending order. Its fixed part F is multiplied
+    out here, once, by applying its gates' table.constants in order to the
+    identity on the unit's wires.
     """
     n = c.n_qubits
     runs, run = [], []
@@ -323,7 +328,7 @@ def _fuse_units(c: ParamCircuit) -> _UnitPlan:
     if run:
         runs.append(run)
 
-    wires, daggers, groups, lead, gens = [], [], {}, [], []
+    wires, daggers, trainable, terms, lead, gens = [], [], [], {}, [], []
     for run in runs:
         w = tuple(range(n)) if n <= MAX_UNIT_WIRES else tuple(
             sorted({t for i in run for t in c.gates[i].targets}))
@@ -339,14 +344,15 @@ def _fuse_units(c: ParamCircuit) -> _UnitPlan:
             continue
         daggers.append(None)
         (q,) = rot.targets
-        d, p = len(fixed), at[q]
-        group = groups.setdefault((d, p), ([], []))
-        group[0].append(len(lead))
-        group[1].append(fixed.conj().reshape(2**p, 2, -1))
+        places, a, b = terms.setdefault(len(fixed), ([], [], []))
+        places.append(len(trainable))
+        a.append(fixed.conj().T)
+        b.append(_apply_kq(fixed, _PAULIS[rot.kind], (at[q],), len(w)).conj().T)  # (P F)^dag
+        trainable.append(len(wires) - 1)
         lead.append(np.arange(2**n).reshape(2**q, 2, -1).transpose(1, 0, 2).ravel())
         gens.append(_GENERATORS[rot.kind])
-    return _UnitPlan(tuple(wires), tuple(daggers),
-                     tuple((d, np.array(u), np.array(f)) for (d, _), (u, f) in groups.items()),
+    return _UnitPlan(tuple(wires), tuple(daggers), np.array(trainable, dtype=int),
+                     tuple((np.array(p), np.array(a), np.array(b)) for p, a, b in terms.values()),
                      np.array(lead, dtype=int).reshape(len(lead), 2**n),
                      np.array(gens, dtype=complex).reshape(len(gens), 2, 2))
 
@@ -408,7 +414,7 @@ def _apply_kq(block: np.ndarray, mat: np.ndarray, qubits, n: int,
     complex entries) are allocated when not given; run_block passes both,
     so no gate allocates. It applies every gate that run_block does not
     gather (ParamCircuit.steps), every gate of the Hadamard test, and every
-    unit of unit_product and the adjoint sweep.
+    unit of unit_suffixes.
     """
     if out is None:
         out = np.empty(block.shape, dtype=complex)
@@ -469,37 +475,46 @@ def gate_matrices(c: ParamCircuit, angles: np.ndarray) -> list:
 def unit_daggers(c: ParamCircuit, params) -> list:
     """U^dag of each unit of c.units at params, in c.units' order.
 
-    A constant unit's is its cached dagger. Each rotation's 2x2 matrix (one
-    rotation_matrix call per kind, over c.table.rotations) acts on the bit of
-    its wire in the rows of its trainable unit's cached fixed part: one
-    batched matmul per unit size and wire place gives the units' U* = R* F*,
-    whose transposes are the U^dag.
+    A constant unit's is its cached dagger. A trainable unit's U = R F, its
+    rotation after its fixed part, so U^dag = F^dag R^dag = alpha A + beta B
+    with R^dag = alpha I + beta P: alpha = cos(a/2) and beta = i sin(a/2), or
+    (1 +- e^{-ia})/2 for PHASE. That is one expression per unit size.
     """
     angles = effective_angles(c, params)
-    rots = np.empty((len(angles), 2, 2), dtype=complex)
+    half = angles / 2.0
+    alpha, beta = np.cos(half) + 0j, 1j * np.sin(half)
     for kind, pos in c.table.rotations:
-        rots[pos] = rotation_matrix(kind, angles[pos])
-    rots = rots.conj()[:, None]
-    daggers = list(c.units.daggers)
-    trainable = [u for u, mat in enumerate(daggers) if mat is None]
-    for d, pos, fixed in c.units.groups:
-        for i, mat in zip(pos, np.matmul(rots[pos], fixed).reshape(-1, d, d).transpose(0, 2, 1)):
-            daggers[trainable[i]] = mat
+        if kind == "PHASE":
+            turn = np.exp(-1j * angles[pos])
+            alpha[pos], beta[pos] = (1 + turn) / 2, (1 - turn) / 2
+    plan = c.units
+    daggers = list(plan.daggers)
+    for places, a, b in plan.terms:
+        mats = alpha[places, None, None] * a + beta[places, None, None] * b
+        for u, mat in zip(plan.trainable[places], mats):
+            daggers[u] = mat
     return daggers
 
 
-def unit_product(c: ParamCircuit, daggers) -> np.ndarray:
-    """c's dense unitary from unit_daggers' matrices: their product
-    U^dag = U_1^dag ... U_K^dag, built by one kernel call per unit on the
-    identity from the last unit back, then conjugate-transposed. A unit on
-    the whole register is one matmul; a partial one (n > MAX_UNIT_WIRES)
-    acts on its wires."""
-    n = c.n_qubits
-    prod, spare = np.eye(2**n, dtype=complex), np.empty((2**n, 2**n), dtype=complex)
-    work = np.empty(prod.size, dtype=complex)
-    for wires, mat in zip(reversed(c.units.wires), reversed(daggers)):
-        prod, spare = _apply_kq(prod, mat, wires, n, spare, work), prod
-    return np.ascontiguousarray(prod.conj().T)
+def unit_suffixes(c: ParamCircuit, daggers) -> np.ndarray:
+    """The (K+1, 2^n, 2^n) stack S[k] = U_{k+1}^dag ... U_K^dag of unit_daggers'
+    K matrices, unit k of c.units counted from 1: S[K] = I, S[0] = U^dag, and S[k]
+    maps the circuit's output to its state just after unit k. S[k-1] is one kernel
+    call of U_k^dag on S[k]. The dense stack is refused past SUFFIX_BYTES.
+    """
+    n, k = c.n_qubits, len(c.units.wires)
+    if len(daggers) != k:
+        raise ValueError(f"expected {k} unit matrices, got {len(daggers)}")
+    size = (k + 1) * 16 * 4**n
+    if size > SUFFIX_BYTES:
+        raise ValueError(f"{k + 1} suffix products on {n} qubits take {size} bytes, "
+                         f"past SUFFIX_BYTES = {SUFFIX_BYTES}")
+    stack = np.empty((k + 1, 2**n, 2**n), dtype=complex)
+    stack[k] = np.eye(2**n)
+    work = np.empty(4**n, dtype=complex)
+    for u in range(k, 0, -1):
+        _apply_kq(stack[u], daggers[u - 1], c.units.wires[u - 1], n, stack[u - 1], work)
+    return stack
 
 
 def effective_angles(c: ParamCircuit, params) -> np.ndarray:

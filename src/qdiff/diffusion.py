@@ -7,11 +7,18 @@ form. Timesteps are 1-based: t runs over 1..T.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .qcore import DensityMatrix
+
+
+def _check_timestep(t, t_max: int) -> None:
+    """Timesteps are integers in 1..t_max; a bool or a float such as 1.5 is refused."""
+    if isinstance(t, bool) or not isinstance(t, numbers.Integral) or not 1 <= t <= t_max:
+        raise ValueError(f"timestep {t!r} is not an integer in 1..{t_max}")
 
 
 @dataclass(frozen=True)
@@ -26,8 +33,8 @@ class NoiseSchedule:
         betas = np.asarray(self.betas, dtype=float)
         if betas.ndim != 1 or len(betas) < 1:
             raise ValueError("betas must be a non-empty 1-d vector")
-        if np.any(betas <= 0) or np.any(betas >= 1):
-            raise ValueError("every beta_t must lie in (0, 1)")
+        if not np.all((betas > 0) & (betas < 1)):  # a NaN fails both comparisons
+            raise ValueError("every beta_t must be a finite number in (0, 1)")
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "alphas", 1.0 - betas)
         object.__setattr__(self, "alpha_bars", np.cumprod(1.0 - betas))
@@ -37,16 +44,12 @@ class NoiseSchedule:
         return len(self.betas)
 
     def beta(self, t: int) -> float:
-        self._check_t(t)
+        _check_timestep(t, self.t_max)
         return float(self.betas[t - 1])
 
     def alpha_bar(self, t: int) -> float:
-        self._check_t(t)
+        _check_timestep(t, self.t_max)
         return float(self.alpha_bars[t - 1])
-
-    def _check_t(self, t: int) -> None:
-        if not 1 <= t <= self.t_max:
-            raise ValueError(f"timestep {t} outside 1..{self.t_max}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,8 @@ class DepolSchedule:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or len(probs) < 1:
             raise ValueError("probs must be a non-empty 1-d vector")
-        if np.any(probs < 0) or np.any(probs > 1):
-            raise ValueError("every p_t must lie in [0, 1]")
+        if not np.all((probs >= 0) & (probs <= 1)):  # a NaN fails both comparisons
+            raise ValueError("every p_t must be a finite number in [0, 1]")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "alpha_prods", np.cumprod(1.0 - probs))
 
@@ -70,8 +73,7 @@ class DepolSchedule:
         return len(self.probs)
 
     def alpha(self, t: int) -> float:
-        if not 1 <= t <= self.t_max:
-            raise ValueError(f"timestep {t} outside 1..{self.t_max}")
+        _check_timestep(t, self.t_max)
         return float(self.alpha_prods[t - 1])
 
 

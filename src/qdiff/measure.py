@@ -9,30 +9,27 @@ GlobalProbe adds Re<psi|U(theta)|psi>, which the model reads as <psi|(U+U^dag)/2
 (probe_hermitian_part); the ancilla Hadamard test, hadamard_test, is its reference.
 
 Gradient routes: a feature is linear in its observable's matrix M, so the
-bank needs no rule. Every circuit angle is differentiated by one adjoint
-sweep (Jones & Gacon, arXiv:2009.02823), adjoint_gradient: the circuit's
-output block phi and a bra block lambda are walked back together through
-the circuit's fused units (circuit.ParamCircuit.units). A unit is one
-rotation bound to a parameter with the run of fixed gates before it, on at
-most MAX_UNIT_WIRES = 4 wires (a whole register of up to 4 qubits), so
-un-applying it is one kernel call with a matrix of at most 16x16; on the
-model's 4-qubit circuits that is one matmul per trainable gate. The caller
-passes the units' matrices at its parameter state (circuit.unit_daggers):
-the model hands the sweep the ones its forward built its unitaries from,
-and grad_expectation_wrt_circuit and grad_hadamard_wrt_probe build their
-own. Each parameterized gate contributes
-coeff * scale * Re sum_b <lambda_b|dU_i phi_b> (the chain rule through
-angle = offset + scale * param; gates sharing a parameter add up), read off the blocks just after its unit; the sweep keeps
-those blocks and contracts them with the generators in one batched step per
-KEPT_AMPS amplitudes kept (once per sweep on the model's circuits). Two
-callers set (lambda, coeff), and the sweep also returns C^dag lambda:
+bank needs no rule. Every circuit angle is differentiated by the adjoint
+method (Jones & Gacon, arXiv:2009.02823), adjoint_gradient, over the
+circuit's fused units (circuit.ParamCircuit.units): a unit is one rotation
+bound to a parameter with the run of fixed gates before it, on at most
+MAX_UNIT_WIRES = 4 wires. The caller passes the circuit's suffix products
+at its parameter state (circuit.unit_suffixes): the model hands over the
+stacks its forward ran the circuits with, and grad_expectation_wrt_circuit
+and grad_hadamard_wrt_probe build their own. The suffix product after a
+unit maps the output block phi and a bra block lambda back to just after it,
+all units in one batched product. Each
+parameterized gate contributes coeff * scale * Re sum_b <lambda_b|dU_i phi_b>
+there (the chain rule through angle = offset + scale * param; gates sharing
+a parameter add up), all in one contraction with the generators. Two callers
+set (lambda, coeff), and adjoint_gradient also returns C^dag lambda:
   * two-sided <psi(theta)|H|psi(theta)> (ansatz angles): lambda = H C psi,
     coeff = 2;
   * one-sided Re<psi|U(phi)|psi> (probe angles): lambda = psi, coeff = 1.
-Both take a (2^n, B) block of states, so one sweep serves a whole batch.
+Both take a (2^n, B) block of states, so one call serves a whole batch.
 
 The parameter-shift rule, shift_gradient, and the ancilla Hadamard test are
-the slow, circuit-level references the adjoint sweep is tested against. A
+the slow, circuit-level references the adjoint gradient is tested against. A
 gate's resolved angle a is moved to a +- s and the parameter picks up
 c * (value(a + s) - value(a - s)) times the gate's scale:
   * two-sided: s = pi/2, c = 1/2 for every rotation kind, PHASE included;
@@ -55,12 +52,12 @@ from .circuit import (
     gate_matrices,
     run_block,
     unit_daggers,
+    unit_suffixes,
 )
 from .circuit import run_with_angles  # unused here; perfbench/spans.py's tracer wraps this name
 from .qcore import StateVector
 
 REAL_TOL = 1e-10
-KEPT_AMPS = 2**14  # the adjoint sweep's kept blocks between contractions (256 KB)
 
 
 @dataclass(frozen=True)
@@ -201,60 +198,34 @@ def shift_gradient(c: ParamCircuit, params, value, one_sided: bool = False) -> n
     return grad
 
 
-def adjoint_gradient(c: ParamCircuit, daggers, phi_out: np.ndarray, bra_out: np.ndarray,
-                     coeff: float):
-    """coeff * Re sum_b <bra_out_b| dC/dparams |phi_in_b> by one reverse sweep.
+def adjoint_gradient(c: ParamCircuit, suffixes: np.ndarray, phi_out: np.ndarray,
+                     bra_out: np.ndarray, coeff: float):
+    """coeff * Re sum_b <bra_out_b| dC/dparams |phi_in_b> from the circuit's suffix products.
 
-    daggers are circuit.unit_daggers(c, params), one U^dag per unit of c.units;
-    phi_out = C(params) phi_in and bra_out are (2^n, B) blocks. The sweep walks
-    back through c.units, one kernel call per unit un-applying its U^dag from
-    both blocks at once, each step writing a new slot of a buffer of KEPT_AMPS
-    amplitudes. Just after a trainable unit, whose rotation U_i comes last,
-    <lambda|dU_i phi_before> = <lambda|G_i phi> with dU_i = G_i U_i; those slots
-    stay until the buffer is full, and then all their <lambda|G_i phi> are one
-    batched contraction. Returns (grad, C^dag bra_out).
+    suffixes is circuit.unit_suffixes' stack at params, S[k] = U_{k+1}^dag ... U_K^dag
+    over c.units; phi_out = C(params) phi_in and bra_out are (2^n, B) blocks. S[k]
+    walks both blocks back to just after unit k, so every trainable unit's pair is
+    one batched product S[k] @ [phi_out | bra_out]. A trainable unit's rotation U_i
+    comes last, so <lambda|dU_i phi_before> = <lambda|G_i phi> with dU_i = G_i U_i,
+    and all of those are one contraction. Returns (grad, C^dag bra_out = S[0] bra_out).
     """
-    n, dim = c.n_qubits, 2**c.n_qubits
+    dim = 2**c.n_qubits
     if phi_out.ndim != 2 or phi_out.shape[0] != dim or np.shape(bra_out) != phi_out.shape:
         raise ValueError(f"expected two ({dim}, B) blocks of the same B, got "
                          f"{phi_out.shape} and {np.shape(bra_out)}")
     plan, b = c.units, phi_out.shape[1]
-    if len(daggers) != len(plan.wires):
-        raise ValueError(f"expected {len(plan.wires)} unit matrices, got {len(daggers)}")
-    terms, pending = np.empty(len(c.table.bound)), []
-
-    def contract():
-        slots, units = np.array(pending, dtype=int).reshape(-1, 2).T
-        # the kept blocks [phi | lambda], rows reordered so each rotation's wire leads
-        g = buf[slots[:, None], plan.lead[units]].reshape(len(units), 2, dim // 2, 2 * b)
-        lam = np.conjugate(g[..., b:], out=g[..., b:])
-        overlaps = np.einsum("maxb,mcxb->mac", lam, g[..., :b])  # sum conj(lambda_a) phi_c
-        terms[units] = (plan.generators[units] * overlaps).sum(axis=(1, 2)).real
-        pending.clear()
-
-    # one slot per unit up to KEPT_AMPS; slot s holds the blocks after a unit, and
-    # the step before it writes slot s - 1 (the top slot again after contracting)
-    buf = np.empty((min(len(plan.wires), max(1, KEPT_AMPS // (2 * b * dim))) + 1, dim, 2 * b),
-                   dtype=complex)
-    work = np.empty(buf[0].size, dtype=complex)
-    s = len(buf) - 1
-    np.concatenate([phi_out, bra_out], axis=1, out=buf[s])
-    j = len(terms)
-    for wires, mat, fixed in zip(reversed(plan.wires), reversed(daggers), reversed(plan.daggers)):
-        if fixed is None:  # a trainable unit
-            j -= 1
-            pending.append((s, j))
-        src = s
-        if s == 0:
-            contract()
-            s = len(buf)
-        _apply_kq(buf[src], mat, wires, n, buf[s - 1], work)
-        s -= 1
-    if pending:
-        contract()
+    if suffixes.shape != (len(plan.wires) + 1, dim, dim):
+        raise ValueError(f"expected ({len(plan.wires) + 1}, {dim}, {dim}) suffix products, "
+                         f"got {suffixes.shape}")
+    after = np.matmul(suffixes[1:], np.concatenate([phi_out, bra_out], axis=1))
+    # each trainable unit's [phi | lambda], rows reordered so its rotation's wire leads
+    g = after[plan.trainable[:, None], plan.lead].reshape(len(plan.trainable), 2, dim // 2, 2 * b)
+    lam = np.conjugate(g[..., b:], out=g[..., b:])
+    overlaps = np.einsum("maxb,mcxb->mac", lam, g[..., :b])  # sum conj(lambda_a) phi_c
+    terms = (plan.generators * overlaps).sum(axis=(1, 2)).real
     t = c.table
     grad = coeff * np.bincount(t.refs, weights=t.scales[:, 0] * terms, minlength=c.n_params)
-    return grad, buf[s][:, b:].copy()
+    return grad, suffixes[0] @ bra_out
 
 
 def _as_block(psi, n_qubits: int) -> np.ndarray:
@@ -284,7 +255,7 @@ def grad_expectation_wrt_circuit(
         lam = np.einsum("bij,jb->ib", h, phi_out)
     else:
         raise ValueError(f"expected H of shape ({d}, {d}) or ({b}, {d}, {d}), got {h.shape}")
-    return adjoint_gradient(c, unit_daggers(c, params), phi_out, lam, 2.0)[0]
+    return adjoint_gradient(c, unit_suffixes(c, unit_daggers(c, params)), phi_out, lam, 2.0)[0]
 
 
 def grad_hadamard_wrt_probe(psi, probe: GlobalProbe, weights=None) -> np.ndarray:
@@ -299,4 +270,5 @@ def grad_hadamard_wrt_probe(psi, probe: GlobalProbe, weights=None) -> np.ndarray
     if w.shape != (block.shape[1],):
         raise ValueError(f"expected {block.shape[1]} weights, got shape {w.shape}")
     phi_out = run_block(c, block, effective_angles(c, probe.params))
-    return adjoint_gradient(c, unit_daggers(c, probe.params), phi_out, block * w, 1.0)[0]
+    suffixes = unit_suffixes(c, unit_daggers(c, probe.params))
+    return adjoint_gradient(c, suffixes, phi_out, block * w, 1.0)[0]

@@ -5,18 +5,19 @@ stack on each [image || normalized timestep] row, amplitude encoding onto 4
 qubits, the ansatz's dense unitary on each encoded state, K adaptive
 observables plus the probe feature <psi|(U+U^dag)/2|psi>, and a decoder on
 [features || input]. Each forward builds both circuits' fused-unit matrices
-once (circuit.unit_daggers) and multiplies them out into the ansatz's and
-the probe's unitaries; backward's two adjoint sweeps walk back through the
-same matrices. The gate-by-gate circuit.run_block stays the reference for
-the ansatz's output. The probe feature equals the ancilla Hadamard test's
-Re<psi|U|psi>; measure.hadamard_test stays as its reference.
+once (circuit.unit_daggers) into their suffix products (circuit.unit_suffixes),
+whose first entry gives the ansatz's and the probe's unitaries; backward's two
+adjoint gradients read the same stacks. The gate-by-gate circuit.run_block
+stays the reference for the ansatz's output. The probe feature equals the
+ancilla Hadamard test's Re<psi|U|psi>; measure.hadamard_test stays as its
+reference.
 
 Training minimizes (1-lam) * MSE(prediction, target) + lam * infidelity
 between the post-ansatz state and the amplitude-encoded latent of the target.
 Gradients are exact: (B, .) matmuls through the classical stacks and the
-amplitude normalization, one adjoint sweep each for the ansatz (it also pulls
-the encoder's cotangent back) and the probe angles, and the linear rule for
-observable entries.
+amplitude normalization, one adjoint gradient each for the ansatz (it also
+pulls the encoder's cotangent back) and the probe angles, and the linear rule
+for observable entries.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ParamCircuit, build_ansatz, unit_daggers, unit_product
+from .circuit import ParamCircuit, build_ansatz, unit_daggers, unit_suffixes
 from .diffusion import NoiseSchedule, forward_sample, linear_schedule
 from .measure import REAL_TOL, GlobalProbe, adjoint_gradient
 # unused here; perfbench/spans.py's tracer wraps these names
@@ -258,28 +259,34 @@ def _encode(model: HybridModel, X: np.ndarray, time_fracs: np.ndarray):
 
 
 def forward_trace(model: HybridModel, X, ts):
-    """Forward pass over a (B, 256) block at B timesteps in 0..T, keeping the intermediates.
-
-    Each circuit's unit matrices are built once (unit_daggers) and multiplied out
-    into its dense unitary (unit_product); the ansatz's acts on each encoded state
-    alone (_per_row), so row b's output does not depend on B. The K bank features
-    and the probe's <psi|(U+U^dag)/2|psi> (the ancilla Hadamard test's Re<psi|U|psi>)
-    are one contraction with the stacked (K+1, 16, 16) Hermitians. The trace keeps
-    both circuits' unit matrices and the probe's dense U for backward.
-    """
+    """Forward pass over a (B, 256) block at B timesteps in 0..T, keeping the intermediates
+    (_trace gives the part after the encoder)."""
     X = _rows(X, "input")
     t_steps = model.hyper["t_steps"]
     ts = _timesteps(ts, len(X), 0, t_steps)
+    return _trace(model, X, *_encode(model, X, ts / t_steps))
 
-    z, psi_in, r, enc_inputs = _encode(model, X, ts / t_steps)
-    ansatz_units = unit_daggers(model.ansatz, model.theta)
-    probe_units = unit_daggers(model.probe.circuit, model.probe.params)
-    psi_out = _per_row(unit_product(model.ansatz, ansatz_units), psi_in).T
+
+def _trace(model: HybridModel, X, z, psi_in, r, enc_inputs):
+    """forward_trace from _encode's rows of X on: (output, trace).
+
+    Each circuit's unit matrices are built once (unit_daggers) into its suffix
+    stack (unit_suffixes), whose S[0] is its U^dag; the ansatz's U acts on each
+    encoded state alone (_per_row), so row b's output does not depend on B. The K
+    bank features and the probe's <psi|(U+U^dag)/2|psi> (the ancilla Hadamard
+    test's Re<psi|U|psi>) are one per-row product with the stacked (K+1, 16, 16)
+    Hermitians, summed against the conjugated row. backward reads both stacks.
+    """
+    ansatz = unit_suffixes(model.ansatz, unit_daggers(model.ansatz, model.theta))
+    probe = unit_suffixes(model.probe.circuit,
+                          unit_daggers(model.probe.circuit, model.probe.params))
+    rows = _per_row(np.ascontiguousarray(ansatz[0].conj().T), psi_in)
     m = model.bank[:, 0] + 1j * model.bank[:, 1]
-    u_probe = unit_product(model.probe.circuit, probe_units)
+    u_probe = np.ascontiguousarray(probe[0].conj().T)
     obs = np.concatenate([0.5 * (m + m.conj().transpose(0, 2, 1)),
-                          0.5 * (u_probe + u_probe.conj().T)[None]])
-    vals = np.einsum("ib,kij,jb->bk", psi_out.conj(), obs, psi_out)
+                          0.5 * (u_probe + probe[0])[None]])
+    each = _per_row(obs.reshape(-1, LATENT_DIM), rows).reshape(len(X), -1, LATENT_DIM)
+    vals = np.sum(rows.conj()[:, None] * each, axis=2)
     if np.max(np.abs(vals.imag)) > REAL_TOL:
         raise ValueError(f"expectation has imaginary residue {np.max(np.abs(vals.imag)):.3e}")
     feats = vals.real
@@ -295,9 +302,9 @@ def forward_trace(model: HybridModel, X, ts):
     bad = np.flatnonzero(~np.all(np.isfinite(h), axis=1))
     if bad.size:
         raise ValueError(f"non-finite model output (batch index {bad[0]})")
-    return h, dict(out=h, z=z, r=r, enc_inputs=enc_inputs, psi_out=psi_out, obs=obs,
-                   ansatz_units=ansatz_units, probe_units=probe_units, u_probe=u_probe,
-                   feats=feats, dec_inputs=dec_inputs, pre_acts=pre_acts)
+    return h, dict(out=h, z=z, r=r, enc_inputs=enc_inputs, psi_out=rows.T, obs=obs,
+                   ansatz_suffixes=ansatz, probe_suffixes=probe, u_probe=u_probe, feats=feats,
+                   dec_inputs=dec_inputs, pre_acts=pre_acts)
 
 
 def forward(model: HybridModel, x_t, t: int) -> np.ndarray:
@@ -310,23 +317,29 @@ def _batch_loss(model: HybridModel, X, ts, targets, lam: float):
     """The mixed objective, mean over rows of (1-lam) * MSE + lam * infidelity.
 
     Timesteps are integers in 1..T; the infidelity compares the ansatz output with
-    the encoded target at time (t-1)/T and is skipped at lam = 0. Returns (loss,
-    mse rows, infidelity rows, forward trace, target trace or None).
+    the encoded target at time (t-1)/T and is skipped at lam = 0, else the inputs
+    and targets share one per-row encoder pass over 2B rows. Returns (loss, mse
+    rows, infidelity rows, forward trace, target trace or None), the target
+    trace's z, r and enc_inputs holding all 2B rows, inputs first.
     """
     _check_lam(lam)
+    X = _rows(X, "input")
     t_steps = model.hyper["t_steps"]
     ts = _timesteps(ts, len(X), 1, t_steps)
-    out, tr = forward_trace(model, X, ts)
     targets = _rows(targets, "target")
+    b = len(X)
+    rows, steps = ((X, ts) if lam == 0.0
+                   else (np.concatenate([X, targets]), np.concatenate([ts, ts - 1])))
+    z, psi, r, inputs = _encode(model, rows, steps / t_steps)
+    out, tr = _trace(model, X, z[:b], psi[:b], r[:b], [a[:b] for a in inputs])
     diff = out - targets
     mse = np.mean(diff * diff, axis=1)
-    infid = np.zeros(len(out))
+    infid = np.zeros(b)
     tgt = None
     if lam > 0.0:
-        z, psi, r, inputs = _encode(model, targets, (ts - 1) / t_steps)
-        overlap = np.sum(psi.conj() * tr["psi_out"].T, axis=1)
+        overlap = np.sum(psi[b:].conj() * tr["psi_out"].T, axis=1)
         infid = 1.0 - np.minimum(np.abs(overlap) ** 2, 1.0)
-        tgt = {"z": z, "psi": psi, "r": r, "enc_inputs": inputs, "overlap": overlap}
+        tgt = {"z": z, "psi": psi[b:], "r": r, "enc_inputs": inputs, "overlap": overlap}
     total = float(np.mean((1.0 - lam) * mse + lam * infid))
     return total, mse, infid, tr, tgt
 
@@ -359,12 +372,6 @@ def _stack_batch(batch):
     return np.array(x_rows, dtype=float), ts, np.array(targets, dtype=float)
 
 
-def _normalize_backward(z: np.ndarray, r: np.ndarray, g_psi: np.ndarray) -> np.ndarray:
-    """Cotangent of the rows z from that of psi = z / |z|."""
-    radial = np.sum(z.conj() * g_psi, axis=1).real
-    return g_psi / r[:, None] - z * (radial / r**3)[:, None]
-
-
 def _non_finite(model: HybridModel, vec: np.ndarray) -> str | None:
     """The name of the first table tensor whose slice of vec is not all finite, or None."""
     if not np.all(np.isfinite(vec)):
@@ -375,28 +382,28 @@ def backward(model: HybridModel, batch, lam: float | None = None):
     """Mean loss over the batch and its flat gradient, laid out like model.params
     (param_tensors(model, grad) names its slices).
 
-    batch rows are (x_t, t, target) triples with t in 1..T. One forward_trace covers
+    batch rows are (x_t, t, target) triples with t in 1..T. One forward pass covers
     the batch, and the classical stacks backpropagate as whole-batch matrix products.
     Row b's theta-dependent terms (K features, probe feature, infidelity) form one
-    Hermitian G_b; one adjoint sweep from the forward's output block gives the theta
-    gradient and C^dag G_b psi_b, the encoder's cotangent. One more, from U_p psi_b
-    with the probe unitary U_p that forward_trace kept, gives the probe gradient.
-    Both sweeps walk back through the unit matrices the forward built.
+    Hermitian G_b; one adjoint gradient from the forward's output block gives the
+    theta gradient and C^dag G_b psi_b, the encoder's cotangent. One more, from
+    U_p psi_b with the probe unitary U_p, gives the probe gradient. Both read the
+    suffix stacks the forward built, and each gradient tensor is written once.
     """
     if lam is None:
         lam = trained_setting(model, "lam")
     X, ts, targets = _stack_batch(batch)
     total, _, _, tr, tgt = _batch_loss(model, X, ts, targets, lam)
     k = len(model.bank)
-    # terms add into the named views of one zeroed vector
-    grad = np.zeros_like(model.params)
+    # every named view of the one flat vector is written once, below
+    grad = np.empty_like(model.params)
     grads = dict(param_tensors(model, grad))
 
     # decoder backprop from the pixel loss
     g = (1.0 - lam) * 2.0 * (tr["out"] - targets) / INPUT_DIM
     for i in reversed(range(len(model.decoder))):
-        grads[f"decoder.{i}.w"] += g.T @ tr["dec_inputs"][i]
-        grads[f"decoder.{i}.b"] += g.sum(axis=0)
+        np.matmul(g.T, tr["dec_inputs"][i], out=grads[f"decoder.{i}.w"])
+        np.sum(g, axis=0, out=grads[f"decoder.{i}.b"])
         if i > 0:
             g = (g @ model.decoder[i].w) * np.where(tr["pre_acts"][i - 1] > 0, 1.0, LEAKY_SLOPE)
     # the first layer's input gradient only on the k + 1 quantum features
@@ -407,26 +414,25 @@ def backward(model: HybridModel, batch, lam: float | None = None):
     if tgt is not None:
         g_mats -= lam * np.einsum("bi,bj->bij", tgt["psi"], tgt["psi"].conj())
     bra = np.einsum("bij,jb->ib", g_mats, psi_out)
-    d_theta, c_dag_bra = adjoint_gradient(model.ansatz, tr["ansatz_units"], psi_out, bra, 2.0)
-    grads["theta"] += d_theta
-    # the probe feature's Re<psi|U|psi>: one sweep from U psi, bra psi weighted by its cotangent
-    grads["probe"] += adjoint_gradient(model.probe.circuit, tr["probe_units"],
-                                       tr["u_probe"] @ psi_out, psi_out * u_feat[:, k], 1.0)[0]
+    grads["theta"][:], c_dag_bra = adjoint_gradient(model.ansatz, tr["ansatz_suffixes"],
+                                                    psi_out, bra, 2.0)
+    # the probe feature's Re<psi|U|psi>: bra psi weighted by its cotangent, from U psi
+    grads["probe"][:] = adjoint_gradient(model.probe.circuit, tr["probe_suffixes"],
+                                         tr["u_probe"] @ psi_out, psi_out * u_feat[:, k], 1.0)[0]
     rank_one = (psi_out.conj().T[:, :, None] * psi_out.T[:, None, :]).reshape(len(X), -1)
     outer = (u_feat[:, :k].T @ rank_one).reshape(k, d, d)
     g_bank = _group_view(grad, model.layout, "bank").reshape(model.bank.shape)
-    g_bank[:, 0] += outer.real
-    g_bank[:, 1] -= outer.imag
+    g_bank[:, 0], g_bank[:, 1] = outer.real, -outer.imag
 
     # encoder main branch: g_psi = 2 C^dag (G psi_out), then psi = z / r
-    enc_inputs = tr["enc_inputs"]
-    g_z = _normalize_backward(tr["z"], tr["r"], 2.0 * c_dag_bra.T)
+    g_psi, z, r, enc_inputs = 2.0 * c_dag_bra.T, tr["z"], tr["r"], tr["enc_inputs"]
     if tgt is not None:
-        # target branch of the infidelity: d(1-|o|^2)/d tvec, tvec = z_t / r_t;
-        # its rows join the main branch's in one pass through the stack
-        g_tlat = -lam * 2.0 * tgt["overlap"].conj()[:, None] * psi_out.T
-        enc_inputs = [np.concatenate(p) for p in zip(enc_inputs, tgt["enc_inputs"])]
-        g_z = np.concatenate([g_z, _normalize_backward(tgt["z"], tgt["r"], g_tlat)])
+        # target branch of the infidelity, d(1-|o|^2)/d tvec with tvec = z_t / r_t; the
+        # target rows went through the encoder in one block with the inputs
+        g_psi = np.concatenate([g_psi, -lam * 2.0 * tgt["overlap"].conj()[:, None] * psi_out.T])
+        z, r, enc_inputs = tgt["z"], tgt["r"], tgt["enc_inputs"]
+    radial = np.sum(z.conj() * g_psi, axis=1).real  # back through psi = z / |z|
+    g_z = g_psi / r[:, None] - z * (radial / r**3)[:, None]
     # the linear complex stack; with the cotangent convention Re(g) = dL/dRe,
     # Im(g) = dL/dIm, a layer's weight gradient is g^T conj(z), its input's g conj(W)
     for i in reversed(range(len(model.encoder))):
@@ -434,7 +440,7 @@ def backward(model: HybridModel, batch, lam: float | None = None):
         gw, gb = g_z.T @ enc_inputs[i].conj(), g_z.sum(axis=0)
         for part, d in (("w_real", gw.real), ("w_imag", gw.imag), ("b_real", gb.real),
                         ("b_imag", gb.imag)):
-            grads[f"encoder.{i}.{part}"] += d
+            grads[f"encoder.{i}.{part}"][...] = d
         if i > 0:
             g_z = g_z @ (layer.w_real - 1j * layer.w_imag)
 

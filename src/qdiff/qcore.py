@@ -9,6 +9,7 @@ leftmost ket label and the most significant bit of the basis index, i.e.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +97,8 @@ def basis_state(n_qubits: int, index: int = 0) -> StateVector:
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
     dim = 2**n_qubits
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
+    if isinstance(index, bool) or not isinstance(index, numbers.Integral) or not 0 <= index < dim:
+        raise ValueError(f"basis index {index!r} is not an integer in 0..{dim - 1}")
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return StateVector(amps)
@@ -125,8 +126,8 @@ def purity(rho: DensityMatrix) -> float:
 def expm_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
     """Unitary exp(1j * scale * h) of a Hermitian matrix, via eigendecomposition."""
     h = np.asarray(h, dtype=complex)
-    if np.max(np.abs(h - h.conj().T)) > HERM_TOL:
-        raise ValueError("matrix is not Hermitian")
+    if not np.all(np.isfinite(h)) or np.max(np.abs(h - h.conj().T)) > HERM_TOL:
+        raise ValueError("matrix is not Hermitian with finite entries")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * scale * w)) @ v.conj().T
 
@@ -138,8 +139,8 @@ def sqrtm_psd(m: np.ndarray) -> np.ndarray:
     raises.
     """
     m = np.asarray(m, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > 1e-8:
-        raise ValueError("matrix is not Hermitian")
+    if not np.all(np.isfinite(m)) or np.max(np.abs(m - m.conj().T)) > 1e-8:
+        raise ValueError("matrix is not Hermitian with finite entries")
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
     if np.min(w) < -1e-8:
         raise ValueError(f"matrix has negative eigenvalue {np.min(w)}")

@@ -60,6 +60,14 @@ def test_haar_state_properties():
     assert np.mean(fids) == pytest.approx(1 / 16, abs=0.01)
 
 
+@pytest.mark.parametrize("n_pairs", [-1, 0, 2.5, True])
+def test_haar_fidelities_need_an_integer_pair_count_of_at_least_one(n_pairs):
+    """-1 failed inside numpy ("negative dimensions"), 0 returned an empty sample."""
+    with pytest.raises(ValueError, match=r"n_pairs must be an integer >= 1"):
+        haar_fidelities(16, n_pairs, seed=0)
+    assert haar_fidelities(16, np.int64(1), seed=0).shape == (1,)
+
+
 def test_haar_calibration_has_tiny_expressibility():
     fids = haar_fidelities(16, 3000, seed=2)
     assert expressibility(fids, 16) < 0.05

@@ -38,7 +38,7 @@ from qdiff.circuit import (
     ry,
     rz,
     unit_daggers,
-    unit_product,
+    unit_suffixes,
     vw_block,
     x,
 )
@@ -47,6 +47,7 @@ from qdiff.qcore import PAULI_X, PAULI_Y, PAULI_Z, basis_state, expm_hermitian
 from circuit_oracles import (
     FIXED_MATS,
     effective_angles_oracle,
+    embed,
     full_unitary_oracle,
     random_mixed_circuit,
 )
@@ -357,15 +358,64 @@ def test_gather_steps_equal_their_gates_one_at_a_time_at_12_qubits():
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
-def test_unit_product_is_the_circuit_unitary(seed, n):
-    """The product of a circuit's unit matrices is its column-by-column unitary, on
-    random circuits with X, monomial and dense CU gates and fixed-angle rotations;
-    beyond MAX_UNIT_WIRES = 4 wires the units span only some of them."""
+def test_unit_suffixes_start_with_the_circuit_unitarys_dagger(seed, n):
+    """The product of a circuit's unit matrices, S[0] of its suffix stack, is the
+    dagger of its column-by-column unitary, on random circuits with X, monomial
+    and dense CU gates and fixed-angle rotations; beyond MAX_UNIT_WIRES = 4 wires
+    the units span only some of them. S[K] is the identity."""
     rng = np.random.default_rng(seed)
     c = random_mixed_circuit(rng, fixed_angles=True, n_qubits=n)
     params = rng.uniform(0, 2 * np.pi, c.n_params)
-    u = unit_product(c, unit_daggers(c, params))
-    assert np.max(np.abs(u - circuit_unitary(c, params))) < 1e-12
+    stack = unit_suffixes(c, unit_daggers(c, params))
+    assert stack.shape == (len(c.units.wires) + 1, 2**n, 2**n)
+    assert np.array_equal(stack[-1], np.eye(2**n))
+    assert np.max(np.abs(stack[0].conj().T - circuit_unitary(c, params))) < 1e-12
+
+
+def assert_trainable_daggers_are_rotation_times_fixed_part(c, params):
+    """Each trainable unit's alpha A + beta B against (R F)^dag = A R^dag, R the
+    rotation_matrix of its bound gate at its angle, embedded by index arithmetic
+    on the unit's wires (A = F^dag itself is covered by the suffix test)."""
+    daggers, plan = unit_daggers(c, params), c.units
+    angles = effective_angles(c, params)
+    for places, a_mats, _ in plan.terms:
+        for i, a in zip(places, a_mats):
+            u, g = plan.trainable[i], c.gates[c.table.bound[i]]
+            wires = plan.wires[u]
+            r_dag = rotation_matrix(g.kind, angles[i]).conj().T
+            expected = a @ embed(r_dag, (wires.index(g.targets[0]),), len(wires))
+            assert np.max(np.abs(daggers[u] - expected)) < 1e-14
+
+
+def test_unit_daggers_are_each_rotation_after_its_fixed_part_at_every_place():
+    rng = np.random.default_rng(47)
+    for kind in ROTATION_KINDS:
+        for q in range(4):
+            gates = [h(w) for w in range(4)] + [cnot(0, 1), cz(2, 3), cnot(3, 0)]
+            gates.append(Gate(kind, (q,), param_ref=0, scale=1.5, offset=0.25))
+            c = ParamCircuit(4, tuple(gates), 1)
+            assert len(c.units.wires) == 1
+            assert_trainable_daggers_are_rotation_times_fixed_part(c, rng.uniform(0, 7, 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_unit_daggers_match_rotation_times_fixed_part_on_random_circuits(seed, n):
+    rng = np.random.default_rng(seed)
+    c = random_mixed_circuit(rng, fixed_angles=True, n_qubits=n)
+    params = rng.uniform(0, 2 * np.pi, c.n_params)
+    assert_trainable_daggers_are_rotation_times_fixed_part(c, params)
+
+
+def test_unit_suffixes_refuse_a_stack_past_the_byte_budget_and_check_their_input():
+    wide = ParamCircuit(12, (rx(0, ref=0),), 1)
+    with pytest.raises(ValueError, match=r"2 suffix products on 12 qubits take 536870912 "
+                                         r"bytes, past SUFFIX_BYTES = 134217728"):
+        unit_suffixes(wide, unit_daggers(wide, [0.3]))
+    c = build_ansatz(8, 1)  # n <= 8 stays within the budget
+    assert unit_suffixes(c, unit_daggers(c, np.zeros(c.n_params))).shape == (35, 256, 256)
+    with pytest.raises(ValueError, match="expected 34 unit matrices, got 33"):
+        unit_suffixes(c, unit_daggers(c, np.zeros(c.n_params))[1:])
 
 
 @pytest.mark.parametrize("n,layers", [(4, 2), (3, 3), (6, 1), (8, 1)])

@@ -48,6 +48,27 @@ def test_schedule_validation():
         s.alpha_bar(6)
 
 
+@pytest.mark.parametrize("t", [1.5, 2.5, True, np.float64(2.0), 0, 6, -1])
+def test_timesteps_must_be_integers_in_range(t):
+    """1.5 and 2.5 crashed with numpy's IndexError, and True silently read step 1."""
+    noise = linear_schedule(5, 1e-4, 0.02)
+    depol = depol_from_noise(noise)
+    for read in (noise.beta, noise.alpha_bar, depol.alpha,
+                 lambda t: forward_sample(np.zeros(3), t, noise, np.zeros(3))):
+        with pytest.raises(ValueError, match=r"is not an integer in 1\.\.5"):
+            read(t)
+    assert noise.alpha_bar(np.int64(5)) == noise.alpha_bar(5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_schedules_require_finite_entries(bad):
+    """A NaN entry fails both range comparisons, so it used to pass them."""
+    with pytest.raises(ValueError, match=r"every beta_t must be a finite number"):
+        NoiseSchedule(np.array([0.1, bad, 0.2]))
+    with pytest.raises(ValueError, match=r"every p_t must be a finite number"):
+        DepolSchedule(np.array([0.1, bad, 0.2]))
+
+
 def test_schedule_derived_fields_are_not_arguments():
     with pytest.raises(TypeError):
         NoiseSchedule(np.array([0.1]), alphas=np.array([0.5]))

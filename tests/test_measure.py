@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdiff import measure
 from qdiff.circuit import (
     MAX_UNIT_WIRES,
     ParamCircuit,
@@ -29,6 +28,7 @@ from qdiff.circuit import (
     rx,
     ry,
     unit_daggers,
+    unit_suffixes,
     x,
 )
 from qdiff.measure import (
@@ -318,10 +318,10 @@ def test_block_gradients_equal_sum_of_single_states(seed, b):
         grad_hadamard_wrt_probe(block, probe, weights),
         sum(w * grad_hadamard_wrt_probe(s, probe) for s, w in zip(states, weights)))
 
-    # the sweep's second output is the bra block pulled back through the circuit
+    # adjoint_gradient's second output is the bra block pulled back through the circuit
     u = circuit_unitary(c, params)
     bra = rng.standard_normal((d, b)) + 1j * rng.standard_normal((d, b))
-    _, pulled = adjoint_gradient(c, unit_daggers(c, params), u @ block, bra, 1.0)
+    _, pulled = adjoint_gradient(c, unit_suffixes(c, unit_daggers(c, params)), u @ block, bra, 1.0)
     assert np.max(np.abs(pulled - u.conj().T @ bra)) < 1e-12
 
 
@@ -349,11 +349,8 @@ def test_unit_sweep_matches_shift_rule_with_fixed_angles_and_x(seed):
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
-@pytest.mark.parametrize("kept_amps", [measure.KEPT_AMPS, 1])
-def test_unit_sweep_matches_shift_rule_on_ansatz_circuits(n, kept_amps, monkeypatch):
-    """Units span the register at n = 4 and fewer wires beyond it; kept_amps = 1
-    contracts the generator terms after every unit instead of once per sweep."""
-    monkeypatch.setattr(measure, "KEPT_AMPS", kept_amps)
+def test_unit_sweep_matches_shift_rule_on_ansatz_circuits(n):
+    """Units span the register at n = 4 and fewer wires beyond it."""
     assert_sweep_matches_shift_rules(build_ansatz(n, 1), np.random.default_rng(60 + n))
 
 
@@ -381,8 +378,16 @@ def test_adjoint_gradient_checks_its_blocks(phi_shape, bra_shape):
     c = build_ansatz(2, 1)
     with pytest.raises(ValueError, match=rf"{re.escape(str(phi_shape))} and "
                                          rf"{re.escape(str(bra_shape))}"):
-        adjoint_gradient(c, unit_daggers(c, np.zeros(c.n_params)),
+        adjoint_gradient(c, unit_suffixes(c, unit_daggers(c, np.zeros(c.n_params))),
                          np.ones(phi_shape, dtype=complex), np.ones(bra_shape, dtype=complex), 1.0)
+
+
+def test_adjoint_gradient_checks_its_suffix_stack():
+    c = build_ansatz(2, 1)  # 5 units
+    stack = unit_suffixes(c, unit_daggers(c, np.zeros(c.n_params)))
+    with pytest.raises(ValueError, match=r"expected \(6, 4, 4\) suffix products, got \(5, 4, 4\)"):
+        adjoint_gradient(c, stack[1:], np.ones((4, 2), dtype=complex),
+                         np.ones((4, 2), dtype=complex), 1.0)
 
 
 def test_gradient_callers_reject_mismatched_shapes():

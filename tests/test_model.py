@@ -162,18 +162,20 @@ def test_forward_trace_matches_manual_composition():
     assert np.max(np.abs(tr["psi_out"][:, 0] - psi_out.amps)) < 1e-12
     probe_part = 0.5 * (tr["u_probe"] + tr["u_probe"].conj().T)
     assert np.max(np.abs(probe_part - probe_hermitian_part(m.probe))) < 1e-12
-    # the bank's Hermitian parts and the probe's (U + U^dag)/2, one contraction
+    # the bank's Hermitian parts and the probe's (U + U^dag)/2 against one contraction;
+    # the model sums its products in another order, so the last bits may differ
     obs = np.stack([hermitize(o) for o in reference_bank(m).observables] + [probe_part])
     col = tr["psi_out"]
     feats = np.einsum("ib,kij,jb->bk", col.conj(), obs, col).real
-    d = np.concatenate([feats, x_t[None]], axis=1)
+    assert np.max(np.abs(tr["feats"] - feats)) < 1e-14
+    # the decoder on the trace's features matches bitwise
+    d = np.concatenate([tr["feats"], x_t[None]], axis=1)
     for i, layer in enumerate(m.decoder):
         d = d @ layer.w.T + layer.b
         if i + 1 < len(m.decoder):
             d = leaky_relu(d)
 
     assert np.max(np.abs(out - d)) == 0.0
-    assert np.max(np.abs(tr["feats"] - feats)) == 0.0
     # the probe feature is the ancilla Hadamard test's value
     assert abs(tr["feats"][0, -1] - hadamard_test(psi_out, m.probe)) < 1e-12
 
@@ -870,6 +872,29 @@ def test_backward_builds_each_circuits_units_once(monkeypatch):
     backward(m, small_batch(np.random.default_rng(28), n=3), 0.25)
     assert len(built) == 2
     assert {id(c) for c in built} == {id(m.ansatz), id(m.probe.circuit)}
+
+
+class _NanEmptyNumpy:
+    """numpy as model.py sees it, except that empty_like fills its buffer with NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty_like(a, *args, **kwargs):
+        return np.full_like(a, np.nan, *args, **kwargs)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.25, 1.0])
+def test_backward_writes_every_gradient_entry(lam, monkeypatch):
+    """backward fills an uninitialised buffer: pre-filled with NaN, it gives the same bits."""
+    m = small_model()
+    batch = small_batch(np.random.default_rng(29), n=3)
+    total, grad = backward(m, batch, lam)
+    monkeypatch.setattr("qdiff.model.np", _NanEmptyNumpy())
+    nan_total, nan_grad = backward(m, batch, lam)
+    assert nan_total == total
+    assert np.array_equal(nan_grad, grad)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])

@@ -167,3 +167,21 @@ def test_sqrtm_psd_squares_back():
     assert np.max(np.abs(r - r.conj().T)) < 1e-12
     with pytest.raises(ValueError):
         sqrtm_psd(-np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_functions_reject_non_finite_entries(bad):
+    """nan > tol reads False, so without a finite check both returned all-NaN matrices."""
+    m = np.eye(3, dtype=complex)
+    m[1, 1] = bad
+    for fn in (sqrtm_psd, lambda h: expm_hermitian(h, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            fn(m)
+
+
+@pytest.mark.parametrize("index", [1.5, True, np.float64(2.0), "1"])
+def test_basis_state_needs_an_integer_index(index):
+    with pytest.raises(ValueError, match="basis index"):
+        basis_state(2, index)
+    assert np.array_equal(basis_state(2, np.int64(3)).amps, [0, 0, 0, 1])
+
