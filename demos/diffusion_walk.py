@@ -31,7 +31,7 @@ def main():
     rng = np.random.default_rng(0)
     for t in (1, 5, 10):
         eps = rng.standard_normal(img.size)
-        x_t = forward_sample(img, t, sched, eps).x_t
+        x_t = forward_sample(img, t, sched, eps)
         drift = np.linalg.norm(x_t - img) / np.linalg.norm(img)
         print(f"t={t:<3d} relative distortion {drift:.4f}")
 

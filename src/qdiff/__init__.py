@@ -43,19 +43,14 @@ from .encode import (
     encode_phase,
 )
 from .measure import (
-    AdaptiveObservable,
     GlobalProbe,
-    ObservableBank,
     ano_features,
-    expectation,
     grad_expectation_wrt_circuit,
     grad_hadamard_wrt_probe,
     hadamard_test,
-    hermitize,
 )
 from .diffusion import (
     DepolSchedule,
-    DiffusionSample,
     NoiseSchedule,
     depol_from_noise,
     depolarize_closed,
@@ -65,7 +60,6 @@ from .diffusion import (
 )
 from .bench import (
     BenchReport,
-    FidelityHistogram,
     entangling_capability,
     expressibility,
     frechet_gaussian,

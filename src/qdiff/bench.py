@@ -1,27 +1,29 @@
 """Circuit-quality descriptors and a pixel-space generation metric.
 
-Expressibility compares the sampled state-overlap distribution of a circuit
-against the Haar fidelity law P(F) = (N-1)(1-F)^(N-2) through a binned KL
-divergence. Entangling capability averages the Meyer-Wallach measure over
+Expressibility bins a circuit's sampled state-overlap fidelities, one array,
+into N_BINS uniform bins on [0, 1] and takes the KL divergence of that
+histogram from the Haar fidelity law P(F) = (N-1)(1-F)^(N-2), integrated
+over each bin. Entangling capability averages the Meyer-Wallach measure over
 uniformly drawn parameters. The Frechet distance between Gaussian fits of
 two sample sets stands in for feature-space FID at desk scale.
 
 Every parameter draw is one column of a (2^n, N) block that one run_block
 call simulates, with per-column angles; the per-state meyer_wallach and
 bloch_points_of_state stay as the definitions the block reductions are
-tested against.
+tested against. Sample counts and Hilbert dimensions are integers, checked
+before any draw.
 """
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import ParamCircuit, effective_angles, run_block
 from .circuit import run_with_angles  # unused here; perfbench/spans.py's tracer wraps this name
-from .qcore import DensityMatrix, PAULI_X, PAULI_Y, PAULI_Z, StateVector, partial_trace, purity, sqrtm_psd
+from .qcore import (DensityMatrix, PAULI_X, PAULI_Y, PAULI_Z, StateVector, _check_int,
+                    partial_trace, purity, sqrtm_psd)
 
 N_BINS = 75
 FRECHET_EPS = 1e-6
@@ -37,35 +39,6 @@ FRECHET_EPS = 1e-6
 # into blocks of whole rows, so memory stays flat in the qubit count and the
 # depth. Columns are independent, so the split changes no result.
 BLOCK_AMPS = 2**18
-
-
-@dataclass(frozen=True)
-class FidelityHistogram:
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    n_samples: int
-
-    def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=int)
-        if len(edges) != len(counts) + 1:
-            raise ValueError("need one more edge than bins")
-        if edges[0] != 0.0 or edges[-1] != 1.0 or np.any(np.diff(edges) <= 0):
-            raise ValueError("edges must increase strictly from 0 to 1")
-        if np.any(counts < 0) or int(counts.sum()) != self.n_samples:
-            raise ValueError("counts must be non-negative and sum to n_samples")
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_samples(cls, fids) -> "FidelityHistogram":
-        fids = np.asarray(fids, dtype=float)
-        bad = ~((fids >= 0.0) & (fids <= 1.0))
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ValueError(f"fidelity {float(fids[i])!r} at index {i} is not in [0, 1]")
-        counts, edges = np.histogram(fids, bins=N_BINS, range=(0.0, 1.0))
-        return cls(edges, counts, len(fids))
 
 
 @dataclass(frozen=True)
@@ -93,18 +66,11 @@ class BenchReport:
         )
 
 
-def _check_hilbert_dim(n_dim) -> None:
-    if not isinstance(n_dim, numbers.Integral):
-        raise ValueError(f"need Hilbert dimension >= 2 as an integer, got {n_dim!r}")
-    if n_dim < 2:
-        raise ValueError("need Hilbert dimension >= 2")
-
-
 def haar_pdf(f: float, n_dim: int) -> float:
     """Haar fidelity density (N-1)(1-F)^(N-2) on [0, 1]."""
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"fidelity {f} outside [0, 1]")
-    _check_hilbert_dim(n_dim)
+    _check_int("n_dim", n_dim, 2)
     return float((n_dim - 1) * (1.0 - f) ** (n_dim - 2))
 
 
@@ -115,7 +81,7 @@ def haar_bin_masses(n_dim: int, n_bins: int = N_BINS) -> np.ndarray:
     integrating beats evaluating the pdf at bin centers, which is biased
     where the density decays fast.
     """
-    _check_hilbert_dim(n_dim)
+    _check_int("n_dim", n_dim, 2)
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     upper = (1.0 - edges) ** (n_dim - 1)
     return upper[:-1] - upper[1:]
@@ -128,9 +94,9 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_fidelities(dim: int, n_pairs: int, seed: int) -> np.ndarray:
-    """Calibration samples |<a|b>|^2 for exact-Haar pairs, n_pairs an integer >= 1."""
-    if isinstance(n_pairs, bool) or not isinstance(n_pairs, numbers.Integral) or n_pairs < 1:
-        raise ValueError(f"n_pairs must be an integer >= 1, got {n_pairs!r}")
+    """Calibration samples |<a|b>|^2 for exact-Haar pairs of dimension dim >= 2."""
+    _check_int("dim", dim, 2)
+    _check_int("n_pairs", n_pairs, 1)
     rng = np.random.default_rng(seed)
     out = np.empty(n_pairs)
     for i in range(n_pairs):
@@ -173,8 +139,7 @@ def sample_fidelities(
     the results nor the work done: the CLI never passes it, and only the
     benchmark's workload does (threads=1).
     """
-    if n_pairs < 1:
-        raise ValueError("need at least one pair")
+    _check_int("n_pairs", n_pairs, 1)
     rng = np.random.default_rng(seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=(n_pairs, 2, c.n_params))
     # column-wise vdot of each pair's two states, adjacent columns of a block
@@ -185,12 +150,15 @@ def sample_fidelities(
 
 def expressibility(fids, n_dim: int) -> float:
     """KL divergence of the binned fidelity sample against the Haar masses."""
-    _check_hilbert_dim(n_dim)
+    _check_int("n_dim", n_dim, 2)
     fids = np.asarray(fids, dtype=float)
     if len(fids) == 0:
         raise ValueError("expressibility needs at least one fidelity sample")
-    hist = FidelityHistogram.from_samples(fids)
-    p = hist.counts / hist.n_samples
+    bad = ~((fids >= 0.0) & (fids <= 1.0))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"fidelity {float(fids[i])!r} at index {i} is not in [0, 1]")
+    p = np.histogram(fids, bins=N_BINS, range=(0.0, 1.0))[0] / len(fids)
     q = haar_bin_masses(n_dim)
     mask = p > 0
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
@@ -248,8 +216,7 @@ def entangling_capability(
     threads changes neither the result nor the work done: the CLI never
     passes it, and only the benchmark's workload does (threads=1).
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    _check_int("n_samples", n_samples, 1)
     rng = np.random.default_rng(seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=(n_samples, c.n_params))
     qs = _reduce_final_states(c, psi0, params[:, None],
@@ -276,8 +243,7 @@ def bloch_points(
     threads changes neither the result nor the work done: the CLI never
     passes it, and only the benchmark's workload does (threads=1).
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    _check_int("n_samples", n_samples, 1)
     if not 0 <= qubit < c.n_qubits:  # before any draw is simulated
         raise ValueError(f"qubit {qubit} out of range")
     rng = np.random.default_rng(seed)

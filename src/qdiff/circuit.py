@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import PAULI_X, PAULI_Y, PAULI_Z, StateVector
+from .qcore import PAULI_X, PAULI_Y, PAULI_Z, StateVector, _check_int
 
 ROTATION_KINDS = ("RX", "RY", "RZ", "PHASE")
 _DIAGONAL_KINDS = ("RZ", "PHASE")  # rotations whose matrix is diagonal at every angle
@@ -186,10 +186,8 @@ class ParamCircuit:
     table: _GateTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        if self.n_params < 0:
-            raise ValueError(f"n_params must be >= 0, got {self.n_params}")
+        _check_int("n_qubits", self.n_qubits, 1)
+        _check_int("n_params", self.n_params, 0)
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             for t in g.targets:
@@ -642,8 +640,8 @@ def build_ansatz(n_qubits: int, n_layers: int) -> ParamCircuit:
 
     Parameter count is n_layers * (3 * n_pairs + n_qubits).
     """
-    if n_qubits < 2 or n_layers < 1:
-        raise ValueError("build_ansatz needs n_qubits >= 2 and n_layers >= 1")
+    _check_int("n_qubits", n_qubits, 2)
+    _check_int("n_layers", n_layers, 1)
     gates = []
     next_ref = 0
     for _ in range(n_layers):

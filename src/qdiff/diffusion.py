@@ -1,32 +1,31 @@
 """Classical Gaussian diffusion and its quantum depolarizing counterpart.
 
-The classical side keeps the usual beta/alpha/alpha-bar bookkeeping with the
-closed-form forward sample; the quantum side replaces Gaussian noising with
-per-step depolarizing channels, whose t-fold composition also has a closed
-form. Timesteps are 1-based: t runs over 1..T.
+The classical side is a beta schedule with its running products alpha-bar_t,
+and forward_sample returns the closed-form noised array x_t itself; the
+quantum side replaces Gaussian noising with per-step depolarizing channels,
+whose t-fold composition also has a closed form. Timesteps are 1-based: t
+runs over 1..T.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import DensityMatrix
+from .qcore import DensityMatrix, _is_int
 
 
 def _check_timestep(t, t_max: int) -> None:
     """Timesteps are integers in 1..t_max; a bool or a float such as 1.5 is refused."""
-    if isinstance(t, bool) or not isinstance(t, numbers.Integral) or not 1 <= t <= t_max:
+    if not _is_int(t) or not 1 <= t <= t_max:
         raise ValueError(f"timestep {t!r} is not an integer in 1..{t_max}")
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Variance schedule beta_t with derived alpha_t and alpha_bar_t."""
+    """Variance schedule beta_t with derived alpha_bar_t = prod(1 - beta_s)."""
 
     betas: np.ndarray
-    alphas: np.ndarray = field(init=False)
     alpha_bars: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -36,7 +35,6 @@ class NoiseSchedule:
         if not np.all((betas > 0) & (betas < 1)):  # a NaN fails both comparisons
             raise ValueError("every beta_t must be a finite number in (0, 1)")
         object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "alphas", 1.0 - betas)
         object.__setattr__(self, "alpha_bars", np.cumprod(1.0 - betas))
 
     @property
@@ -77,13 +75,6 @@ class DepolSchedule:
         return float(self.alpha_prods[t - 1])
 
 
-@dataclass(frozen=True)
-class DiffusionSample:
-    x_t: np.ndarray
-    t: int
-    eps: np.ndarray
-
-
 def linear_schedule(t_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Linearly spaced betas, endpoints inclusive (the standard default)."""
     if t_steps < 1:
@@ -101,15 +92,14 @@ def depol_from_noise(sched: NoiseSchedule) -> DepolSchedule:
     return DepolSchedule(sched.betas.copy())
 
 
-def forward_sample(x0, t: int, sched: NoiseSchedule, eps) -> DiffusionSample:
-    """Closed-form forward jump: x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps."""
+def forward_sample(x0, t: int, sched: NoiseSchedule, eps) -> np.ndarray:
+    """Closed-form forward jump, returning x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps."""
     x0 = np.asarray(x0, dtype=float)
     eps = np.asarray(eps, dtype=float)
     if eps.shape != x0.shape:
         raise ValueError(f"eps shape {eps.shape} != x0 shape {x0.shape}")
     ab = sched.alpha_bar(t)
-    x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-    return DiffusionSample(x_t=x_t, t=t, eps=eps)
+    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
 def depolarize_step(rho: DensityMatrix, p: float) -> DensityMatrix:

@@ -1,10 +1,12 @@
 """Trainable non-local measurements and measured-feature gradients.
 
-An AdaptiveObservable stores a free complex matrix M; the measured operator
-is its Hermitian part H = (M + M^dag)/2, so expectation values are real by
-construction and every matrix entry is a valid trainable weight. The model
-holds its K matrices as one array; AdaptiveObservable, ObservableBank and
-ano_features are the one-observable-at-a-time reference it is tested against. A
+An adaptive observable is a free complex matrix M, stored as its real and
+imaginary parts; the measured operator is its Hermitian part
+H = (M + M^dag)/2, so expectation values are real by construction and every
+matrix entry is a valid trainable weight. A bank of K of them is one
+(K, 2, D, D) array, bank[j, 0] + 1j * bank[j, 1] being observable j's M: the
+model holds its bank so, and ano_features reads such an array one observable
+at a time, the reference the model's stacked features are tested against. A
 GlobalProbe adds Re<psi|U(theta)|psi>, which the model reads as <psi|(U+U^dag)/2|psi>
 (probe_hermitian_part); the ancilla Hadamard test, hadamard_test, is its reference.
 
@@ -61,52 +63,6 @@ REAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class AdaptiveObservable:
-    """Learnable measurement given by a free complex matrix (real/imag parts)."""
-
-    m_real: np.ndarray
-    m_imag: np.ndarray
-
-    def __post_init__(self):
-        mr = np.asarray(self.m_real, dtype=float)
-        mi = np.asarray(self.m_imag, dtype=float)
-        if mr.ndim != 2 or mr.shape[0] != mr.shape[1] or mr.shape != mi.shape:
-            raise ValueError(f"expected matching square matrices, got {mr.shape}, {mi.shape}")
-        if not (np.all(np.isfinite(mr)) and np.all(np.isfinite(mi))):
-            raise ValueError("observable entries must be finite")
-        object.__setattr__(self, "m_real", mr)
-        object.__setattr__(self, "m_imag", mi)
-
-    @property
-    def dim(self) -> int:
-        return self.m_real.shape[0]
-
-    def as_matrix(self) -> np.ndarray:
-        return self.m_real + 1j * self.m_imag
-
-
-@dataclass(frozen=True)
-class ObservableBank:
-    observables: tuple
-
-    def __post_init__(self):
-        obs = tuple(self.observables)
-        if len(obs) < 1:
-            raise ValueError("bank needs at least one observable")
-        if len({o.dim for o in obs}) != 1:
-            raise ValueError("bank observables must share one dimension")
-        object.__setattr__(self, "observables", obs)
-
-    @property
-    def k(self) -> int:
-        return len(self.observables)
-
-    @property
-    def dim(self) -> int:
-        return self.observables[0].dim
-
-
-@dataclass(frozen=True)
 class GlobalProbe:
     """Hadamard-test probe: a parameterized unitary with its own angles."""
 
@@ -120,22 +76,27 @@ class GlobalProbe:
         object.__setattr__(self, "params", p)
 
 
-def hermitize(obs: AdaptiveObservable) -> np.ndarray:
-    m = obs.as_matrix()
-    return 0.5 * (m + m.conj().T)
+def ano_features(psi: StateVector, bank) -> np.ndarray:
+    """<psi|H_j|psi> of every observable j of a (K, 2, D, D) bank array, one at a time.
 
-
-def expectation(psi: StateVector, obs: AdaptiveObservable) -> float:
-    if obs.dim != psi.dim:
-        raise ValueError(f"observable dim {obs.dim} != state dim {psi.dim}")
-    val = psi.amps.conj() @ (hermitize(obs) @ psi.amps)
-    if abs(val.imag) > REAL_TOL:
-        raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
-    return float(val.real)
-
-
-def ano_features(psi: StateVector, bank: ObservableBank) -> np.ndarray:
-    return np.array([expectation(psi, o) for o in bank.observables])
+    H_j = (M_j + M_j^dag)/2 with M_j = bank[j, 0] + 1j * bank[j, 1]; a value whose
+    imaginary residue passes REAL_TOL is refused, as is a misshapen or non-finite bank.
+    """
+    bank = np.asarray(bank, dtype=float)
+    d = psi.dim
+    if bank.ndim != 4 or len(bank) < 1 or bank.shape[1:] != (2, d, d):
+        raise ValueError(f"expected a (K, 2, {d}, {d}) bank with K >= 1, got {bank.shape}")
+    bad = np.flatnonzero(~np.all(np.isfinite(bank), axis=(1, 2, 3)))
+    if bad.size:
+        raise ValueError(f"observable {bad[0]} has non-finite entries")
+    feats = np.empty(len(bank))
+    for j, (m_real, m_imag) in enumerate(bank):
+        m = m_real + 1j * m_imag
+        val = psi.amps.conj() @ (0.5 * (m + m.conj().T) @ psi.amps)
+        if abs(val.imag) > REAL_TOL:
+            raise ValueError(f"observable {j}'s expectation has imaginary residue {val.imag:.3e}")
+        feats[j] = val.real
+    return feats
 
 
 def _hadamard_with_angles(psi: StateVector, c: ParamCircuit, angles: np.ndarray) -> float:

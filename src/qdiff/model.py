@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import struct
 import time
@@ -35,6 +34,7 @@ import numpy as np
 from .circuit import ParamCircuit, build_ansatz, unit_daggers, unit_suffixes
 from .diffusion import NoiseSchedule, forward_sample, linear_schedule
 from .measure import REAL_TOL, GlobalProbe, adjoint_gradient
+from .qcore import _check_int, _is_int
 # unused here; perfbench/spans.py's tracer wraps these names
 from .circuit import circuit_unitary, run_circuit
 from .measure import (
@@ -217,15 +217,16 @@ def init_model(seed: int, lam: float = TrainConfig.lam, **structure) -> HybridMo
 
 
 def _timesteps(ts, n_rows: int, t_min: int, t_steps: int) -> np.ndarray:
-    """ts as n_rows floats, each an integer in t_min..t_steps; errors name the row."""
-    ts = np.asarray(ts)
-    if ts.shape != (n_rows,):
-        raise ValueError(f"expected {n_rows} timesteps, got shape {ts.shape}")
-    bad = np.flatnonzero((ts != np.round(ts)) | (ts < t_min) | (ts > t_steps))
+    """ts as n_rows floats, each an integer (not a bool) in t_min..t_steps; errors name the row."""
+    steps = np.asarray(ts)
+    if steps.shape != (n_rows,):
+        raise ValueError(f"expected {n_rows} timesteps, got shape {steps.shape}")
+    bools = np.array([isinstance(t, (bool, np.bool_)) for t in ts], dtype=bool)
+    bad = np.flatnonzero(bools | (steps != np.round(steps)) | (steps < t_min) | (steps > t_steps))
     if bad.size:
         raise ValueError(f"timestep {ts[bad[0]]} is not an integer in {t_min}..{t_steps} "
                          f"(batch index {bad[0]})")
-    return ts.astype(float)
+    return steps.astype(float)
 
 
 def _rows(a, what: str) -> np.ndarray:
@@ -491,7 +492,7 @@ def _target_for_mode(mode: str, x0, t, sched: NoiseSchedule, eps):
         return x0
     if t == 1:
         return x0
-    return forward_sample(x0, t - 1, sched, eps).x_t
+    return forward_sample(x0, t - 1, sched, eps)
 
 
 def train(model: HybridModel, config: TrainConfig, dataset,
@@ -534,7 +535,7 @@ def train(model: HybridModel, config: TrainConfig, dataset,
             x0 = data[i]
             t = int(rng.integers(1, t_steps + 1))
             eps = rng.standard_normal(INPUT_DIM)
-            x_t = forward_sample(x0, t, sched, eps).x_t
+            x_t = forward_sample(x0, t, sched, eps)
             batch.append((x_t, t, _target_for_mode(config.target_mode, x0, t, sched, eps)))
         loss_val, grad = backward(model, batch, config.lam)
         if not np.isfinite(loss_val):
@@ -581,7 +582,7 @@ def sample_block(model: HybridModel, seeds) -> np.ndarray:
     if len(seeds) == 0:
         raise ValueError("sample_block needs at least one seed")
     for j, s in enumerate(seeds):
-        if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 0:
+        if not _is_int(s) or s < 0:
             raise ValueError(f"seed {s!r} of trajectory {j} is not an integer >= 0")
     t_steps = model.hyper["t_steps"]
     sched = _noise_schedule(model)
@@ -733,8 +734,7 @@ def gradient_audit(model: HybridModel, batch, lam: float | None = None,
     """
     if lam is None:
         lam = trained_setting(model, "lam")
-    if isinstance(n_probe, bool) or not isinstance(n_probe, numbers.Integral) or n_probe < 1:
-        raise ValueError(f"n_probe must be an integer >= 1, got {n_probe!r}")
+    _check_int("n_probe", n_probe, 1)
     if not 0.0 < fd_eps < np.inf:
         raise ValueError("fd_eps must be a finite number > 0")
     if fault_group is not None and fault_group not in PARAM_GROUPS:

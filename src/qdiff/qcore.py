@@ -24,6 +24,17 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def _is_int(x) -> bool:
+    """An Integral that is not a bool: the one test for a count, size, index or seed."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_int(name: str, value, low: int) -> None:
+    """Refuse `value` unless it is an integer >= low; the error names the argument."""
+    if not _is_int(value) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _n_qubits_for(dim: int) -> int:
     n = int(dim).bit_length() - 1
     if dim < 2 or 2**n != dim:
@@ -94,10 +105,9 @@ class DensityMatrix:
 
 def basis_state(n_qubits: int, index: int = 0) -> StateVector:
     """Computational basis state |index> on n_qubits qubits."""
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
+    _check_int("n_qubits", n_qubits, 1)
     dim = 2**n_qubits
-    if isinstance(index, bool) or not isinstance(index, numbers.Integral) or not 0 <= index < dim:
+    if not _is_int(index) or not 0 <= index < dim:
         raise ValueError(f"basis index {index!r} is not an integer in 0..{dim - 1}")
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0

@@ -9,7 +9,6 @@ from qdiff import bench, cli
 from qdiff.bench import (
     N_BINS,
     BenchReport,
-    FidelityHistogram,
     bloch_csv,
     bloch_points,
     bloch_points_of_state,
@@ -161,11 +160,12 @@ def test_bloch_points_interior_for_entangled_draws():
     assert np.mean(np.linalg.norm(pts, axis=1)) < 0.9
 
 
-def test_fidelity_histogram_from_samples():
-    h = FidelityHistogram.from_samples(np.array([0.0, 0.5, 0.999, 1.0]))
-    assert h.counts.sum() == 4
-    assert h.counts.shape == (N_BINS,)
-    assert h.counts[-1] == 2  # both 0.999 and the exact 1.0 land in the top bin
+def test_expressibility_bins_the_unit_interval():
+    """N_BINS uniform bins on [0, 1]: 0.999 and the exact 1.0 both land in the top bin."""
+    q = haar_bin_masses(16)
+    p = {0: 0.25, int(0.5 * N_BINS): 0.25, N_BINS - 1: 0.5}
+    expect = sum(pk * math.log(pk / q[k]) for k, pk in p.items())
+    assert expressibility([0.0, 0.5, 0.999, 1.0], 16) == pytest.approx(expect, rel=1e-12)
 
 
 def test_bench_report_validation_and_json():
@@ -259,6 +259,22 @@ def test_descriptors_reject_a_state_of_another_qubit_count():
         bloch_points(c, basis_state(4), 4, 4, seed=1)
 
 
+@pytest.mark.parametrize("name,call", [
+    ("n_pairs", lambda c, v: sample_fidelities(c, basis_state(2), v, 0)),
+    ("n_samples", lambda c, v: entangling_capability(c, basis_state(2), v, 0)),
+    ("n_samples", lambda c, v: bloch_points(c, basis_state(2), 0, v, 0)),
+    ("dim", lambda c, v: haar_fidelities(v, 4, 0)),
+], ids=["sample_fidelities", "entangling_capability", "bloch_points", "haar_fidelities"])
+@pytest.mark.parametrize("value", [2.5, True, 4.0])
+def test_sample_counts_are_integers_checked_before_any_draw(monkeypatch, name, call, value):
+    """2.5 and 4.0 failed inside numpy with a TypeError, and True ran as 1."""
+    calls = []
+    monkeypatch.setattr(bench, "run_block", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=rf"{name} must be an integer >= \d, got {value!r}"):
+        call(build_ansatz(2, 1), value)
+    assert calls == []
+
+
 def test_bloch_points_checks_the_qubit_before_simulating(monkeypatch):
     calls = []
 
@@ -284,8 +300,6 @@ def test_bloch_points_checks_the_qubit_before_simulating(monkeypatch):
 def test_expressibility_rejects_fidelities_outside_the_unit_interval(fids, bad):
     with pytest.raises(ValueError, match=f"fidelity {bad} is not in"):
         expressibility(fids, 16)
-    with pytest.raises(ValueError, match=f"fidelity {bad} is not in"):
-        FidelityHistogram.from_samples(fids)
 
 
 def test_sample_fidelities_peak_stays_within_three_blocks():
@@ -306,9 +320,9 @@ def test_sample_fidelities_peak_stays_within_three_blocks():
 
 @pytest.mark.parametrize("n_dim", [1, 0, -3, 16.5])
 def test_expressibility_needs_a_hilbert_dimension_of_two(n_dim):
-    with pytest.raises(ValueError, match="need Hilbert dimension >= 2"):
+    with pytest.raises(ValueError, match="n_dim must be an integer >= 2"):
         expressibility([0.25, 0.5], n_dim)
-    with pytest.raises(ValueError, match="need Hilbert dimension >= 2"):
+    with pytest.raises(ValueError, match="n_dim must be an integer >= 2"):
         haar_bin_masses(n_dim)
 
 

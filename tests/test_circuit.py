@@ -155,10 +155,28 @@ def test_gate_rejects_non_finite_angle_maps(bad):
 
 
 def test_circuit_rejects_bad_sizes():
-    with pytest.raises(ValueError, match="n_qubits must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="n_qubits must be an integer >= 1, got 0"):
         ParamCircuit(0, (), 0)
-    with pytest.raises(ValueError, match="n_params must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="n_params must be an integer >= 0, got -1"):
         ParamCircuit(1, (), -1)
+
+
+@pytest.mark.parametrize("make,name,value", [
+    (lambda v: basis_state(v), "n_qubits", 1.5),
+    (lambda v: basis_state(v), "n_qubits", True),
+    (lambda v: build_ansatz(4, v), "n_layers", True),
+    (lambda v: build_ansatz(4, v), "n_layers", 1.5),
+    (lambda v: build_ansatz(v, 1), "n_qubits", 4.0),
+    (lambda v: ParamCircuit(v, (), 0), "n_qubits", 2.5),
+    (lambda v: ParamCircuit(2, (), v), "n_params", 1.0),
+], ids=["basis_state-1.5", "basis_state-True", "build_ansatz-layers-True",
+        "build_ansatz-layers-1.5", "build_ansatz-qubits-4.0", "ParamCircuit-qubits-2.5",
+        "ParamCircuit-params-1.0"])
+def test_sizes_must_be_integers(make, name, value):
+    """1.5 and 4.0 failed inside numpy with a TypeError; True ran as 1, and 2.5 qubits
+    built a circuit."""
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= ., got {value!r}"):
+        make(value)
 
 
 def test_run_block_checks_block_and_angle_shapes():

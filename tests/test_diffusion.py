@@ -71,8 +71,6 @@ def test_schedules_require_finite_entries(bad):
 
 def test_schedule_derived_fields_are_not_arguments():
     with pytest.raises(TypeError):
-        NoiseSchedule(np.array([0.1]), alphas=np.array([0.5]))
-    with pytest.raises(TypeError):
         NoiseSchedule(np.array([0.1]), alpha_bars=np.array([0.5]))
     with pytest.raises(TypeError):
         DepolSchedule(np.array([0.1]), alpha_prods=np.array([0.5]))
@@ -100,10 +98,10 @@ def test_forward_sample_closed_form():
     s = linear_schedule(10, 0.1, 0.5)
     x0 = rng.standard_normal(8)
     eps = rng.standard_normal(8)
-    out = forward_sample(x0, 4, s, eps)
+    x_t = forward_sample(x0, 4, s, eps)
     ab = s.alpha_bar(4)
-    assert np.allclose(out.x_t, np.sqrt(ab) * x0 + np.sqrt(1 - ab) * eps, atol=1e-14)
-    assert out.t == 4 and np.array_equal(out.eps, eps)
+    assert x_t.shape == x0.shape
+    assert np.allclose(x_t, np.sqrt(ab) * x0 + np.sqrt(1 - ab) * eps, atol=1e-14)
     with pytest.raises(ValueError):
         forward_sample(x0, 4, s, eps[:4])
 
@@ -112,12 +110,12 @@ def test_forward_sample_extremes():
     x0 = np.ones(4)
     tight = NoiseSchedule(np.array([1e-8]))
     near = forward_sample(x0, 1, tight, np.zeros(4))
-    assert np.max(np.abs(near.x_t - x0)) < 1e-7
+    assert np.max(np.abs(near - x0)) < 1e-7
     heavy = NoiseSchedule(np.full(30, 0.5))
     eps = np.full(4, 2.0)
     far = forward_sample(x0, 30, heavy, eps)
     # alpha_bar ~ 1e-9, so x_30 is essentially sqrt(1-ab) * eps
-    assert np.max(np.abs(far.x_t - eps)) < 1e-4
+    assert np.max(np.abs(far - eps)) < 1e-4
 
 
 def test_depolarize_step_basics():

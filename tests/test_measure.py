@@ -32,20 +32,17 @@ from qdiff.circuit import (
     x,
 )
 from qdiff.measure import (
-    AdaptiveObservable,
     GlobalProbe,
-    ObservableBank,
     _hadamard_with_angles,
     adjoint_gradient,
     ano_features,
-    expectation,
     grad_expectation_wrt_circuit,
     grad_hadamard_wrt_probe,
     hadamard_test,
-    hermitize,
     probe_hermitian_part,
     shift_gradient,
 )
+from qdiff.model import forward_trace, init_model
 from qdiff.qcore import StateVector, basis_state
 
 from circuit_oracles import full_unitary_oracle, random_hermitian, random_mixed_circuit
@@ -63,53 +60,62 @@ def random_state(n, rng):
 
 
 def random_bank(k, dim, rng):
-    return ObservableBank(tuple(AdaptiveObservable(rng.standard_normal((dim, dim)),
-                                                   rng.standard_normal((dim, dim)))
-                                for _ in range(k)))
+    """A (k, 2, dim, dim) bank array: observable j's free matrix is bank[j, 0] + 1j * bank[j, 1]."""
+    return rng.standard_normal((k, 2, dim, dim))
 
 
 def test_observable_validation():
-    with pytest.raises(ValueError):
-        AdaptiveObservable(np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        AdaptiveObservable(np.zeros((2, 2)), np.full((2, 2), np.nan))
-    obs = AdaptiveObservable(np.eye(2), np.zeros((2, 2)))
-    assert obs.dim == 2
-    assert np.allclose(obs.as_matrix(), np.eye(2) + 0j)
+    """A non-square observable is refused, and a non-finite entry is named by its observable."""
+    rng = np.random.default_rng(0)
+    psi = random_state(2, rng)
+    with pytest.raises(ValueError, match=r"expected a \(K, 2, 4, 4\) bank with K >= 1, got "
+                                         r"\(3, 2, 4, 3\)"):
+        ano_features(psi, np.zeros((3, 2, 4, 3)))
+    for bad in (np.nan, np.inf):
+        bank = random_bank(3, 4, rng)
+        bank[2, 1, 0, 3] = bad
+        with pytest.raises(ValueError, match="observable 2 has non-finite entries"):
+            ano_features(psi, bank)
 
 
 def test_bank_validation():
-    good = random_bank(3, 4, np.random.default_rng(0))
-    assert good.k == 3 and good.dim == 4
-    with pytest.raises(ValueError):
-        ObservableBank(())
-    mixed = (AdaptiveObservable(np.eye(2), np.zeros((2, 2))),
-             AdaptiveObservable(np.eye(4), np.zeros((4, 4))))
-    with pytest.raises(ValueError):
-        ObservableBank(mixed)
-
-
-def test_hermitize_and_expectation_against_dense_oracle():
-    rng = np.random.default_rng(1)
-    obs = AdaptiveObservable(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))
-    h = hermitize(obs)
-    assert np.max(np.abs(h - h.conj().T)) < 1e-14
-    m = obs.as_matrix()
-    assert np.allclose(h, 0.5 * (m + m.conj().T))
+    """A bank is K >= 1 observables, each a real and an imaginary part of the state's dimension."""
+    rng = np.random.default_rng(0)
     psi = random_state(2, rng)
-    got = expectation(psi, obs)
-    expect = float(np.real(psi.amps.conj() @ h @ psi.amps))
-    assert got == pytest.approx(expect, abs=1e-13)
+    assert ano_features(psi, random_bank(3, 4, rng)).shape == (3,)
+    for shape in [(0, 2, 4, 4), (3, 2, 2, 2), (3, 2, 8, 8), (3, 1, 4, 4), (2, 4, 4)]:
+        with pytest.raises(ValueError, match=r"expected a \(K, 2, 4, 4\) bank"):
+            ano_features(psi, np.zeros(shape))
+
+
+def test_ano_features_against_dense_oracle():
+    """Each feature is <psi|(M + M^dag)/2|psi> summed entry by entry; M's anti-Hermitian
+    part reads 0 and M^dag reads the same as M."""
+    rng = np.random.default_rng(1)
+    bank = random_bank(3, 4, rng)
+    psi = random_state(2, rng)
+    a = psi.amps
+    for j, feat in enumerate(ano_features(psi, bank)):
+        m = bank[j, 0] + 1j * bank[j, 1]
+        expect = sum(np.conj(a[r]) * 0.5 * (m[r, c] + np.conj(m[c, r])) * a[c]
+                     for r in range(4) for c in range(4))
+        assert feat == pytest.approx(expect.real, abs=1e-13)
+    dagger = np.stack([bank[:, 0].transpose(0, 2, 1), -bank[:, 1].transpose(0, 2, 1)], axis=1)
+    assert np.max(np.abs(ano_features(psi, dagger) - ano_features(psi, bank))) < 1e-13
+    anti = np.stack([bank[:, 0] - bank[:, 0].transpose(0, 2, 1),
+                     bank[:, 1] + bank[:, 1].transpose(0, 2, 1)], axis=1)
+    assert np.max(np.abs(ano_features(psi, anti))) < 1e-13
 
 
 def test_ano_features_vector():
-    rng = np.random.default_rng(4)
-    bank = random_bank(6, 4, rng)
-    psi = random_state(2, rng)
-    feats = ano_features(psi, bank)
-    assert feats.shape == (6,)
-    for k, obs in enumerate(bank.observables):
-        assert feats[k] == pytest.approx(expectation(psi, obs), abs=1e-14)
+    """Feature j of each row's output state matches the model's stacked features."""
+    m = init_model(4, k=6, hidden_enc=4, hidden_dec=4, ansatz_layers=1)
+    x = np.random.default_rng(4).standard_normal((3, 256))
+    _, tr = forward_trace(m, x, [0, 4, 10])
+    for b in range(3):
+        feats = ano_features(StateVector(tr["psi_out"][:, b]), m.bank)
+        assert feats.shape == (6,)
+        assert np.max(np.abs(feats - tr["feats"][b, :6])) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -10,15 +10,7 @@ from hypothesis import strategies as st
 
 from qdiff.circuit import effective_angles, run_block, run_circuit, unit_daggers
 from qdiff.diffusion import linear_schedule
-from qdiff.measure import (
-    AdaptiveObservable,
-    ObservableBank,
-    adjoint_gradient,
-    ano_features,
-    hadamard_test,
-    hermitize,
-    probe_hermitian_part,
-)
+from qdiff.measure import adjoint_gradient, ano_features, hadamard_test, probe_hermitian_part
 from qdiff.model import (
     ADAM_CHUNK,
     INPUT_DIM,
@@ -53,11 +45,6 @@ from checkpoint_headers import read_header, with_header
 def small_model(seed=0):
     return init_model(seed, k=4, t_steps=5, hidden_enc=16, hidden_dec=32,
                       ansatz_layers=1)
-
-
-def reference_bank(m):
-    """The model's bank as the per-observable reference objects of qdiff.measure."""
-    return ObservableBank(tuple(AdaptiveObservable(*b) for b in m.bank))
 
 
 def small_batch(rng, n=2, t_steps=5):
@@ -164,7 +151,8 @@ def test_forward_trace_matches_manual_composition():
     assert np.max(np.abs(probe_part - probe_hermitian_part(m.probe))) < 1e-12
     # the bank's Hermitian parts and the probe's (U + U^dag)/2 against one contraction;
     # the model sums its products in another order, so the last bits may differ
-    obs = np.stack([hermitize(o) for o in reference_bank(m).observables] + [probe_part])
+    obs = np.stack([0.5 * (mj + mj.conj().T) for mj in m.bank[:, 0] + 1j * m.bank[:, 1]]
+                   + [probe_part])
     col = tr["psi_out"]
     feats = np.einsum("ib,kij,jb->bk", col.conj(), obs, col).real
     assert np.max(np.abs(tr["feats"] - feats)) < 1e-14
@@ -842,7 +830,7 @@ def test_forward_trace_rows_match_single_forward_calls():
     for b in range(5):
         assert np.max(np.abs(out[b] - forward(m, X[b], ts[b]))) < 1e-12
         psi = StateVector(tr["psi_out"][:, b])
-        oracle = np.concatenate([ano_features(psi, reference_bank(m)),
+        oracle = np.concatenate([ano_features(psi, m.bank),
                                  [hadamard_test(psi, m.probe)]])
         assert np.max(np.abs(tr["feats"][b] - oracle)) < 1e-12
 
@@ -972,6 +960,17 @@ def test_timesteps_must_be_integers_in_range():
         loss(m, x_t, 0, target, 0.25)
     with pytest.raises(ValueError, match=r"timestep 2.5 "):
         loss(m, x_t, 2.5, target, 0.25)
+    # a bool read as t = 1 and ran; it is refused like any other non-integer step
+    for t in (True, np.True_):
+        with pytest.raises(ValueError, match=r"timestep True .*0\.\.5.*batch index 0"):
+            forward(m, x_t, t)
+    with pytest.raises(ValueError, match=r"timestep True .*0\.\.5.*batch index 2"):
+        forward_trace(m, np.zeros((3, INPUT_DIM)), [1, 2, True])
+    batch = [(x_t, 2, target), (x_t, True, target)]
+    with pytest.raises(ValueError, match=r"timestep True .*1\.\.5.*batch index 1"):
+        backward(m, batch, 0.25)
+    with pytest.raises(ValueError, match=r"timestep False .*1\.\.5"):
+        loss(m, x_t, False, target, 0.25)
 
 
 def test_non_finite_inputs_are_named_without_a_numpy_warning():

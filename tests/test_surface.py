@@ -11,10 +11,14 @@ its own unit test calls fails here, so it either gains a caller or goes.
 The same holds for every module-level private name in src/qdiff, which
 only the library itself may use, and for every public module-level name that
 the package does not export: it needs a caller in the library, a demo or the
-benchmark, or a place in MODULE_REFERENCES below.
+benchmark, or a place in MODULE_REFERENCES below. A name a module imports
+but never reads is allowed only where the benchmark's tracer wraps it, since
+such an import would otherwise count as a caller of dead code.
 """
 import ast
 from pathlib import Path
+
+from test_trace_targets import load_targets
 
 ROOT = Path(__file__).resolve().parents[1]
 INIT = ROOT / "src" / "qdiff" / "__init__.py"
@@ -134,3 +138,23 @@ def test_every_public_module_name_has_a_caller_outside_the_tests():
     assert len(defined) > 10
     unused = [f"{module}.{name}" for module, name in defined if (module, name) not in found]
     assert sorted(unused) == sorted(MODULE_REFERENCES)
+
+
+def test_every_unread_import_is_a_traced_name():
+    """An import a module never reads must be one that perfbench/spans.py's TARGETS
+    wraps under that module; any other is left behind, and it would keep the name it
+    imports alive in the reference checks above."""
+    traced = {(module, attr) for module, attr, _, _ in load_targets()}
+    unread = []
+    for path in sorted((ROOT / "src" / "qdiff").glob("*.py")):
+        if path == INIT:
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.split(".")[0] for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"qdiff.{path.stem}.{name}" for name in sorted(imported - read)
+                   if (f"qdiff.{path.stem}", name) not in traced]
+    assert unread == []
