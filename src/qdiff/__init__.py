@@ -43,7 +43,6 @@ from .encode import (
     encode_phase,
 )
 from .measure import (
-    GlobalProbe,
     ano_features,
     grad_expectation_wrt_circuit,
     grad_hadamard_wrt_probe,
@@ -59,7 +58,6 @@ from .diffusion import (
     linear_schedule,
 )
 from .bench import (
-    BenchReport,
     entangling_capability,
     expressibility,
     frechet_gaussian,

@@ -15,9 +15,6 @@ before any draw.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
 from .circuit import ParamCircuit, effective_angles, run_block
@@ -41,31 +38,6 @@ FRECHET_EPS = 1e-6
 BLOCK_AMPS = 2**18
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    expressibility: float
-    entangling_capability: float
-    n_samples: int
-    seed: int
-
-    def __post_init__(self):
-        if not (np.isfinite(self.expressibility) and np.isfinite(self.entangling_capability)):
-            raise ValueError("report fields must be finite")
-        if not 0.0 <= self.entangling_capability <= 1.0:
-            raise ValueError("entangling capability must lie in [0, 1]")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "expressibility": self.expressibility,
-                "entangling_capability": self.entangling_capability,
-                "n_samples": self.n_samples,
-                "seed": self.seed,
-            },
-            indent=2,
-        )
-
-
 def haar_pdf(f: float, n_dim: int) -> float:
     """Haar fidelity density (N-1)(1-F)^(N-2) on [0, 1]."""
     if not 0.0 <= f <= 1.0:
@@ -74,15 +46,15 @@ def haar_pdf(f: float, n_dim: int) -> float:
     return float((n_dim - 1) * (1.0 - f) ** (n_dim - 2))
 
 
-def haar_bin_masses(n_dim: int, n_bins: int = N_BINS) -> np.ndarray:
-    """Exact Haar probability mass per uniform bin on [0, 1].
+def haar_bin_masses(n_dim: int) -> np.ndarray:
+    """Exact Haar probability mass of each of the N_BINS uniform bins on [0, 1].
 
     The integral of the density over [lo, hi] is (1-lo)^(N-1) - (1-hi)^(N-1);
     integrating beats evaluating the pdf at bin centers, which is biased
     where the density decays fast.
     """
     _check_int("n_dim", n_dim, 2)
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    edges = np.linspace(0.0, 1.0, N_BINS + 1)
     upper = (1.0 - edges) ** (n_dim - 1)
     return upper[:-1] - upper[1:]
 
@@ -149,7 +121,12 @@ def sample_fidelities(
 
 
 def expressibility(fids, n_dim: int) -> float:
-    """KL divergence of the binned fidelity sample against the Haar masses."""
+    """KL divergence of the binned fidelity sample against the Haar masses.
+
+    A bin whose Haar mass underflows to 0 (the top bins from N = 2^8 on) takes its
+    log-mass from the closed form, (N-1) log(1-lo) + log1p(-((1-hi)/(1-lo))^(N-1));
+    every other bin's term is p log(p/q).
+    """
     _check_int("n_dim", n_dim, 2)
     fids = np.asarray(fids, dtype=float)
     if len(fids) == 0:
@@ -160,8 +137,15 @@ def expressibility(fids, n_dim: int) -> float:
         raise ValueError(f"fidelity {float(fids[i])!r} at index {i} is not in [0, 1]")
     p = np.histogram(fids, bins=N_BINS, range=(0.0, 1.0))[0] / len(fids)
     q = haar_bin_masses(n_dim)
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    bins = np.flatnonzero(p > 0)
+    p, q = p[bins], q[bins]
+    log_ratio = np.empty(len(bins))
+    ok = q > 0.0
+    log_ratio[ok] = np.log(p[ok] / q[ok])
+    tail = 1.0 - np.linspace(0.0, 1.0, N_BINS + 1)  # 1 - each bin edge
+    a, b = tail[bins[~ok]], tail[bins[~ok] + 1]  # 1 - lo and 1 - hi of each underflowed bin
+    log_ratio[~ok] = np.log(p[~ok]) - ((n_dim - 1) * np.log(a) + np.log1p(-(b / a) ** (n_dim - 1)))
+    return float(np.sum(p * log_ratio))
 
 
 def meyer_wallach(psi: StateVector) -> float:

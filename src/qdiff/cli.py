@@ -227,8 +227,13 @@ def cmd_bench(cfg: dict, seed: int, out: str) -> int:
         raise ConfigError(f"bloch_qubit must lie in 0..{cfg['n_qubits'] - 1}")
     fids, qbar, points = _bench_targets(cfg, seed)
     expr = bench.expressibility(fids, 2 ** cfg["n_qubits"])
-    report = bench.BenchReport(expr, qbar, int(len(fids)), seed)
-    atomic_write(os.path.join(out, "report.json"), report.to_json() + "\n")
+    if not (np.isfinite(expr) and np.isfinite(qbar)):
+        raise ValueError("report fields must be finite")
+    if not 0.0 <= qbar <= 1.0:
+        raise ValueError("entangling capability must lie in [0, 1]")
+    report = {"expressibility": expr, "entangling_capability": qbar,
+              "n_samples": int(len(fids)), "seed": seed}
+    atomic_write(os.path.join(out, "report.json"), json.dumps(report, indent=2) + "\n")
     atomic_write(os.path.join(out, "fidelities.csv"), bench.fidelities_csv(fids))
     atomic_write(os.path.join(out, "bloch.csv"), bench.bloch_csv(points))
     print(f"bench: E={expr:.6f} Qbar={qbar:.6f} -> {out}")

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qcore import _check_int
+
 IDX_TYPE_UBYTE = 0x08
 
 HIGH, LOW = 0.95, 0.05
@@ -48,16 +50,13 @@ class SyntheticSpec:
     per_mode: int = 50
 
     def __post_init__(self):
-        if self.n_modes < 2:
-            raise ValueError("need at least two modes")
+        _check_int("n_modes", self.n_modes, 2)
         if self.n_modes > len(_template_family()):
             raise ValueError(f"at most {len(_template_family())} modes supported")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise sigma must be finite and >= 0, got {self.noise_sigma!r}")
-        if type(self.pattern_seed) is not int or self.pattern_seed < 0:
-            raise ValueError(f"pattern seed must be an integer >= 0, got {self.pattern_seed!r}")
-        if self.per_mode < 1:
-            raise ValueError("need at least one sample per mode")
+        _check_int("pattern seed", self.pattern_seed, 0)
+        _check_int("per_mode", self.per_mode, 1)
 
 
 def parse_idx(stream: bytes) -> np.ndarray:

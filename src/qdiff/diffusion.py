@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import DensityMatrix, _is_int
+from .qcore import DensityMatrix, _check_int, _is_int
 
 
 def _check_timestep(t, t_max: int) -> None:
@@ -77,8 +77,7 @@ class DepolSchedule:
 
 def linear_schedule(t_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Linearly spaced betas, endpoints inclusive (the standard default)."""
-    if t_steps < 1:
-        raise ValueError("need at least one timestep")
+    _check_int("t_steps", t_steps, 1)
     if not 0 < beta_start <= beta_end < 1:
         raise ValueError("need 0 < beta_start <= beta_end < 1")
     return NoiseSchedule(np.linspace(beta_start, beta_end, t_steps))

@@ -10,7 +10,7 @@ from functools import reduce
 
 import numpy as np
 
-from .qcore import StateVector, basis_state
+from .qcore import StateVector, _is_int, basis_state
 
 MAX_QUBITS = 12
 
@@ -40,9 +40,9 @@ def encode_amplitude(x, n_qubits: int) -> StateVector:
     Euclidean norm, so any positive rescaling of x yields the same state.
     """
     x = np.asarray(x, dtype=complex).ravel()
+    if not _is_int(n_qubits) or not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be an integer in 1..{MAX_QUBITS}, got {n_qubits!r}")
     dim = 2**n_qubits
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"need 1..{MAX_QUBITS} qubits, got {n_qubits}")
     if len(x) > dim:
         raise ValueError(f"{len(x)} values do not fit in {n_qubits} qubits")
     alpha = np.linalg.norm(x)

@@ -6,9 +6,13 @@ H = (M + M^dag)/2, so expectation values are real by construction and every
 matrix entry is a valid trainable weight. A bank of K of them is one
 (K, 2, D, D) array, bank[j, 0] + 1j * bank[j, 1] being observable j's M: the
 model holds its bank so, and ano_features reads such an array one observable
-at a time, the reference the model's stacked features are tested against. A
-GlobalProbe adds Re<psi|U(theta)|psi>, which the model reads as <psi|(U+U^dag)/2|psi>
-(probe_hermitian_part); the ancilla Hadamard test, hadamard_test, is its reference.
+at a time, the reference the model's stacked features are tested against.
+
+The probe is a circuit c and its angles, passed as (c, params) like
+circuit.run_circuit's. Its feature Re<psi|U|psi>, U = c(params), is what the
+ancilla Hadamard test measures (hadamard_test, the reference); the model
+reads it as <psi|(U+U^dag)/2|psi> from its own suffix stack, and
+probe_hermitian_part gives that matrix from the dense unitary.
 
 Gradient routes: a feature is linear in its observable's matrix M, so the
 bank needs no rule. Every circuit angle is differentiated by the adjoint
@@ -40,8 +44,6 @@ c * (value(a + s) - value(a - s)) times the gate's scale:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .circuit import (
@@ -60,20 +62,6 @@ from .circuit import run_with_angles  # unused here; perfbench/spans.py's tracer
 from .qcore import StateVector
 
 REAL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class GlobalProbe:
-    """Hadamard-test probe: a parameterized unitary with its own angles."""
-
-    circuit: ParamCircuit
-    params: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.params, dtype=float)
-        if p.shape != (self.circuit.n_params,):
-            raise ValueError(f"probe expects {self.circuit.n_params} params, got {p.shape}")
-        object.__setattr__(self, "params", p)
 
 
 def ano_features(psi: StateVector, bank) -> np.ndarray:
@@ -118,19 +106,16 @@ def _hadamard_with_angles(psi: StateVector, c: ParamCircuit, angles: np.ndarray)
     return p0 - p1
 
 
-def hadamard_test(psi: StateVector, probe: GlobalProbe) -> float:
-    """<Z> on the ancilla of the (n+1)-qubit test circuit, Re<psi|U|psi>."""
-    if probe.circuit.n_qubits != psi.n_qubits:
-        raise ValueError(
-            f"probe acts on {probe.circuit.n_qubits} qubits, state has {psi.n_qubits}"
-        )
-    angles = effective_angles(probe.circuit, probe.params)
-    return _hadamard_with_angles(psi, probe.circuit, angles)
+def hadamard_test(psi: StateVector, c: ParamCircuit, params) -> float:
+    """<Z> on the ancilla of the (n+1)-qubit test circuit, Re<psi|U|psi> with U = c(params)."""
+    if c.n_qubits != psi.n_qubits:
+        raise ValueError(f"probe acts on {c.n_qubits} qubits, state has {psi.n_qubits}")
+    return _hadamard_with_angles(psi, c, effective_angles(c, params))
 
 
-def probe_hermitian_part(probe: GlobalProbe) -> np.ndarray:
-    """(U + U^dag)/2 of the probe unitary; <psi|.|psi> of it equals the test value."""
-    u = circuit_unitary(probe.circuit, probe.params)
+def probe_hermitian_part(c: ParamCircuit, params) -> np.ndarray:
+    """(U + U^dag)/2 of U = c(params); <psi|.|psi> of it equals the test value."""
+    u = circuit_unitary(c, params)
     return 0.5 * (u + u.conj().T)
 
 
@@ -219,17 +204,16 @@ def grad_expectation_wrt_circuit(
     return adjoint_gradient(c, unit_suffixes(c, unit_daggers(c, params)), phi_out, lam, 2.0)[0]
 
 
-def grad_hadamard_wrt_probe(psi, probe: GlobalProbe, weights=None) -> np.ndarray:
-    """d sum_b w_b Re<psi_b|U(phi)|psi_b> / d phi, the probe's Hadamard-test values.
+def grad_hadamard_wrt_probe(psi, c: ParamCircuit, params, weights=None) -> np.ndarray:
+    """d sum_b w_b Re<psi_b|U(phi)|psi_b> / d phi at phi = params, U = c(phi).
 
     psi is one StateVector or a (2^n, B) block with one state per column;
     weights holds one w_b per column and defaults to all ones.
     """
-    c = probe.circuit
     block = _as_block(psi, c.n_qubits)
     w = np.ones(block.shape[1]) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (block.shape[1],):
         raise ValueError(f"expected {block.shape[1]} weights, got shape {w.shape}")
-    phi_out = run_block(c, block, effective_angles(c, probe.params))
-    suffixes = unit_suffixes(c, unit_daggers(c, probe.params))
+    phi_out = run_block(c, block, effective_angles(c, params))
+    suffixes = unit_suffixes(c, unit_daggers(c, params))
     return adjoint_gradient(c, suffixes, phi_out, block * w, 1.0)[0]

@@ -33,7 +33,7 @@ import numpy as np
 
 from .circuit import ParamCircuit, build_ansatz, unit_daggers, unit_suffixes
 from .diffusion import NoiseSchedule, forward_sample, linear_schedule
-from .measure import REAL_TOL, GlobalProbe, adjoint_gradient
+from .measure import REAL_TOL, adjoint_gradient
 from .qcore import _check_int, _is_int
 # unused here; perfbench/spans.py's tracer wraps these names
 from .circuit import circuit_unitary, run_circuit
@@ -55,6 +55,7 @@ CKPT_VERSION = 3  # version 1 had no checksum and version 2 none over the header
 
 PARAM_GROUPS = ("encoder", "theta", "bank", "probe", "decoder")
 ADAM_CHUNK = 16384  # adam_step's entries per pass; whole-buffer temporaries lift peak RSS
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 # the settings that fix the model's shape, each an int >= 1 (_build_model checks)
 STRUCTURE_DEFAULTS = dict(k=16, t_steps=10, hidden_enc=64, hidden_dec=256, ansatz_layers=2)
 # a checkpoint's hyper must hold each of these; its "seed" is optional
@@ -64,8 +65,8 @@ TARGET_MODES = ("x_prev", "eps", "x0")
 _TRAINED_KEYS = ("lr", "lam", "target_mode", "beta_start", "beta_end")
 
 
-def leaky_relu(x: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
-    return np.where(x > 0, x, slope * x)
+def leaky_relu(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0, x, LEAKY_SLOPE * x)
 
 
 def _per_row(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -78,34 +79,11 @@ def _per_row(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class ComplexAffine:
-    w_real: np.ndarray
-    w_imag: np.ndarray
-    b_real: np.ndarray
-    b_imag: np.ndarray
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        w = self.w_real + 1j * self.w_imag
-        return _per_row(w, z) + (self.b_real + 1j * self.b_imag)
-
-
-@dataclass
-class RealAffine:
-    w: np.ndarray
-    b: np.ndarray
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return _per_row(self.w, x) + self.b
-
-
-@dataclass
 class HybridModel:
-    encoder: list
     ansatz: ParamCircuit
-    theta: np.ndarray
+    probe: ParamCircuit  # its angles are tensors["probe"]
+    tensors: dict  # table name -> view of params, the names backward's gradients carry
     bank: np.ndarray  # (k, 2, D, D): observable j's free matrix is bank[j, 0] + 1j * bank[j, 1]
-    probe: GlobalProbe
-    decoder: list
     hyper: dict
     params: np.ndarray  # the one flat buffer; every param_tensors array is a view of it
     layout: tuple  # _layout's rows, which place each named tensor in params
@@ -130,8 +108,10 @@ class TrainConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or (self.max_steps or 0) < 0:
-            raise ValueError("epochs/batch_size/max_steps must be non-negative sizes")
+        _check_int("epochs", self.epochs, 0)
+        _check_int("batch_size", self.batch_size, 1)
+        if self.max_steps is not None:
+            _check_int("max_steps", self.max_steps, 0)
         if not 0.0 <= self.lr < math.inf:
             raise ValueError(f"lr must be a finite number >= 0, got {self.lr!r}")
         _check_lam(self.lam)
@@ -166,22 +146,18 @@ def _layout(hyper: dict, n_theta: int, n_probe: int) -> tuple:
 
 def _build_model(hyper: dict) -> HybridModel:
     """The model's structure from its hyper dict alone, with every weight zero: each
-    layout tensor is a view of its slice of one float64 vector, model.params, that the
-    model's attributes take by name (_layout gives each stack two layers)."""
+    layout tensor is a view of its slice of one float64 vector, model.params, and
+    model.tensors maps its name to it (_layout gives each stack two layers)."""
     for key in STRUCTURE_DEFAULTS:
         if type(hyper[key]) is not int or hyper[key] < 1:
             raise ValueError(f"{key} must be an integer >= 1, got {hyper[key]!r}")
     ansatz = build_ansatz(N_QUBITS, hyper["ansatz_layers"])
-    probe_circ = build_ansatz(N_QUBITS, 1)
-    layout = _layout(hyper, ansatz.n_params, probe_circ.n_params)
+    probe = build_ansatz(N_QUBITS, 1)
+    layout = _layout(hyper, ansatz.n_params, probe.n_params)
     params = np.zeros(sum(math.prod(shape) for _, shape, _ in layout))
-    t = dict(zip((name for name, _, _ in layout), _views(params, layout)))
-    encoder = [ComplexAffine(*(t[f"encoder.{i}.{part}"] for part in
-                               ("w_real", "w_imag", "b_real", "b_imag"))) for i in range(2)]
+    tensors = dict(zip((name for name, _, _ in layout), _views(params, layout)))
     bank = _group_view(params, layout, "bank").reshape(hyper["k"], 2, LATENT_DIM, LATENT_DIM)
-    decoder = [RealAffine(t[f"decoder.{i}.w"], t[f"decoder.{i}.b"]) for i in range(2)]
-    return HybridModel(encoder, ansatz, t["theta"], bank, GlobalProbe(probe_circ, t["probe"]),
-                       decoder, hyper, params, layout)
+    return HybridModel(ansatz, probe, tensors, bank, hyper, params, layout)
 
 
 def _views(vec: np.ndarray, layout: tuple) -> list:
@@ -246,11 +222,13 @@ def _encode(model: HybridModel, X: np.ndarray, time_fracs: np.ndarray):
     modulus threshold z * max(0, |z| - tau)/|z| at the model's fixed tau = 0 is the
     identity.
     """
+    t = model.tensors
     z = np.concatenate([X, time_fracs[:, None]], axis=1).astype(complex)
     inputs = []
-    for layer in model.encoder:
+    for i in range(2):
         inputs.append(z)
-        z = layer.apply(z)
+        w = t[f"encoder.{i}.w_real"] + 1j * t[f"encoder.{i}.w_imag"]
+        z = _per_row(w, z) + (t[f"encoder.{i}.b_real"] + 1j * t[f"encoder.{i}.b_imag"])
     r = np.linalg.norm(z, axis=1)
     zero = np.flatnonzero(r == 0.0)
     if zero.size:
@@ -278,9 +256,9 @@ def _trace(model: HybridModel, X, z, psi_in, r, enc_inputs):
     test's Re<psi|U|psi>) are one per-row product with the stacked (K+1, 16, 16)
     Hermitians, summed against the conjugated row. backward reads both stacks.
     """
-    ansatz = unit_suffixes(model.ansatz, unit_daggers(model.ansatz, model.theta))
-    probe = unit_suffixes(model.probe.circuit,
-                          unit_daggers(model.probe.circuit, model.probe.params))
+    t = model.tensors
+    ansatz = unit_suffixes(model.ansatz, unit_daggers(model.ansatz, t["theta"]))
+    probe = unit_suffixes(model.probe, unit_daggers(model.probe, t["probe"]))
     rows = _per_row(np.ascontiguousarray(ansatz[0].conj().T), psi_in)
     m = model.bank[:, 0] + 1j * model.bank[:, 1]
     u_probe = np.ascontiguousarray(probe[0].conj().T)
@@ -294,10 +272,10 @@ def _trace(model: HybridModel, X, z, psi_in, r, enc_inputs):
 
     dec_inputs, pre_acts = [], []
     h = np.concatenate([feats, X], axis=1)
-    for i, layer in enumerate(model.decoder):
+    for i in range(2):
         dec_inputs.append(h)
-        h = layer.apply(h)
-        if i < len(model.decoder) - 1:
+        h = _per_row(t[f"decoder.{i}.w"], h) + t[f"decoder.{i}.b"]
+        if i == 0:
             pre_acts.append(h)
             h = leaky_relu(h)
     bad = np.flatnonzero(~np.all(np.isfinite(h), axis=1))
@@ -395,20 +373,20 @@ def backward(model: HybridModel, batch, lam: float | None = None):
         lam = trained_setting(model, "lam")
     X, ts, targets = _stack_batch(batch)
     total, _, _, tr, tgt = _batch_loss(model, X, ts, targets, lam)
-    k = len(model.bank)
+    k, t = len(model.bank), model.tensors
     # every named view of the one flat vector is written once, below
     grad = np.empty_like(model.params)
     grads = dict(param_tensors(model, grad))
 
     # decoder backprop from the pixel loss
     g = (1.0 - lam) * 2.0 * (tr["out"] - targets) / INPUT_DIM
-    for i in reversed(range(len(model.decoder))):
+    for i in (1, 0):
         np.matmul(g.T, tr["dec_inputs"][i], out=grads[f"decoder.{i}.w"])
         np.sum(g, axis=0, out=grads[f"decoder.{i}.b"])
         if i > 0:
-            g = (g @ model.decoder[i].w) * np.where(tr["pre_acts"][i - 1] > 0, 1.0, LEAKY_SLOPE)
+            g = (g @ t[f"decoder.{i}.w"]) * np.where(tr["pre_acts"][i - 1] > 0, 1.0, LEAKY_SLOPE)
     # the first layer's input gradient only on the k + 1 quantum features
-    u_feat = g @ model.decoder[0].w[:, : k + 1]
+    u_feat = g @ t["decoder.0.w"][:, : k + 1]
 
     psi_out, d = tr["psi_out"], LATENT_DIM
     g_mats = (u_feat @ tr["obs"].reshape(k + 1, -1)).reshape(-1, d, d)
@@ -418,7 +396,7 @@ def backward(model: HybridModel, batch, lam: float | None = None):
     grads["theta"][:], c_dag_bra = adjoint_gradient(model.ansatz, tr["ansatz_suffixes"],
                                                     psi_out, bra, 2.0)
     # the probe feature's Re<psi|U|psi>: bra psi weighted by its cotangent, from U psi
-    grads["probe"][:] = adjoint_gradient(model.probe.circuit, tr["probe_suffixes"],
+    grads["probe"][:] = adjoint_gradient(model.probe, tr["probe_suffixes"],
                                          tr["u_probe"] @ psi_out, psi_out * u_feat[:, k], 1.0)[0]
     rank_one = (psi_out.conj().T[:, :, None] * psi_out.T[:, None, :]).reshape(len(X), -1)
     outer = (u_feat[:, :k].T @ rank_one).reshape(k, d, d)
@@ -436,14 +414,13 @@ def backward(model: HybridModel, batch, lam: float | None = None):
     g_z = g_psi / r[:, None] - z * (radial / r**3)[:, None]
     # the linear complex stack; with the cotangent convention Re(g) = dL/dRe,
     # Im(g) = dL/dIm, a layer's weight gradient is g^T conj(z), its input's g conj(W)
-    for i in reversed(range(len(model.encoder))):
-        layer = model.encoder[i]
+    for i in (1, 0):
         gw, gb = g_z.T @ enc_inputs[i].conj(), g_z.sum(axis=0)
         for part, d in (("w_real", gw.real), ("w_imag", gw.imag), ("b_real", gb.real),
                         ("b_imag", gb.imag)):
             grads[f"encoder.{i}.{part}"][...] = d
         if i > 0:
-            g_z = g_z @ (layer.w_real - 1j * layer.w_imag)
+            g_z = g_z @ (t[f"encoder.{i}.w_real"] - 1j * t[f"encoder.{i}.w_imag"])
 
     grad *= 1.0 / len(X)
     name = _non_finite(model, grad)
@@ -463,24 +440,23 @@ def init_adam(model: HybridModel) -> AdamState:
     return AdamState(0, np.zeros_like(model.params), np.zeros_like(model.params))
 
 
-def adam_step(model: HybridModel, grad: np.ndarray, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(model: HybridModel, grad: np.ndarray, state: AdamState, lr: float):
     """Adam on model.params in place, ADAM_CHUNK entries at a time through two scratch
     vectors, in the operation order of m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g,
-    then p -= lr (m/bc1) / (sqrt(v/bc2) + eps)."""
+    then p -= lr (m/bc1) / (sqrt(v/bc2) + eps), b1, b2 and eps the _ADAM_ constants."""
     state.step += 1
-    bc1 = 1.0 - beta1**state.step
-    bc2 = 1.0 - beta2**state.step
+    bc1 = 1.0 - _ADAM_BETA1**state.step
+    bc2 = 1.0 - _ADAM_BETA2**state.step
     a, b = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
     for start in range(0, model.params.size, ADAM_CHUNK):
         p, g, m, v = (x[start:start + ADAM_CHUNK] for x in (model.params, grad, state.m, state.v))
         a, b = a[:len(p)], b[:len(p)]
-        m *= beta1
-        m += np.multiply(1.0 - beta1, g, out=a)
-        v *= beta2
-        v += np.multiply(np.multiply(1.0 - beta2, g, out=a), g, out=a)
+        m *= _ADAM_BETA1
+        m += np.multiply(1.0 - _ADAM_BETA1, g, out=a)
+        v *= _ADAM_BETA2
+        v += np.multiply(np.multiply(1.0 - _ADAM_BETA2, g, out=a), g, out=a)
         np.sqrt(np.divide(v, bc2, out=b), out=b)
-        b += eps
+        b += _ADAM_EPS
         np.multiply(lr, np.divide(m, bc1, out=a), out=a)
         p -= np.divide(a, b, out=a)
 

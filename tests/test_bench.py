@@ -1,6 +1,8 @@
 """Expressibility, entangling capability, and distribution distances."""
+import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ import pytest
 from qdiff import bench, cli
 from qdiff.bench import (
     N_BINS,
-    BenchReport,
     bloch_csv,
     bloch_points,
     bloch_points_of_state,
@@ -168,14 +169,51 @@ def test_expressibility_bins_the_unit_interval():
     assert expressibility([0.0, 0.5, 0.999, 1.0], 16) == pytest.approx(expect, rel=1e-12)
 
 
-def test_bench_report_validation_and_json():
-    r = BenchReport(1.25, 0.5, 100, 7)
-    doc = r.to_json()
-    assert '"expressibility"' in doc and doc == BenchReport(1.25, 0.5, 100, 7).to_json()
-    with pytest.raises(ValueError):
-        BenchReport(float("nan"), 0.5, 100, 7)
-    with pytest.raises(ValueError):
-        BenchReport(1.0, 1.5, 100, 7)
+def test_bench_report_validation_and_json(tmp_path, capsys, monkeypatch):
+    """qdiff bench writes its four report keys in order with indent=2, and refuses a
+    non-finite E or Qbar and a Qbar outside [0, 1] with exit 1, writing no report."""
+    args = ["bench", "--n-pairs", "20", "--mw-samples", "4", "--bloch-samples", "2"]
+    assert cli.main(args + ["--out", str(tmp_path / "ok"), "--seed", "7"]) == 0
+    text = (tmp_path / "ok" / "report.json").read_text()
+    report = json.loads(text)
+    assert list(report) == ["expressibility", "entangling_capability", "n_samples", "seed"]
+    assert (report["n_samples"], report["seed"]) == (20, 7)
+    assert text == json.dumps(report, indent=2) + "\n"
+    capsys.readouterr()
+    for name, value, message in (("expressibility", float("nan"), "report fields must be finite"),
+                                 ("entangling_capability", float("inf"),
+                                  "report fields must be finite"),
+                                 ("entangling_capability", 1.5,
+                                  "entangling capability must lie in [0, 1]")):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.bench, name, lambda *a, **kw: value)
+            out = tmp_path / f"{name}-{value}"
+            assert cli.main(args + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_idle_expressibility_survives_an_underflowing_haar_mass(n):
+    """Every idle fidelity is 1, so E = -log q_top = (2^n - 1) ln N_BINS, although the top
+    bin's Haar mass (1/N_BINS)^(2^n - 1) rounds to 0 from n = 8 on."""
+    c = ParamCircuit(n, (), 0)
+    fids = sample_fidelities(c, basis_state(n), 4, seed=0)
+    assert haar_bin_masses(2**n)[-1] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expressibility(fids, 2**n)
+    assert got == pytest.approx((2**n - 1) * math.log(N_BINS), rel=1e-9)
+
+
+def test_bench_idle_circuit_at_eight_qubits_exits_0(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["bench", "--out", str(tmp_path), "--circuit", "idle", "--n-qubits", "8",
+                         "--n-pairs", "10", "--mw-samples", "2", "--bloch-samples", "2"])
+    assert code == 0, capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["expressibility"] == pytest.approx(255 * math.log(N_BINS), rel=1e-9)
 
 
 def test_frechet_identical_sets_is_zero():

@@ -50,6 +50,10 @@ def test_amplitude_errors():
         encode_amplitude([0, 0, 0], 2)  # zero norm must not become NaN
     with pytest.raises(ValueError):
         encode_amplitude([1] * 5, 2)  # too long for the register
+    # True built a 1-qubit state and 1.5 failed inside numpy with a TypeError
+    for n in (True, 1.5, 0, 13):
+        with pytest.raises(ValueError, match=f"n_qubits must be an integer in 1..12, got {n!r}"):
+            encode_amplitude([1.0], n)
 
 
 def test_amplitude_scale_invariance():

@@ -32,7 +32,6 @@ from qdiff.circuit import (
     x,
 )
 from qdiff.measure import (
-    GlobalProbe,
     _hadamard_with_angles,
     adjoint_gradient,
     ano_features,
@@ -124,18 +123,32 @@ def test_hadamard_test_equals_direct_overlap(n):
     circ = build_ansatz(n, 1) if n >= 2 else ParamCircuit(
         1, (ry(0, ref=0), phase(0, ref=1)), 2)
     for _ in range(10):
-        probe = GlobalProbe(circ, rng.uniform(0, 2 * np.pi, circ.n_params))
+        params = rng.uniform(0, 2 * np.pi, circ.n_params)
         psi = random_state(n, rng)
-        got = hadamard_test(psi, probe)
-        u = probe_hermitian_part(probe)
+        got = hadamard_test(psi, circ, params)
+        u = probe_hermitian_part(circ, params)
         direct = float(np.real(psi.amps.conj() @ u @ psi.amps))
         assert got == pytest.approx(direct, abs=1e-10)
 
 
 def test_hadamard_test_on_eigenstate():
     # U = RY(0) is the identity: Re<psi|U|psi> = 1 for every state
-    probe = GlobalProbe(ParamCircuit(1, (ry(0, ref=0),), 1), np.zeros(1))
-    assert hadamard_test(basis_state(1), probe) == pytest.approx(1.0, abs=1e-12)
+    c = ParamCircuit(1, (ry(0, ref=0),), 1)
+    assert hadamard_test(basis_state(1), c, np.zeros(1)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_hadamard_test_refuses_wrong_or_non_finite_angles():
+    c = build_ansatz(2, 1)
+    psi = random_state(2, np.random.default_rng(3))
+    for params in (np.zeros(c.n_params - 1), np.zeros(c.n_params + 1)):
+        with pytest.raises(ValueError, match=f"expected {c.n_params} parameters"):
+            hadamard_test(psi, c, params)
+    params = np.zeros(c.n_params)
+    params[2] = np.nan
+    with pytest.raises(ValueError, match="parameter 2 is not finite"):
+        hadamard_test(psi, c, params)
+    with pytest.raises(ValueError, match="probe acts on 2 qubits, state has 1"):
+        hadamard_test(basis_state(1), c, np.zeros(c.n_params))
 
 
 def expectation_forward(c, psi0, params, h_mat):
@@ -187,14 +200,14 @@ def test_grad_hadamard_wrt_probe_matches_fd():
     c = build_ansatz(2, 1)
     psi = random_state(2, rng)
     params = rng.uniform(0, 2 * np.pi, c.n_params)
-    grad = grad_hadamard_wrt_probe(psi, GlobalProbe(c, params))
+    grad = grad_hadamard_wrt_probe(psi, c, params)
     eps = 1e-6
     for j in range(c.n_params):
         p = params.copy()
         p[j] += eps
-        hi = hadamard_test(psi, GlobalProbe(c, p))
+        hi = hadamard_test(psi, c, p)
         p[j] -= 2 * eps
-        lo = hadamard_test(psi, GlobalProbe(c, p))
+        lo = hadamard_test(psi, c, p)
         fd = (hi - lo) / (2 * eps)
         assert close(grad[j], fd), (j, grad[j], fd)
 
@@ -209,7 +222,6 @@ def test_measure_matches_kernel_free_dense_unitaries():
     params = rng.uniform(0, 2 * np.pi, c.n_params)
     psi = random_state(4, rng)
     h_mat = random_hermitian(16, rng)
-    probe = GlobalProbe(c, params)
 
     def dense_values(p):
         """(<psi|U^dag H U|psi>, Re<psi|U|psi>) from the dense oracle U(p)."""
@@ -217,11 +229,11 @@ def test_measure_matches_kernel_free_dense_unitaries():
         return float(np.real(np.vdot(out, h_mat @ out))), float(np.real(np.vdot(psi.amps, out)))
 
     u = full_unitary_oracle(c, params)
-    assert np.max(np.abs(probe_hermitian_part(probe) - 0.5 * (u + u.conj().T))) < 1e-12
-    assert hadamard_test(psi, probe) == pytest.approx(dense_values(params)[1], abs=1e-12)
+    assert np.max(np.abs(probe_hermitian_part(c, params) - 0.5 * (u + u.conj().T))) < 1e-12
+    assert hadamard_test(psi, c, params) == pytest.approx(dense_values(params)[1], abs=1e-12)
 
     grad_e = grad_expectation_wrt_circuit(c, psi, params, h_mat)
-    grad_h = grad_hadamard_wrt_probe(psi, probe)
+    grad_h = grad_hadamard_wrt_probe(psi, c, params)
     eps = 1e-6
     for j in range(c.n_params):
         p = params.copy()
@@ -243,11 +255,10 @@ def shift_expectation_grad(c, psi, params, h_mat):
     return shift_gradient(c, params, value)
 
 
-def shift_hadamard_grad(psi, probe):
+def shift_hadamard_grad(psi, c, params):
     """Parameter-shift oracle for grad_hadamard_wrt_probe: ancilla test per shift."""
-    c = probe.circuit
     return shift_gradient(
-        c, probe.params, lambda angles: _hadamard_with_angles(psi, c, angles), one_sided=True
+        c, params, lambda angles: _hadamard_with_angles(psi, c, angles), one_sided=True
     )
 
 
@@ -260,7 +271,7 @@ def test_shift_rules_match_fd_on_random_circuits(seed, one_sided):
     psi = random_state(c.n_qubits, rng)
     params = rng.uniform(0, 2 * np.pi, c.n_params)
     if one_sided:  # Re<psi|U(phi)|psi>, ancilla test against the dense unitary
-        grad = shift_hadamard_grad(psi, GlobalProbe(c, params))
+        grad = shift_hadamard_grad(psi, c, params)
 
         def f(p):
             return float(np.real(np.vdot(psi.amps, circuit_unitary(c, p) @ psi.amps)))
@@ -296,8 +307,8 @@ def test_adjoint_matches_shift_rule_on_random_circuits(seed):
     h_mat = random_hermitian(2**c.n_qubits, rng)
     assert_same_gradient(grad_expectation_wrt_circuit(c, psi, params, h_mat),
                          shift_expectation_grad(c, psi, params, h_mat))
-    probe = GlobalProbe(c, params)
-    assert_same_gradient(grad_hadamard_wrt_probe(psi, probe), shift_hadamard_grad(psi, probe))
+    assert_same_gradient(grad_hadamard_wrt_probe(psi, c, params),
+                         shift_hadamard_grad(psi, c, params))
 
 
 @settings(deadline=None, max_examples=20)
@@ -312,7 +323,6 @@ def test_block_gradients_equal_sum_of_single_states(seed, b):
     block = np.stack([s.amps for s in states], axis=1)
     h_stack = np.stack([random_hermitian(d, rng) for _ in range(b)])
     weights = rng.standard_normal(b)
-    probe = GlobalProbe(c, params)
 
     assert_same_gradient(
         grad_expectation_wrt_circuit(c, block, params, h_stack),
@@ -321,8 +331,8 @@ def test_block_gradients_equal_sum_of_single_states(seed, b):
         grad_expectation_wrt_circuit(c, block, params, h_stack[0]),
         sum(grad_expectation_wrt_circuit(c, s, params, h_stack[0]) for s in states))
     assert_same_gradient(
-        grad_hadamard_wrt_probe(block, probe, weights),
-        sum(w * grad_hadamard_wrt_probe(s, probe) for s, w in zip(states, weights)))
+        grad_hadamard_wrt_probe(block, c, params, weights),
+        sum(w * grad_hadamard_wrt_probe(s, c, params) for s, w in zip(states, weights)))
 
     # adjoint_gradient's second output is the bra block pulled back through the circuit
     u = circuit_unitary(c, params)
@@ -338,8 +348,8 @@ def assert_sweep_matches_shift_rules(c, rng):
     h_mat = random_hermitian(2**c.n_qubits, rng)
     assert_same_gradient(grad_expectation_wrt_circuit(c, psi, params, h_mat),
                          shift_expectation_grad(c, psi, params, h_mat))
-    probe = GlobalProbe(c, params)
-    assert_same_gradient(grad_hadamard_wrt_probe(psi, probe), shift_hadamard_grad(psi, probe))
+    assert_same_gradient(grad_hadamard_wrt_probe(psi, c, params),
+                         shift_hadamard_grad(psi, c, params))
 
 
 @settings(deadline=None, max_examples=60)
@@ -407,4 +417,4 @@ def test_gradient_callers_reject_mismatched_shapes():
     with pytest.raises(ValueError, match="expected H"):
         grad_expectation_wrt_circuit(c, block, params, np.stack([np.eye(4)] * 2))
     with pytest.raises(ValueError, match="weights"):
-        grad_hadamard_wrt_probe(block, GlobalProbe(c, params), np.ones(2))
+        grad_hadamard_wrt_probe(block, c, params, np.ones(2))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdiff.circuit import effective_angles, run_block, run_circuit, unit_daggers
+from qdiff.data import SyntheticSpec
 from qdiff.diffusion import linear_schedule
 from qdiff.measure import adjoint_gradient, ano_features, hadamard_test, probe_hermitian_part
 from qdiff.model import (
@@ -66,7 +67,7 @@ def test_init_model_is_seed_deterministic():
     for (na, ta), (nb, tb) in zip(param_tensors(a), param_tensors(b)):
         assert na == nb and np.array_equal(ta, tb)
     c = init_model(8)
-    assert not np.array_equal(a.theta, c.theta)
+    assert not np.array_equal(a.tensors["theta"], c.tensors["theta"])
 
 
 @pytest.mark.parametrize("config", [{}, dict(k=4, t_steps=5, hidden_enc=16, hidden_dec=32,
@@ -107,13 +108,14 @@ def test_init_model_header_keys_and_unknown_keywords():
 
 def test_default_model_shapes():
     m = init_model(0)
-    assert m.encoder[0].w_real.shape == (64, 257)
-    assert m.encoder[1].w_real.shape == (16, 64)
-    assert m.theta.shape == (26,)
+    t = m.tensors
+    assert t["encoder.0.w_real"].shape == (64, 257)
+    assert t["encoder.1.w_real"].shape == (16, 64)
+    assert t["theta"].shape == (26,) and m.ansatz.n_params == 26
     assert m.bank.shape == (16, 2, LATENT_DIM, LATENT_DIM)
-    assert m.probe.params.shape == (13,)
-    assert m.decoder[0].w.shape == (256, 16 + 1 + 256)
-    assert m.decoder[1].w.shape == (256, 256)
+    assert t["probe"].shape == (13,) and m.probe.n_params == 13
+    assert t["decoder.0.w"].shape == (256, 16 + 1 + 256)
+    assert t["decoder.1.w"].shape == (256, 256)
 
 
 def test_param_tensor_names_are_stable():
@@ -138,17 +140,19 @@ def test_forward_trace_matches_manual_composition():
 
     # encoder: complex affine stack on the row [x ; t/T]
     z = np.concatenate([x_t, [t / m.hyper["t_steps"]]])[None].astype(complex)
-    for layer in m.encoder:  # linear layers, no activation between them
-        z = z @ (layer.w_real + 1j * layer.w_imag).T + (layer.b_real + 1j * layer.b_imag)
+    w = m.tensors
+    for i in range(2):  # linear layers, no activation between them
+        z = (z @ (w[f"encoder.{i}.w_real"] + 1j * w[f"encoder.{i}.w_imag"]).T
+             + (w[f"encoder.{i}.b_real"] + 1j * w[f"encoder.{i}.b_imag"]))
     r = np.linalg.norm(z, axis=1)
     psi_in = StateVector(z[0] / r[0])
 
     # the circuits' unit products against the gate-by-gate run and the column-by-column
     # unitary; the rest is built from the trace's state and probe unitary, so it matches bitwise
-    psi_out = run_circuit(m.ansatz, psi_in, m.theta)
+    psi_out = run_circuit(m.ansatz, psi_in, w["theta"])
     assert np.max(np.abs(tr["psi_out"][:, 0] - psi_out.amps)) < 1e-12
     probe_part = 0.5 * (tr["u_probe"] + tr["u_probe"].conj().T)
-    assert np.max(np.abs(probe_part - probe_hermitian_part(m.probe))) < 1e-12
+    assert np.max(np.abs(probe_part - probe_hermitian_part(m.probe, w["probe"]))) < 1e-12
     # the bank's Hermitian parts and the probe's (U + U^dag)/2 against one contraction;
     # the model sums its products in another order, so the last bits may differ
     obs = np.stack([0.5 * (mj + mj.conj().T) for mj in m.bank[:, 0] + 1j * m.bank[:, 1]]
@@ -158,23 +162,21 @@ def test_forward_trace_matches_manual_composition():
     assert np.max(np.abs(tr["feats"] - feats)) < 1e-14
     # the decoder on the trace's features matches bitwise
     d = np.concatenate([tr["feats"], x_t[None]], axis=1)
-    for i, layer in enumerate(m.decoder):
-        d = d @ layer.w.T + layer.b
-        if i + 1 < len(m.decoder):
+    for i in range(2):
+        d = d @ w[f"decoder.{i}.w"].T + w[f"decoder.{i}.b"]
+        if i == 0:
             d = leaky_relu(d)
 
     assert np.max(np.abs(out - d)) == 0.0
     # the probe feature is the ancilla Hadamard test's value
-    assert abs(tr["feats"][0, -1] - hadamard_test(psi_out, m.probe)) < 1e-12
+    assert abs(tr["feats"][0, -1] - hadamard_test(psi_out, m.probe, w["probe"])) < 1e-12
 
 
 def test_forward_rejects_zero_latent():
     m = small_model()
-    for layer in m.encoder:
-        layer.w_real[:] = 0
-        layer.w_imag[:] = 0
-        layer.b_real[:] = 0
-        layer.b_imag[:] = 0
+    for name, arr in m.tensors.items():
+        if name.startswith("encoder."):
+            arr[:] = 0
     with pytest.raises(ValueError):
         forward(m, np.zeros(INPUT_DIM), 1)
 
@@ -249,8 +251,8 @@ def test_gradient_audit_catches_sign_fault():
 def test_zero_decoder_with_lam_zero_kills_upstream_gradients():
     rng = np.random.default_rng(6)
     m = small_model()
-    for layer in m.decoder:
-        layer.w[:] = 0.0
+    for name in ("decoder.0.w", "decoder.1.w"):
+        m.tensors[name][:] = 0.0
     _, grad = backward(m, small_batch(rng), lam=0.0)
     grads = dict(param_tensors(m, grad))
     assert list(grads) == [name for name, _ in param_tensors(m)]
@@ -385,6 +387,24 @@ def test_train_config_rejects_betas_linear_schedule_would(betas):
         TrainConfig(beta_start=betas[0], beta_end=betas[1])
     with pytest.raises(ValueError, match="beta_start"):
         linear_schedule(5, *betas)
+
+
+@pytest.mark.parametrize("make,name,value", [
+    (lambda v: TrainConfig(batch_size=v), "batch_size", 2.5),
+    (lambda v: TrainConfig(batch_size=v), "batch_size", True),
+    (lambda v: TrainConfig(epochs=v), "epochs", 1.5),
+    (lambda v: TrainConfig(max_steps=v), "max_steps", 2.5),
+    (lambda v: SyntheticSpec(per_mode=v), "per_mode", 1.5),
+    (lambda v: SyntheticSpec(n_modes=v), "n_modes", 2.5),
+    (lambda v: SyntheticSpec(pattern_seed=v), "pattern seed", 1.0),
+    (lambda v: linear_schedule(v, 1e-4, 0.02), "t_steps", 2.5),
+    (lambda v: linear_schedule(v, 1e-4, 0.02), "t_steps", True),
+], ids=["batch_size-2.5", "batch_size-True", "epochs-1.5", "max_steps-2.5", "per_mode-1.5",
+        "n_modes-2.5", "pattern_seed-1.0", "t_steps-2.5", "t_steps-True"])
+def test_counts_must_be_integers(make, name, value):
+    """Each float was accepted and failed later with a TypeError; each True ran as 1."""
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= ., got {value!r}"):
+        make(value)
 
 
 def test_train_config_rejects_negative_max_steps():
@@ -599,24 +619,18 @@ def test_version_1_checkpoints_without_a_checksum_still_load(tiny_checkpoint, tm
 
 
 def model_attributes(m):
-    """(table name, array) for each parameter array the model's own attributes hold."""
-    out = [(f"encoder.{i}.{part}", getattr(layer, part)) for i, layer in enumerate(m.encoder)
-           for part in ("w_real", "w_imag", "b_real", "b_imag")]
-    out.append(("theta", m.theta))
-    out += [(f"bank.{j}.{part}", m.bank[j, p]) for j in range(len(m.bank))
-            for p, part in enumerate(("m_real", "m_imag"))]
-    out.append(("probe", m.probe.params))
-    out += [(f"decoder.{i}.{part}", getattr(layer, part)) for i, layer in enumerate(m.decoder)
-            for part in ("w", "b")]
-    return out
+    """(table name, array) for each parameter array the model holds: the views of its
+    name map, then each observable's pair in the bank's group view."""
+    return list(m.tensors.items()) + [(f"bank.{j}.{part}", m.bank[j, p])
+                                      for j in range(len(m.bank))
+                                      for p, part in enumerate(("m_real", "m_imag"))]
 
 
 def assert_flat_layout(m, opt=None):
     """Each table array is a view of m.params at its consecutive offset, and so is
-    each array the model's attributes hold (encoder layers, theta, the bank's
-    observables, the probe's angles, decoder layers), found at the offset of its
-    table name. The Adam moments are flat vectors of the same length. A rebound or
-    copied tensor fails here."""
+    each array the model holds (its name map's views, in table order, and the bank's
+    observables), found at the offset of its table name. The Adam moments are flat
+    vectors of the same length. A rebound or copied tensor fails here."""
     params = m.params
     assert params.ndim == 1 and params.dtype == np.float64 and params.flags.c_contiguous
     base = params.__array_interface__["data"][0]
@@ -627,12 +641,12 @@ def assert_flat_layout(m, opt=None):
         offsets[name] = offset
         offset += arr.size
     assert offset == params.size
-    held = model_attributes(m)
-    assert [name for name, _ in held] == list(offsets)
-    for (name, arr), (_, table) in zip(held, param_tensors(m)):
+    assert list(m.tensors) == list(offsets)
+    table = dict(param_tensors(m))
+    for name, arr in model_attributes(m):
         assert np.shares_memory(arr, params), name
         assert arr.__array_interface__["data"][0] == base + 8 * offsets[name], name
-        assert arr.shape == table.shape and arr.strides == table.strides, name
+        assert arr.shape == table[name].shape and arr.strides == table[name].strides, name
     if opt is not None:
         for moment in (opt.m, opt.v):
             assert moment.shape == params.shape and moment.dtype == np.float64
@@ -831,7 +845,7 @@ def test_forward_trace_rows_match_single_forward_calls():
         assert np.max(np.abs(out[b] - forward(m, X[b], ts[b]))) < 1e-12
         psi = StateVector(tr["psi_out"][:, b])
         oracle = np.concatenate([ano_features(psi, m.bank),
-                                 [hadamard_test(psi, m.probe)]])
+                                 [hadamard_test(psi, m.probe, m.tensors["probe"])]])
         assert np.max(np.abs(tr["feats"][b] - oracle)) < 1e-12
 
 
@@ -844,7 +858,7 @@ def test_forward_trace_states_match_the_gate_by_gate_run(b):
     ts = rng.integers(0, 6, b)
     _, psi_in, _, _ = _encode(m, X, ts / m.hyper["t_steps"])
     _, tr = forward_trace(m, X, ts)
-    gate_by_gate = run_block(m.ansatz, psi_in.T, effective_angles(m.ansatz, m.theta))
+    gate_by_gate = run_block(m.ansatz, psi_in.T, effective_angles(m.ansatz, m.tensors["theta"]))
     assert np.max(np.abs(tr["psi_out"] - gate_by_gate)) < 1e-12
 
 
@@ -859,7 +873,7 @@ def test_backward_builds_each_circuits_units_once(monkeypatch):
     monkeypatch.setattr("qdiff.model.unit_daggers", counting)
     backward(m, small_batch(np.random.default_rng(28), n=3), 0.25)
     assert len(built) == 2
-    assert {id(c) for c in built} == {id(m.ansatz), id(m.probe.circuit)}
+    assert {id(c) for c in built} == {id(m.ansatz), id(m.probe)}
 
 
 class _NanEmptyNumpy:
@@ -927,7 +941,7 @@ def test_backward_names_the_tensor_of_a_non_finite_gradient(monkeypatch):
 
     def nan_probe_sweep(c, params, phi_out, bra_out, coeff):
         grad, pulled = adjoint_gradient(c, params, phi_out, bra_out, coeff)
-        if c is m.probe.circuit:
+        if c is m.probe:
             grad = np.full_like(grad, np.nan)
         return grad, pulled
 
@@ -996,8 +1010,8 @@ def test_zero_latent_names_its_batch_index():
     X = np.random.default_rng(26).standard_normal((3, INPUT_DIM))
     # with a zero first layer the latent is the second layer's bias alone
     for part in ("w_real", "w_imag", "b_real", "b_imag"):
-        getattr(m.encoder[0], part)[:] = 0.0
+        m.tensors[f"encoder.0.{part}"][:] = 0.0
     for part in ("b_real", "b_imag"):
-        getattr(m.encoder[1], part)[:] = 0.0
+        m.tensors[f"encoder.1.{part}"][:] = 0.0
     with pytest.raises(ValueError, match=r"all zero.*batch index 0"):
         forward_trace(m, X, [1, 2, 3])
