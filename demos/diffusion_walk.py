@@ -9,7 +9,6 @@ import numpy as np
 
 from qdiff.data import SyntheticSpec, mode_templates
 from qdiff.diffusion import (
-    depol_from_noise,
     depolarize_closed,
     depolarize_step,
     forward_sample,
@@ -39,24 +38,23 @@ def main():
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)
     rho = DensityMatrix(np.outer(bell, bell.conj()))
-    depol = depol_from_noise(sched)
     print("t    alpha(t)   purity")
     for t in (1, 3, 5, 10):
-        rho_t = depolarize_closed(rho, t, depol)
-        print(f"{t:<4d} {depol.alpha(t):.6f}   {purity(rho_t):.6f}")
+        rho_t = depolarize_closed(rho, t, sched)
+        print(f"{t:<4d} {sched.alpha_bar(t):.6f}   {purity(rho_t):.6f}")
     print("(purity 0.25 would be the fully mixed 2-qubit state)")
 
     print("\n=== closed form vs iterating the channel ===")
     walker = rho
     worst = 0.0
     for t in range(1, 11):
-        walker = depolarize_step(walker, depol.probs[t - 1])
-        closed = depolarize_closed(rho, t, depol)
+        walker = depolarize_step(walker, sched.betas[t - 1])
+        closed = depolarize_closed(rho, t, sched)
         worst = max(worst, np.max(np.abs(walker.mat - closed.mat)))
     print(f"max entry difference over all t: {worst:.2e}")
 
     # long-run limit: crank the channel far past T and watch it forget
-    long_sched = depol_from_noise(linear_schedule(200, 1e-4, 0.05))
+    long_sched = linear_schedule(200, 1e-4, 0.05)
     end = depolarize_closed(rho, 200, long_sched)
     print(f"\nafter 200 aggressive steps, purity = {purity(end):.6f}")
 

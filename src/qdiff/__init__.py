@@ -49,9 +49,7 @@ from .measure import (
     hadamard_test,
 )
 from .diffusion import (
-    DepolSchedule,
     NoiseSchedule,
-    depol_from_noise,
     depolarize_closed,
     depolarize_step,
     forward_sample,

@@ -5,9 +5,11 @@ angle = offset + scale * params[param_ref], which lets structural blocks bake
 fixed angle offsets into the gate while keeping the underlying parameter
 trainable. A circuit's angles are those of its m gates bound to a parameter,
 in gate order: `effective_angles` maps (n_params,) parameters to (m,) angles
-and a (B, n_params) array of draws to (m, B), one column per draw. Every
-other gate's matrix, a fixed-angle rotation's included, is a constant that
-each circuit resolves once, in its table (`ParamCircuit.table`).
+and a (B, n_params) array of draws to (m, B), one column per draw; a
+function of one circuit state (run_circuit, circuit_unitary, unit_daggers)
+refuses draws. Every other gate's matrix, a fixed-angle rotation's
+included, is a constant that each circuit resolves once, in its table
+(`ParamCircuit.table`).
 
 Every simulation runs through `run_block` on a (2^n, B) block of states, one
 column per state; a single state is a one-column block, and the dense
@@ -50,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import PAULI_X, PAULI_Y, PAULI_Z, StateVector, _check_int
+from .qcore import PAULI_X, PAULI_Y, PAULI_Z, StateVector, _check_int, _is_int
 
 ROTATION_KINDS = ("RX", "RY", "RZ", "PHASE")
 _DIAGONAL_KINDS = ("RZ", "PHASE")  # rotations whose matrix is diagonal at every angle
@@ -191,8 +193,12 @@ class ParamCircuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             for t in g.targets:
+                if not _is_int(t):
+                    raise ValueError(f"gate target {t!r} is not an integer")
                 if not 0 <= t < self.n_qubits:
                     raise ValueError(f"gate target {t} out of range for {self.n_qubits} qubits")
+            if g.param_ref is not None and not _is_int(g.param_ref):
+                raise ValueError(f"param_ref {g.param_ref!r} is not an integer")
             if g.param_ref is not None and not 0 <= g.param_ref < self.n_params:
                 raise ValueError(f"param_ref {g.param_ref} out of range for {self.n_params} params")
         bound = [i for i, g in enumerate(self.gates) if g.param_ref is not None]
@@ -478,7 +484,7 @@ def unit_daggers(c: ParamCircuit, params) -> list:
     with R^dag = alpha I + beta P: alpha = cos(a/2) and beta = i sin(a/2), or
     (1 +- e^{-ia})/2 for PHASE. That is one expression per unit size.
     """
-    angles = effective_angles(c, params)
+    angles = _vector_angles(c, params)
     half = angles / 2.0
     alpha, beta = np.cos(half) + 0j, 1j * np.sin(half)
     for kind, pos in c.table.rotations:
@@ -534,6 +540,14 @@ def effective_angles(c: ParamCircuit, params) -> np.ndarray:
     return out if params.ndim == 2 else out[:, 0]
 
 
+def _vector_angles(c: ParamCircuit, params) -> np.ndarray:
+    """effective_angles of one parameter vector: a function of one state refuses draws."""
+    if np.ndim(params) != 1:
+        raise ValueError(f"expected one vector of {c.n_params} parameters, "
+                         f"got shape {np.shape(params)}")
+    return effective_angles(c, params)
+
+
 def run_with_angles(c: ParamCircuit, amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """The circuit on one raw amplitude array with pre-resolved angles, as a one-column block."""
     return run_block(c, amps[:, None], angles)[:, 0]
@@ -581,15 +595,14 @@ def run_circuit(c: ParamCircuit, psi0: StateVector, params=()) -> StateVector:
     """Apply the circuit's gates in order to psi0."""
     if psi0.n_qubits != c.n_qubits:
         raise ValueError(f"state has {psi0.n_qubits} qubits, circuit {c.n_qubits}")
-    angles = effective_angles(c, params)
-    return StateVector(run_with_angles(c, psi0.amps, angles))
+    return StateVector(run_with_angles(c, psi0.amps, _vector_angles(c, params)))
 
 
 def circuit_unitary(c: ParamCircuit, params=()) -> np.ndarray:
     """Dense 2^n x 2^n unitary of the circuit (n_qubits <= 10), run on the identity block."""
     if c.n_qubits > 10:
         raise ValueError("circuit_unitary limited to 10 qubits")
-    return run_block(c, np.eye(2**c.n_qubits, dtype=complex), effective_angles(c, params))
+    return run_block(c, np.eye(2**c.n_qubits, dtype=complex), _vector_angles(c, params))
 
 
 def vw_block(q0: int, q1: int, param_refs) -> list:

@@ -317,7 +317,7 @@ def cmd_train(cfg: dict, seed: int, out: str) -> int:
         ck = model.load_checkpoint(cfg["resume"])
         m, opt, step_offset = ck["model"], ck["opt"], ck["step"]
         for key in RESUME_KEYS:
-            have = model.trained_setting(m, key)
+            have = m.hyper[key]
             if have != cfg[key]:
                 raise ConfigError(f"resume checkpoint has {key}={have!r}, "
                                   f"the config asks for {key}={cfg[key]!r}")
@@ -358,7 +358,7 @@ def cmd_sample(cfg: dict, seed: int, out: str) -> int:
     metrics = {
         "n_trajectories": int(len(finals)),
         "t_steps": m.hyper["t_steps"],
-        "mode": model.trained_setting(m, "target_mode"),
+        "mode": m.hyper["target_mode"],
         "nearest_mode_cosine_mean": float(np.mean(cosines)),
         "nearest_mode_frac_above_0.8": float(np.mean([c > 0.8 for c in cosines])),
         "frechet_generated": None,

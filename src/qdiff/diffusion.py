@@ -2,9 +2,10 @@
 
 The classical side is a beta schedule with its running products alpha-bar_t,
 and forward_sample returns the closed-form noised array x_t itself; the
-quantum side replaces Gaussian noising with per-step depolarizing channels,
-whose t-fold composition also has a closed form. Timesteps are 1-based: t
-runs over 1..T.
+quantum side replaces Gaussian noising with per-step depolarizing channels
+on the same schedule, step s mixing with probability p_s = beta_s. Both are
+running products of (1 - rate), so the t-fold channel keeps the share
+alpha-bar_t of the state and mixes in the rest. Timesteps are 1-based: t runs over 1..T.
 """
 from __future__ import annotations
 
@@ -50,45 +51,12 @@ class NoiseSchedule:
         return float(self.alpha_bars[t - 1])
 
 
-@dataclass(frozen=True)
-class DepolSchedule:
-    """Per-step depolarizing probabilities p_t with alpha_t = prod(1 - p_s)."""
-
-    probs: np.ndarray
-    alpha_prods: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or len(probs) < 1:
-            raise ValueError("probs must be a non-empty 1-d vector")
-        if not np.all((probs >= 0) & (probs <= 1)):  # a NaN fails both comparisons
-            raise ValueError("every p_t must be a finite number in [0, 1]")
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "alpha_prods", np.cumprod(1.0 - probs))
-
-    @property
-    def t_max(self) -> int:
-        return len(self.probs)
-
-    def alpha(self, t: int) -> float:
-        _check_timestep(t, self.t_max)
-        return float(self.alpha_prods[t - 1])
-
-
 def linear_schedule(t_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Linearly spaced betas, endpoints inclusive (the standard default)."""
     _check_int("t_steps", t_steps, 1)
     if not 0 < beta_start <= beta_end < 1:
         raise ValueError("need 0 < beta_start <= beta_end < 1")
     return NoiseSchedule(np.linspace(beta_start, beta_end, t_steps))
-
-
-def depol_from_noise(sched: NoiseSchedule) -> DepolSchedule:
-    """Depolarizing schedule whose alpha_t matches the classical alpha_bar_t.
-
-    Both are running products of (1 - rate), so p_t = beta_t does it.
-    """
-    return DepolSchedule(sched.betas.copy())
 
 
 def forward_sample(x0, t: int, sched: NoiseSchedule, eps) -> np.ndarray:
@@ -109,8 +77,8 @@ def depolarize_step(rho: DensityMatrix, p: float) -> DensityMatrix:
     return DensityMatrix((1.0 - p) * rho.mat + p * np.eye(d) / d)
 
 
-def depolarize_closed(rho0: DensityMatrix, t: int, sched: DepolSchedule) -> DensityMatrix:
-    """t-fold depolarizing in closed form: alpha_t rho0 + (1 - alpha_t) I/d."""
-    a = sched.alpha(t)
+def depolarize_closed(rho0: DensityMatrix, t: int, sched: NoiseSchedule) -> DensityMatrix:
+    """t-fold depolarizing with p_s = beta_s in closed form: ab_t rho0 + (1 - ab_t) I/d."""
+    a = sched.alpha_bar(t)
     d = rho0.dim
     return DensityMatrix(a * rho0.mat + (1.0 - a) * np.eye(d) / d)

@@ -50,9 +50,9 @@ from .circuit import (
     ParamCircuit,
     _H_MAT,
     _apply_kq,
+    _vector_angles,
     circuit_unitary,
     control_embed,
-    effective_angles,
     gate_matrices,
     run_block,
     unit_daggers,
@@ -110,7 +110,7 @@ def hadamard_test(psi: StateVector, c: ParamCircuit, params) -> float:
     """<Z> on the ancilla of the (n+1)-qubit test circuit, Re<psi|U|psi> with U = c(params)."""
     if c.n_qubits != psi.n_qubits:
         raise ValueError(f"probe acts on {c.n_qubits} qubits, state has {psi.n_qubits}")
-    return _hadamard_with_angles(psi, c, effective_angles(c, params))
+    return _hadamard_with_angles(psi, c, _vector_angles(c, params))
 
 
 def probe_hermitian_part(c: ParamCircuit, params) -> np.ndarray:
@@ -127,7 +127,7 @@ def shift_gradient(c: ParamCircuit, params, value, one_sided: bool = False) -> n
     selects the rule for a value in which the circuit enters once,
     unconjugated; the module docstring gives both rules.
     """
-    base = effective_angles(c, params)
+    base = _vector_angles(c, params)
     t = c.table
     grad = np.zeros(c.n_params)
     for p, (i, ref, scale) in enumerate(zip(t.bound, t.refs, t.scales[:, 0])):
@@ -192,7 +192,7 @@ def grad_expectation_wrt_circuit(
     stack with one per column.
     """
     block = _as_block(psi0, c.n_qubits)
-    phi_out = run_block(c, block, effective_angles(c, params))
+    phi_out = run_block(c, block, _vector_angles(c, params))
     h = np.asarray(h_mat)
     d, b = block.shape
     if h.shape == (d, d):
@@ -214,6 +214,6 @@ def grad_hadamard_wrt_probe(psi, c: ParamCircuit, params, weights=None) -> np.nd
     w = np.ones(block.shape[1]) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (block.shape[1],):
         raise ValueError(f"expected {block.shape[1]} weights, got shape {w.shape}")
-    phi_out = run_block(c, block, effective_angles(c, params))
+    phi_out = run_block(c, block, _vector_angles(c, params))
     suffixes = unit_suffixes(c, unit_daggers(c, params))
     return adjoint_gradient(c, suffixes, phi_out, block * w, 1.0)[0]

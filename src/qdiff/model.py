@@ -51,18 +51,18 @@ LATENT_DIM = 2**N_QUBITS
 LEAKY_SLOPE = 0.01
 
 CKPT_MAGIC = b"QDFC"
-CKPT_VERSION = 3  # version 1 had no checksum and version 2 none over the header; both still load
+CKPT_VERSION = 3  # the one format load_checkpoint reads: versions 1 and 2 lacked its checksums
 
 PARAM_GROUPS = ("encoder", "theta", "bank", "probe", "decoder")
 ADAM_CHUNK = 16384  # adam_step's entries per pass; whole-buffer temporaries lift peak RSS
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 # the settings that fix the model's shape, each an int >= 1 (_build_model checks)
 STRUCTURE_DEFAULTS = dict(k=16, t_steps=10, hidden_enc=64, hidden_dec=256, ansatz_layers=2)
-# a checkpoint's hyper must hold each of these; its "seed" is optional
-_HYPER_KEYS = ("n_qubits", *STRUCTURE_DEFAULTS, "lr", "lam")
 TARGET_MODES = ("x_prev", "eps", "x0")
-# the training settings train() records in hyper
+# the training settings init_model records as TrainConfig's and train() as its config's
 _TRAINED_KEYS = ("lr", "lam", "target_mode", "beta_start", "beta_end")
+# a checkpoint's hyper must hold each of these; its "seed" is optional
+_HYPER_KEYS = ("n_qubits", *STRUCTURE_DEFAULTS, *_TRAINED_KEYS)
 
 
 def leaky_relu(x: np.ndarray) -> np.ndarray:
@@ -175,9 +175,10 @@ def _group_view(vec: np.ndarray, layout: tuple, group: str) -> np.ndarray:
 
 
 def init_model(seed: int, lam: float = TrainConfig.lam, **structure) -> HybridModel:
-    """Fresh model: structure overrides STRUCTURE_DEFAULTS in its hyper dict (whose lr
-    is TrainConfig's until train() records its own), then one walk over the layout
-    fills each tensor from rng.uniform on its row's range, so a seed pins every weight."""
+    """Fresh model: structure overrides STRUCTURE_DEFAULTS in its hyper dict, whose
+    training settings are lam and TrainConfig's others until train() records its own;
+    one walk over the layout fills each tensor from rng.uniform on its row's range, so
+    a seed pins every weight."""
     for key in structure:
         if key not in STRUCTURE_DEFAULTS:
             raise TypeError(f"init_model() got an unexpected keyword argument {key!r}")
@@ -185,7 +186,8 @@ def init_model(seed: int, lam: float = TrainConfig.lam, **structure) -> HybridMo
     model = _build_model(dict(n_qubits=N_QUBITS, k=s["k"], t_steps=s["t_steps"],
                               lr=TrainConfig.lr, lam=lam, hidden_enc=s["hidden_enc"],
                               hidden_dec=s["hidden_dec"], ansatz_layers=s["ansatz_layers"],
-                              seed=seed))
+                              seed=seed, target_mode=TrainConfig.target_mode,
+                              beta_start=TrainConfig.beta_start, beta_end=TrainConfig.beta_end))
     rng = np.random.default_rng(seed)
     for (_, shape, bounds), arr in zip(model.layout, _views(model.params, model.layout)):
         arr[...] = rng.uniform(*bounds, shape)
@@ -370,7 +372,7 @@ def backward(model: HybridModel, batch, lam: float | None = None):
     suffix stacks the forward built, and each gradient tensor is written once.
     """
     if lam is None:
-        lam = trained_setting(model, "lam")
+        lam = model.hyper["lam"]
     X, ts, targets = _stack_batch(batch)
     total, _, _, tr, tgt = _batch_loss(model, X, ts, targets, lam)
     k, t = len(model.bank), model.tensors
@@ -529,16 +531,9 @@ def train_log_csv(log) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trained_setting(model: HybridModel, key: str):
-    """The model's setting `key` as hyper records it. A training setting missing from
-    a header written before train() recorded it reads as TrainConfig's default,
-    which qdiff sample used for it."""
-    return model.hyper[key] if key in model.hyper else getattr(TrainConfig, key)
-
-
 def _noise_schedule(model: HybridModel) -> NoiseSchedule:
-    return linear_schedule(model.hyper["t_steps"], trained_setting(model, "beta_start"),
-                           trained_setting(model, "beta_end"))
+    hyper = model.hyper
+    return linear_schedule(hyper["t_steps"], hyper["beta_start"], hyper["beta_end"])
 
 
 def sample_block(model: HybridModel, seeds) -> np.ndarray:
@@ -552,7 +547,7 @@ def sample_block(model: HybridModel, seeds) -> np.ndarray:
     the previous step; eps and x0 form the DDPM posterior mean on the schedule the
     model was trained with.
     """
-    mode = trained_setting(model, "target_mode")
+    mode = model.hyper["target_mode"]
     if mode not in TARGET_MODES:
         raise ValueError(f"unknown target mode {mode!r}")
     if len(seeds) == 0:
@@ -634,34 +629,33 @@ def checkpoint_bytes(model: HybridModel, opt: AdamState | None = None,
 
 
 def load_checkpoint(path):
-    """Returns dict with model, opt (or None), rng_state (or None), step. The payload
-    is read straight into model.params and, with Adam, two fresh moment vectors; from
-    version 2 on, its CRC-32 must match the header's crc32 (version 1 has none), and
-    from version 3 on, the header's own digest its header_crc32."""
+    """Returns dict with model, opt (or None), rng_state (or None), step. Only
+    checkpoint_bytes' format is read: the payload goes straight into model.params and,
+    with Adam, two fresh moment vectors; its CRC-32 must match the header's crc32, and
+    the header's own digest its header_crc32."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         start = fh.read(16)
         if len(start) < 16 or start[:4] != CKPT_MAGIC:
             raise ValueError("not a model checkpoint (bad magic)")
         _, version, hlen = struct.unpack("<4sIQ", start)
-        if version not in range(1, CKPT_VERSION + 1):
+        if version != CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         try:
             if hlen > size - 16:
                 raise ValueError(f"header length {hlen} runs past the end of the file")
             header = json.loads(fh.read(hlen).decode())
-            if version > 2:
-                digest = header["header_crc32"]
-                if type(digest) is not int or digest != _header_crc32(header):
-                    raise ValueError("header CRC-32 mismatch")
+            digest = header["header_crc32"]
+            if type(digest) is not int or digest != _header_crc32(header):
+                raise ValueError("header CRC-32 mismatch")
             hyper = header["hyper"]
             shapes = [tuple(s) for s in header["shapes"]]
             has_adam = bool(header["has_adam"])
-            step = header.get("step", 0)
+            step = header["step"]
             adam_step = header["adam_step"] if has_adam else 0
-            rng_state = header.get("rng_state")
-            crc = header["crc32"] if version > 1 else None
-            if crc is not None and (type(crc) is not int or not 0 <= crc < 2**32):
+            rng_state = header["rng_state"]
+            crc = header["crc32"]
+            if type(crc) is not int or not 0 <= crc < 2**32:
                 raise ValueError(f"crc32 {crc!r} is not a CRC-32")
             if any(key not in hyper for key in _HYPER_KEYS) or hyper["n_qubits"] != N_QUBITS:
                 raise KeyError("hyper")
@@ -669,9 +663,8 @@ def load_checkpoint(path):
                 raise ValueError(f"step {step!r} and adam_step {adam_step!r} must be ints >= 0")
             if rng_state is not None:
                 np.random.PCG64(0).state = rng_state  # numpy's own check of a PCG64 state
+            TrainConfig(**{key: hyper[key] for key in _TRAINED_KEYS})  # the recorded rule
             model = _build_model(hyper)
-            # recorded training settings must pass TrainConfig's rule (missing ones read as defaults)
-            TrainConfig(**{key: trained_setting(model, key) for key in _TRAINED_KEYS})
         except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
                 RecursionError) as e:  # json.loads recurses once per nesting level
             raise ValueError(f"corrupt checkpoint header: {e}") from e
@@ -685,7 +678,7 @@ def load_checkpoint(path):
             name = _non_finite(model, vec)
             if name is not None:
                 raise ValueError(f"checkpoint tensor {what}{name} holds non-finite values")
-        if crc is not None and _crc32(vecs) != crc:
+        if _crc32(vecs) != crc:
             raise ValueError("corrupt checkpoint payload (CRC-32 mismatch)")
     return {
         "model": model,
@@ -709,7 +702,7 @@ def gradient_audit(model: HybridModel, batch, lam: float | None = None,
     so the audit itself can be shown to catch a broken gradient.
     """
     if lam is None:
-        lam = trained_setting(model, "lam")
+        lam = model.hyper["lam"]
     _check_int("n_probe", n_probe, 1)
     if not 0.0 < fd_eps < np.inf:
         raise ValueError("fd_eps must be a finite number > 0")

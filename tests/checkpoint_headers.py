@@ -18,7 +18,8 @@ def read_header(raw):
 
 def with_header(raw, header, digest=True):
     """The checkpoint bytes `raw` with its JSON header replaced by `header`, a dict
-    header re-digested unless digest is False (a version 1 or 2 header has none)."""
+    header re-digested unless digest is False. That writes it as given, to show that
+    a header without the header_crc32 every checkpoint carries is refused."""
     (hlen,) = struct.unpack_from("<Q", raw, 8)
     if digest and isinstance(header, dict):
         head = _header_bytes(header)

@@ -30,7 +30,7 @@ from qdiff.circuit import (
     vw_block,
 )
 from qdiff.data import SyntheticSpec, mode_templates, nearest_mode, synth_modes
-from qdiff.diffusion import DepolSchedule, depolarize_closed, depolarize_step
+from qdiff.diffusion import NoiseSchedule, depolarize_closed, depolarize_step
 from qdiff.encode import (
     encode_amplitude,
     encode_angle,
@@ -68,12 +68,12 @@ def test_01_vw_block_synthesizes_heisenberg_interaction():
 def test_02_depolarizing_closed_form_matches_iteration():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        sched = DepolSchedule(rng.uniform(0.0, 1.0, 10))
+        sched = NoiseSchedule(rng.uniform(0.0, 1.0, 10))
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         rho = DensityMatrix((a @ a.conj().T) / np.trace(a @ a.conj().T))
         walker = rho
         for t in range(1, 11):
-            walker = depolarize_step(walker, sched.probs[t - 1])
+            walker = depolarize_step(walker, sched.betas[t - 1])
             closed = depolarize_closed(rho, t, sched)
             assert np.max(np.abs(walker.mat - closed.mat)) < 1e-12
 

@@ -121,6 +121,17 @@ def test_gate_wider_than_its_circuit_or_state_is_rejected():
         one_gate(3, h(2), basis_state(2))
 
 
+@pytest.mark.parametrize("gate, bad", [(rx(0, ref=0.5), "param_ref 0.5"),
+                                       (rx(0, ref=True), "param_ref True"),
+                                       (h(0.5), "gate target 0.5"), (h(True), "gate target True"),
+                                       (cnot(0, 1.0), "gate target 1.0")])
+def test_gate_indices_must_be_integers(gate, bad):
+    # a bool or float index would read a parameter or wire other than the one written
+    with pytest.raises(ValueError, match=re.escape(f"{bad} is not an integer")):
+        ParamCircuit(2, (gate,), 2)
+    ParamCircuit(2, (rx(np.int64(1), ref=np.int64(1)),), 2)
+
+
 def test_gate_validation():
     with pytest.raises(ValueError):
         rx(0)  # neither ref nor angle

@@ -51,14 +51,12 @@ def read_log_rows(path, strip_wall=True):
     return lines[0], rows
 
 
-def _with_hyper(raw, drop=(), top=(), **changes):
-    """The checkpoint bytes `raw` with `changes` merged into its header's hyper,
-    the keys in `drop` taken out of it, and `top` merged into the header itself."""
+def _with_hyper(raw, top=(), **changes):
+    """The checkpoint bytes `raw` with `changes` merged into its header's hyper and
+    `top` merged into the header itself."""
     header = read_header(raw)
     header.update(top)
     header["hyper"].update(changes)
-    for key in drop:
-        del header["hyper"][key]
     return with_header(raw, header)
 
 
@@ -378,14 +376,6 @@ def test_train_resume_with_another_training_rule_exits_2_naming_the_key(tmp_path
     assert code == 2
     assert f"{key}=" in err and str(value) in err
     assert os.listdir(tmp_path / "rest") == []
-    # a header written before train() recorded the rule reads as x_prev on 1e-4..0.02
-    old = tmp_path / "old.qdc"
-    old.write_bytes(_with_hyper((tmp_path / "half" / "checkpoint.qdc").read_bytes(),
-                                drop=("target_mode", "beta_start", "beta_end")))
-    assert run(train_args(tmp_path / "old", max_steps=1, resume=str(old)), capsys)[0] == 0
-    code, _, err = run(train_args(tmp_path / "old2", max_steps=1, resume=str(old),
-                                  **{key: value}), capsys)
-    assert code == 2 and f"{key}=" in err
 
 
 def test_train_resume_records_the_new_lr_and_lam(tmp_path, capsys):

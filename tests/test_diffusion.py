@@ -3,9 +3,7 @@ import numpy as np
 import pytest
 
 from qdiff.diffusion import (
-    DepolSchedule,
     NoiseSchedule,
-    depol_from_noise,
     depolarize_closed,
     depolarize_step,
     forward_sample,
@@ -52,8 +50,7 @@ def test_schedule_validation():
 def test_timesteps_must_be_integers_in_range(t):
     """1.5 and 2.5 crashed with numpy's IndexError, and True silently read step 1."""
     noise = linear_schedule(5, 1e-4, 0.02)
-    depol = depol_from_noise(noise)
-    for read in (noise.beta, noise.alpha_bar, depol.alpha,
+    for read in (noise.beta, noise.alpha_bar,
                  lambda t: forward_sample(np.zeros(3), t, noise, np.zeros(3))):
         with pytest.raises(ValueError, match=r"is not an integer in 1\.\.5"):
             read(t)
@@ -65,15 +62,11 @@ def test_schedules_require_finite_entries(bad):
     """A NaN entry fails both range comparisons, so it used to pass them."""
     with pytest.raises(ValueError, match=r"every beta_t must be a finite number"):
         NoiseSchedule(np.array([0.1, bad, 0.2]))
-    with pytest.raises(ValueError, match=r"every p_t must be a finite number"):
-        DepolSchedule(np.array([0.1, bad, 0.2]))
 
 
 def test_schedule_derived_fields_are_not_arguments():
     with pytest.raises(TypeError):
         NoiseSchedule(np.array([0.1]), alpha_bars=np.array([0.5]))
-    with pytest.raises(TypeError):
-        DepolSchedule(np.array([0.1]), alpha_prods=np.array([0.5]))
 
 
 def test_linear_schedule_endpoints():
@@ -84,13 +77,6 @@ def test_linear_schedule_endpoints():
         linear_schedule(10, 0.02, 1e-4)
     with pytest.raises(ValueError):
         linear_schedule(0, 1e-4, 0.02)
-
-
-def test_depol_schedule_matches_noise_alpha_bar():
-    s = linear_schedule(10, 0.05, 0.3)
-    d = depol_from_noise(s)
-    for t in range(1, 11):
-        assert d.alpha(t) == pytest.approx(s.alpha_bar(t), abs=1e-15)
 
 
 def test_forward_sample_closed_form():
@@ -132,7 +118,7 @@ def test_depolarize_closed_matches_iteration():
     rng = np.random.default_rng(2)
     for trial in range(5):
         probs = rng.uniform(0.0, 0.9, 10)
-        sched = DepolSchedule(probs)
+        sched = NoiseSchedule(probs)
         rho = projector(random_state(2, rng))
         walker = rho
         for t in range(1, 11):
@@ -142,7 +128,7 @@ def test_depolarize_closed_matches_iteration():
 
 
 def test_depolarize_converges_to_maximally_mixed():
-    sched = DepolSchedule(np.full(60, 0.3))
+    sched = NoiseSchedule(np.full(60, 0.3))
     rho = projector(random_state(2, np.random.default_rng(3)))
     end = depolarize_closed(rho, 60, sched)
     assert np.max(np.abs(end.mat - np.eye(4) / 4)) < 1e-8
@@ -151,7 +137,7 @@ def test_depolarize_converges_to_maximally_mixed():
 def test_state_fidelity_of_depolarized_state():
     psi = random_state(2, np.random.default_rng(8))
     rho = projector(psi)
-    sched = DepolSchedule(np.array([0.4]))
+    sched = NoiseSchedule(np.array([0.4]))
     noised = depolarize_closed(rho, 1, sched)
     # F = alpha + (1 - alpha)/d with alpha = 0.6, d = 4
     fidelity = np.vdot(psi.amps, noised.mat @ psi.amps).real

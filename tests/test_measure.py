@@ -418,3 +418,28 @@ def test_gradient_callers_reject_mismatched_shapes():
         grad_expectation_wrt_circuit(c, block, params, np.stack([np.eye(4)] * 2))
     with pytest.raises(ValueError, match="weights"):
         grad_hadamard_wrt_probe(block, c, params, np.ones(2))
+
+
+ONE_STATE_CALLS = {
+    "run_circuit": lambda c, p: run_circuit(c, basis_state(2), p),
+    "circuit_unitary": circuit_unitary,
+    "unit_daggers": unit_daggers,
+    "hadamard_test": lambda c, p: hadamard_test(basis_state(2), c, p),
+    "probe_hermitian_part": probe_hermitian_part,
+    "grad_expectation_wrt_circuit":
+        lambda c, p: grad_expectation_wrt_circuit(c, basis_state(2), p, np.eye(4)),
+    "grad_hadamard_wrt_probe": lambda c, p: grad_hadamard_wrt_probe(basis_state(2), c, p),
+    "shift_gradient": lambda c, p: shift_gradient(c, p, lambda angles: 0.0),
+}
+
+
+@pytest.mark.parametrize("n_draws", [4, 3])
+@pytest.mark.parametrize("name", ONE_STATE_CALLS)
+def test_functions_of_one_parameter_vector_refuse_an_array_of_draws(name, n_draws):
+    # with 2^n draws, run_block gives circuit_unitary's column j from draw j: not a unitary
+    c = build_ansatz(2, 1)
+    call = ONE_STATE_CALLS[name]
+    with pytest.raises(ValueError, match=rf"expected one vector of {c.n_params} parameters, "
+                                         rf"got shape \({n_draws}, {c.n_params}\)"):
+        call(c, np.zeros((n_draws, c.n_params)))
+    call(c, np.zeros(c.n_params))

@@ -99,8 +99,11 @@ def test_init_model_header_keys_and_unknown_keywords():
     # the header's key order is part of the checkpoint bytes
     m = init_model(3, lam=0.5, k=4)
     assert list(m.hyper) == ["n_qubits", "k", "t_steps", "lr", "lam", "hidden_enc",
-                             "hidden_dec", "ansatz_layers", "seed"]
+                             "hidden_dec", "ansatz_layers", "seed", "target_mode",
+                             "beta_start", "beta_end"]
     assert (m.hyper["k"], m.hyper["lam"], m.hyper["lr"]) == (4, 0.5, TrainConfig.lr)
+    assert (m.hyper["target_mode"], m.hyper["beta_start"], m.hyper["beta_end"]) \
+        == (TrainConfig.target_mode, TrainConfig.beta_start, TrainConfig.beta_end)
     for bad in ("lr", "n_qubits", "kk"):
         with pytest.raises(TypeError, match=bad):
             init_model(0, **{bad: 1})
@@ -488,10 +491,10 @@ def test_checkpoint_rejects_incomplete_header(tmp_path):
     (hlen,) = struct.unpack_from("<Q", raw, 8)
     header = json.loads(raw[16: 16 + hlen])
     broken = [[1, 2, 3], "hyper", {"hyper": [], "shapes": [], "has_adam": False}]
-    for key in ("hyper", "shapes", "has_adam"):
+    for key in ("hyper", "shapes", "has_adam", "step", "rng_state", "crc32"):
         broken.append({k: v for k, v in header.items() if k != key})
     for key in ("n_qubits", "k", "t_steps", "lr", "lam", "hidden_enc", "hidden_dec",
-                "ansatz_layers"):
+                "ansatz_layers", "target_mode", "beta_start", "beta_end"):
         broken.append(dict(header, hyper={k: v for k, v in header["hyper"].items()
                                           if k != key}))
     broken.append(dict(header, hyper=dict(header["hyper"], n_qubits=5)))
@@ -531,12 +534,12 @@ def test_checkpoint_refuses_bad_counters_and_training_settings(tiny_checkpoint, 
     (tmp_path / "bad.qdc").write_bytes(with_header(raw, bad))
     with pytest.raises(ValueError, match="corrupt checkpoint header"):
         load_checkpoint(tmp_path / "bad.qdc")
-    # a header written before train() recorded target_mode and the betas still loads
+    # a header without target_mode and the betas is refused, not read as their defaults
     old = dict(header, hyper={k: v for k, v in header["hyper"].items()
                               if k not in ("target_mode", "beta_start", "beta_end")})
     (tmp_path / "old.qdc").write_bytes(with_header(raw, old))
-    ck = load_checkpoint(tmp_path / "old.qdc")
-    assert (ck["step"], ck["opt"].step) == (1, 1)
+    with pytest.raises(ValueError, match="corrupt checkpoint header"):
+        load_checkpoint(tmp_path / "old.qdc")
 
 
 def test_checkpoint_refuses_an_rng_state_of_another_generator(tiny_checkpoint, tmp_path):
@@ -596,26 +599,35 @@ def test_checkpoint_refuses_an_edited_header_value(tmp_path):
         load_checkpoint(tmp_path / "edited.qdc")
 
 
-def test_version_1_checkpoints_without_a_checksum_still_load(tiny_checkpoint, tmp_path):
+def test_checkpoints_of_versions_1_and_2_are_refused(tiny_checkpoint, tmp_path):
+    # version 2 had the payload checksum only, version 1 neither
     raw = tiny_checkpoint
     assert struct.unpack_from("<I", raw, 4) == (3,)
-    header = read_header(raw)
-    # version 2 had the payload checksum only, version 1 neither
-    v2 = {k: v for k, v in header.items() if k != "header_crc32"}
-    v1 = {k: v for k, v in v2.items() if k != "crc32"}
-    for version, old in ((1, v1), (2, v2)):
-        old = with_header(raw, old, digest=False)
-        (tmp_path / f"v{version}.qdc").write_bytes(old[:4] + struct.pack("<I", version) + old[8:])
-    (tmp_path / "v3.qdc").write_bytes(raw)
-    loaded = [load_checkpoint(tmp_path / f"v{version}.qdc") for version in (1, 2, 3)]
-    for ck in loaded[:2]:
-        assert np.array_equal(ck["model"].params, loaded[2]["model"].params)
-        assert np.array_equal(ck["opt"].v, loaded[2]["opt"].v)
+    for version in (1, 2):
+        (tmp_path / "old.qdc").write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}"):
+            load_checkpoint(tmp_path / "old.qdc")
     # a version 3 header must carry both checksums
-    for bare in (with_header(raw, v2, digest=False), with_header(raw, v1)):
+    header = read_header(raw)
+    no_digest = {k: v for k, v in header.items() if k != "header_crc32"}
+    no_crc = {k: v for k, v in header.items() if k != "crc32"}
+    for bare in (with_header(raw, no_digest, digest=False), with_header(raw, no_crc)):
         (tmp_path / "bare.qdc").write_bytes(bare)
         with pytest.raises(ValueError, match="corrupt checkpoint header"):
             load_checkpoint(tmp_path / "bare.qdc")
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_an_old_version_word_does_not_skip_the_payload_check(tiny_checkpoint, tmp_path,
+                                                             version):
+    # one flipped payload bit, then one more in the version word (3 -> 1 or 3 -> 2)
+    raw = bytearray(tiny_checkpoint)
+    (hlen,) = struct.unpack_from("<Q", raw, 8)
+    raw[16 + hlen + 8 * 3] ^= 1  # the lowest mantissa bit of a weight
+    struct.pack_into("<I", raw, 4, version)
+    (tmp_path / "flip.qdc").write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}"):
+        load_checkpoint(tmp_path / "flip.qdc")
 
 
 def model_attributes(m):
@@ -719,6 +731,8 @@ def test_sample_trajectory_shape_and_determinism():
     traj = sample(m, t_steps=5, seed=12)
     assert len(traj) == 6
     assert all(step.shape == (INPUT_DIM,) for step in traj)
+    # a fresh model steps in x_prev mode: the step is the network's prediction itself
+    assert np.array_equal(traj[1], forward(m, traj[0], 5))
     again = sample(m, t_steps=5, seed=12)
     for a, b in zip(traj, again):
         assert np.array_equal(a, b)
@@ -745,24 +759,6 @@ def test_sample_rejects_unknown_mode():
     m.hyper["target_mode"] = "zigzag"
     with pytest.raises(ValueError, match="zigzag"):
         sample(m, t_steps=5, seed=1)
-
-
-def test_sample_reads_a_header_without_training_keys_as_x_prev_on_default_betas():
-    m = small_model(7)
-    legacy = sample(m, t_steps=5, seed=2)
-    assert not {"target_mode", "beta_start", "beta_end"} & set(m.hyper)
-    # the x_prev step is the network's prediction itself
-    assert np.array_equal(legacy[1], forward(m, legacy[0], 5))
-    m.hyper.update(target_mode="x_prev", beta_start=1e-4, beta_end=0.02)
-    for a, b in zip(legacy, sample(m, t_steps=5, seed=2)):
-        assert np.array_equal(a, b)
-    # an eps header without betas steps on 1e-4..0.02
-    m.hyper = {k: v for k, v in m.hyper.items() if k not in ("beta_start", "beta_end")}
-    m.hyper["target_mode"] = "eps"
-    no_betas = sample(m, t_steps=5, seed=2)
-    m.hyper.update(beta_start=1e-4, beta_end=0.02)
-    for a, b in zip(no_betas, sample(m, t_steps=5, seed=2)):
-        assert np.array_equal(a, b)
 
 
 def test_eps_step_is_the_ddpm_posterior_mean_on_the_recorded_schedule():
@@ -825,7 +821,8 @@ def test_train_records_its_config_in_hyper():
     cfg = TrainConfig(max_steps=1, batch_size=2, lr=0.5, lam=0.9, target_mode="eps",
                       beta_start=1e-3, beta_end=0.05)
     train(m, cfg, data)
-    assert list(m.hyper)[: len(keys)] == keys
+    # train() adds no key, so a trained checkpoint's header keeps init_model's order
+    assert list(m.hyper) == keys
     assert {k: m.hyper[k] for k in ("lr", "lam", "target_mode", "beta_start", "beta_end")} \
         == dict(lr=0.5, lam=0.9, target_mode="eps", beta_start=1e-3, beta_end=0.05)
 
