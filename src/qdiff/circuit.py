@@ -516,8 +516,12 @@ def unit_suffixes(c: ParamCircuit, daggers) -> np.ndarray:
     stack = np.empty((k + 1, 2**n, 2**n), dtype=complex)
     stack[k] = np.eye(2**n)
     work = np.empty(4**n, dtype=complex)
+    whole = tuple(range(n))
     for u in range(k, 0, -1):
-        _apply_kq(stack[u], daggers[u - 1], c.units.wires[u - 1], n, stack[u - 1], work)
+        if c.units.wires[u - 1] == whole:  # the kernel's own matmul, without its set-up
+            np.matmul(daggers[u - 1], stack[u], out=stack[u - 1])
+        else:
+            _apply_kq(stack[u], daggers[u - 1], c.units.wires[u - 1], n, stack[u - 1], work)
     return stack
 
 

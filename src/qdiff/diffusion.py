@@ -6,6 +6,8 @@ quantum side replaces Gaussian noising with per-step depolarizing channels
 on the same schedule, step s mixing with probability p_s = beta_s. Both are
 running products of (1 - rate), so the t-fold channel keeps the share
 alpha-bar_t of the state and mixes in the rest. Timesteps are 1-based: t runs over 1..T.
+forward_sample noises one array at one t, or a (B, D) block with one t per row
+(a training batch in one call), each row's bits those of its own call.
 """
 from __future__ import annotations
 
@@ -16,10 +18,10 @@ import numpy as np
 from .qcore import DensityMatrix, _check_int, _is_int
 
 
-def _check_timestep(t, t_max: int) -> None:
+def _check_timestep(t, t_max: int, where: str = "") -> None:
     """Timesteps are integers in 1..t_max; a bool or a float such as 1.5 is refused."""
     if not _is_int(t) or not 1 <= t <= t_max:
-        raise ValueError(f"timestep {t!r} is not an integer in 1..{t_max}")
+        raise ValueError(f"timestep {t!r}{where} is not an integer in 1..{t_max}")
 
 
 @dataclass(frozen=True)
@@ -59,13 +61,25 @@ def linear_schedule(t_steps: int, beta_start: float, beta_end: float) -> NoiseSc
     return NoiseSchedule(np.linspace(beta_start, beta_end, t_steps))
 
 
-def forward_sample(x0, t: int, sched: NoiseSchedule, eps) -> np.ndarray:
-    """Closed-form forward jump, returning x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps."""
+def forward_sample(x0, t, sched: NoiseSchedule, eps) -> np.ndarray:
+    """Closed-form forward jump, returning x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps.
+
+    t is one timestep, or a (B,) block of them for a (B, D) x0, row b jumping to
+    t[b]; each row then has the bits of the one-timestep call on it.
+    """
     x0 = np.asarray(x0, dtype=float)
     eps = np.asarray(eps, dtype=float)
     if eps.shape != x0.shape:
         raise ValueError(f"eps shape {eps.shape} != x0 shape {x0.shape}")
-    ab = sched.alpha_bar(t)
+    if np.ndim(t) == 0:
+        ab = sched.alpha_bar(t)
+    else:
+        if x0.ndim != 2 or np.shape(t) != (len(x0),):
+            raise ValueError(f"a block of timesteps needs one per row of a (B, D) x0: got "
+                             f"shape {np.shape(t)} for x0 of shape {x0.shape}")
+        for row, step in enumerate(t):
+            _check_timestep(step, sched.t_max, f" of row {row}")
+        ab = sched.alpha_bars[np.asarray(t) - 1][:, None]
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 

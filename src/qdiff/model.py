@@ -21,6 +21,7 @@ for observable entries.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -28,6 +29,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -160,17 +162,22 @@ def _build_model(hyper: dict) -> HybridModel:
     return HybridModel(ansatz, probe, tensors, bank, hyper, params, layout)
 
 
+@lru_cache(maxsize=64)
+def _offsets(layout: tuple) -> tuple:
+    """Each layout row's offset in the flat buffer, then the buffer's size, once per layout."""
+    return tuple(itertools.accumulate((math.prod(shape) for _, shape, _ in layout), initial=0))
+
+
 def _views(vec: np.ndarray, layout: tuple) -> list:
     """Consecutive slices of the flat vec, reshaped to the layout's shapes (views, not copies)."""
-    ends = np.cumsum([math.prod(shape) for _, shape, _ in layout])
-    return [vec[end - math.prod(shape):end].reshape(shape)
-            for (_, shape, _), end in zip(layout, ends)]
+    ends = _offsets(layout)
+    return [vec[a:b].reshape(shape) for (_, shape, _), a, b in zip(layout, ends, ends[1:])]
 
 
 def _group_view(vec: np.ndarray, layout: tuple, group: str) -> np.ndarray:
     """The one contiguous slice of the flat vec that holds the layout rows of `group`."""
-    ends = np.cumsum([0] + [math.prod(shape) for _, shape, _ in layout])
     rows = [i for i, (name, _, _) in enumerate(layout) if name.split(".")[0] == group]
+    ends = _offsets(layout)
     return vec[ends[rows[0]]:ends[rows[-1] + 1]]
 
 
@@ -220,17 +227,19 @@ def _rows(a, what: str) -> np.ndarray:
 
 def _encode(model: HybridModel, X: np.ndarray, time_fracs: np.ndarray):
     """Complex encoder stack on the rows [x_b || time_frac_b]: latents, unit states,
-    norms and each layer's input rows. No activation sits between the layers: a
-    modulus threshold z * max(0, |z| - tau)/|z| at the model's fixed tau = 0 is the
-    identity.
+    norms and each layer's input rows. Layer 0's input is real, so its output's real
+    and imaginary parts are the real products w_real x + b_real and w_imag x + b_imag,
+    per row; layer 1 is complex. No activation sits between the layers: a modulus
+    threshold z * max(0, |z| - tau)/|z| at the model's fixed tau = 0 is the identity.
     """
     t = model.tensors
-    z = np.concatenate([X, time_fracs[:, None]], axis=1).astype(complex)
-    inputs = []
-    for i in range(2):
-        inputs.append(z)
-        w = t[f"encoder.{i}.w_real"] + 1j * t[f"encoder.{i}.w_imag"]
-        z = _per_row(w, z) + (t[f"encoder.{i}.b_real"] + 1j * t[f"encoder.{i}.b_imag"])
+    x = np.concatenate([X, time_fracs[:, None]], axis=1)
+    z = np.empty((len(x), len(t["encoder.0.b_real"])), dtype=complex)
+    z.real = _per_row(t["encoder.0.w_real"], x) + t["encoder.0.b_real"]
+    z.imag = _per_row(t["encoder.0.w_imag"], x) + t["encoder.0.b_imag"]
+    inputs = [x, z]
+    w = t["encoder.1.w_real"] + 1j * t["encoder.1.w_imag"]
+    z = _per_row(w, z) + (t["encoder.1.b_real"] + 1j * t["encoder.1.b_imag"])
     r = np.linalg.norm(z, axis=1)
     zero = np.flatnonzero(r == 0.0)
     if zero.size:
@@ -354,9 +363,14 @@ def _stack_batch(batch):
 
 
 def _non_finite(model: HybridModel, vec: np.ndarray) -> str | None:
-    """The name of the first table tensor whose slice of vec is not all finite, or None."""
-    if not np.all(np.isfinite(vec)):
-        return next(name for name, a in param_tensors(model, vec) if not np.all(np.isfinite(a)))
+    """The name of the first table tensor whose slice of vec is not all finite, or None.
+    A finite vec @ vec clears vec in one pass; only a NaN, an inf or an overflowing
+    sum of squares (which the scan then clears) costs the scan over the tensors."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(vec @ vec):
+            return None
+    return next((name for name, a in param_tensors(model, vec) if not np.all(np.isfinite(a))),
+                None)
 
 
 def backward(model: HybridModel, batch, lam: float | None = None):
@@ -379,9 +393,11 @@ def backward(model: HybridModel, batch, lam: float | None = None):
     # every named view of the one flat vector is written once, below
     grad = np.empty_like(model.params)
     grads = dict(param_tensors(model, grad))
+    # the mean's 1/B rides on the loss cotangents, the pixel term's and lam's
+    mean_lam = lam / len(X)
 
     # decoder backprop from the pixel loss
-    g = (1.0 - lam) * 2.0 * (tr["out"] - targets) / INPUT_DIM
+    g = (1.0 - lam) * 2.0 * (tr["out"] - targets) / (INPUT_DIM * len(X))
     for i in (1, 0):
         np.matmul(g.T, tr["dec_inputs"][i], out=grads[f"decoder.{i}.w"])
         np.sum(g, axis=0, out=grads[f"decoder.{i}.b"])
@@ -393,7 +409,7 @@ def backward(model: HybridModel, batch, lam: float | None = None):
     psi_out, d = tr["psi_out"], LATENT_DIM
     g_mats = (u_feat @ tr["obs"].reshape(k + 1, -1)).reshape(-1, d, d)
     if tgt is not None:
-        g_mats -= lam * np.einsum("bi,bj->bij", tgt["psi"], tgt["psi"].conj())
+        g_mats -= mean_lam * np.einsum("bi,bj->bij", tgt["psi"], tgt["psi"].conj())
     bra = np.einsum("bij,jb->ib", g_mats, psi_out)
     grads["theta"][:], c_dag_bra = adjoint_gradient(model.ansatz, tr["ansatz_suffixes"],
                                                     psi_out, bra, 2.0)
@@ -410,21 +426,23 @@ def backward(model: HybridModel, batch, lam: float | None = None):
     if tgt is not None:
         # target branch of the infidelity, d(1-|o|^2)/d tvec with tvec = z_t / r_t; the
         # target rows went through the encoder in one block with the inputs
-        g_psi = np.concatenate([g_psi, -lam * 2.0 * tgt["overlap"].conj()[:, None] * psi_out.T])
+        g_psi = np.concatenate(
+            [g_psi, -mean_lam * 2.0 * tgt["overlap"].conj()[:, None] * psi_out.T])
         z, r, enc_inputs = tgt["z"], tgt["r"], tgt["enc_inputs"]
     radial = np.sum(z.conj() * g_psi, axis=1).real  # back through psi = z / |z|
     g_z = g_psi / r[:, None] - z * (radial / r**3)[:, None]
     # the linear complex stack; with the cotangent convention Re(g) = dL/dRe,
     # Im(g) = dL/dIm, a layer's weight gradient is g^T conj(z), its input's g conj(W)
-    for i in (1, 0):
-        gw, gb = g_z.T @ enc_inputs[i].conj(), g_z.sum(axis=0)
-        for part, d in (("w_real", gw.real), ("w_imag", gw.imag), ("b_real", gb.real),
-                        ("b_imag", gb.imag)):
-            grads[f"encoder.{i}.{part}"][...] = d
-        if i > 0:
-            g_z = g_z @ (t[f"encoder.{i}.w_real"] - 1j * t[f"encoder.{i}.w_imag"])
+    gw, gb = g_z.T @ enc_inputs[1].conj(), g_z.sum(axis=0)
+    for part, d in (("w_real", gw.real), ("w_imag", gw.imag), ("b_real", gb.real),
+                    ("b_imag", gb.imag)):
+        grads[f"encoder.1.{part}"][...] = d
+    g_z = g_z @ (t["encoder.1.w_real"] - 1j * t["encoder.1.w_imag"])
+    # layer 0's input x is real: its weights' gradients are Re(g)^T x and Im(g)^T x
+    for part, g_part in (("real", g_z.real), ("imag", g_z.imag)):
+        np.matmul(g_part.T, enc_inputs[0], out=grads[f"encoder.0.w_{part}"])
+        np.sum(g_part, axis=0, out=grads[f"encoder.0.b_{part}"])
 
-    grad *= 1.0 / len(X)
     name = _non_finite(model, grad)
     if name is not None:
         raise RuntimeError(f"non-finite gradient in parameter {name}")
@@ -444,11 +462,21 @@ def init_adam(model: HybridModel) -> AdamState:
 
 def adam_step(model: HybridModel, grad: np.ndarray, state: AdamState, lr: float):
     """Adam on model.params in place, ADAM_CHUNK entries at a time through two scratch
-    vectors, in the operation order of m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g,
-    then p -= lr (m/bc1) / (sqrt(v/bc2) + eps), b1, b2 and eps the _ADAM_ constants."""
+    vectors: m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g, then
+    p -= size * m / (sqrt(v) + eps_t), b1, b2 and eps the _ADAM_ constants. Both bias
+    corrections are folded into size = lr sqrt(1-b2^t) / (1-b1^t) and
+    eps_t = eps sqrt(1-b2^t) (Kingma & Ba, end of section 2): in exact arithmetic the
+    textbook lr m_hat / (sqrt(v_hat) + eps), in two fewer passes per chunk. A grad or
+    moment not shaped like model.params is refused before the step count or a moment
+    moves."""
+    for what, vec in (("gradient", grad), ("first moment", state.m), ("second moment", state.v)):
+        if np.shape(vec) != model.params.shape:
+            raise ValueError(f"{what} shape {np.shape(vec)} is not the parameters' "
+                             f"{model.params.shape}")
     state.step += 1
-    bc1 = 1.0 - _ADAM_BETA1**state.step
-    bc2 = 1.0 - _ADAM_BETA2**state.step
+    root_bc2 = math.sqrt(1.0 - _ADAM_BETA2**state.step)
+    size = lr * root_bc2 / (1.0 - _ADAM_BETA1**state.step)
+    eps_t = _ADAM_EPS * root_bc2
     a, b = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
     for start in range(0, model.params.size, ADAM_CHUNK):
         p, g, m, v = (x[start:start + ADAM_CHUNK] for x in (model.params, grad, state.m, state.v))
@@ -457,20 +485,9 @@ def adam_step(model: HybridModel, grad: np.ndarray, state: AdamState, lr: float)
         m += np.multiply(1.0 - _ADAM_BETA1, g, out=a)
         v *= _ADAM_BETA2
         v += np.multiply(np.multiply(1.0 - _ADAM_BETA2, g, out=a), g, out=a)
-        np.sqrt(np.divide(v, bc2, out=b), out=b)
-        b += _ADAM_EPS
-        np.multiply(lr, np.divide(m, bc1, out=a), out=a)
-        p -= np.divide(a, b, out=a)
-
-
-def _target_for_mode(mode: str, x0, t, sched: NoiseSchedule, eps):
-    if mode == "eps":
-        return eps
-    if mode == "x0":
-        return x0
-    if t == 1:
-        return x0
-    return forward_sample(x0, t - 1, sched, eps)
+        np.sqrt(v, out=b)
+        b += eps_t
+        p -= np.divide(np.multiply(size, m, out=a), b, out=a)
 
 
 def train(model: HybridModel, config: TrainConfig, dataset,
@@ -485,7 +502,8 @@ def train(model: HybridModel, config: TrainConfig, dataset,
     wall_ms is the single nondeterministic field; everything else is pinned by
     the seed. All random draws happen per step (batch indices without
     replacement, then per-sample t and noise), so a checkpoint taken after any
-    step resumes bitwise.
+    step resumes bitwise. The drawn batch is noised as one block: one
+    forward_sample call for x_t and, for x_prev targets, one for x_{t-1}.
     """
     data = np.asarray(dataset, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] != INPUT_DIM:
@@ -508,14 +526,20 @@ def train(model: HybridModel, config: TrainConfig, dataset,
     for step in range(total_steps):
         t0 = time.perf_counter()
         idx = rng.choice(n, size=min(config.batch_size, n), replace=False)
-        batch = []
-        for i in idx:
-            x0 = data[i]
-            t = int(rng.integers(1, t_steps + 1))
-            eps = rng.standard_normal(INPUT_DIM)
-            x_t = forward_sample(x0, t, sched, eps)
-            batch.append((x_t, t, _target_for_mode(config.target_mode, x0, t, sched, eps)))
-        loss_val, grad = backward(model, batch, config.lam)
+        ts, eps = np.empty(len(idx), dtype=int), np.empty((len(idx), INPUT_DIM))
+        for row in range(len(idx)):
+            ts[row] = rng.integers(1, t_steps + 1)
+            rng.standard_normal(out=eps[row])
+        x0 = data[idx]
+        x_t = forward_sample(x0, ts, sched, eps)
+        if config.target_mode == "eps":
+            targets = eps
+        elif config.target_mode == "x0":
+            targets = x0
+        else:  # x_{t-1}, which is x0 itself at t = 1
+            targets = np.where(ts[:, None] == 1, x0,
+                               forward_sample(x0, np.maximum(ts - 1, 1), sched, eps))
+        loss_val, grad = backward(model, list(zip(x_t, ts.tolist(), targets)), config.lam)
         if not np.isfinite(loss_val):
             raise RuntimeError(f"training diverged at step {step_offset + step}")
         adam_step(model, grad, opt, config.lr)

@@ -92,6 +92,34 @@ def test_forward_sample_closed_form():
         forward_sample(x0, 4, s, eps[:4])
 
 
+def test_forward_sample_block_rows_are_their_own_calls_bit_for_bit():
+    rng = np.random.default_rng(3)
+    s = linear_schedule(6, 0.01, 0.4)
+    ts = np.array([3, 1, 6, 2, 5, 4, 1, 6])
+    x0, eps = rng.standard_normal((len(ts), 7)), rng.standard_normal((len(ts), 7))
+    block = forward_sample(x0, ts, s, eps)
+    assert block.shape == x0.shape
+    for row, t in enumerate(ts):
+        assert np.array_equal(block[row], forward_sample(x0[row], int(t), s, eps[row])), row
+    assert np.array_equal(forward_sample(x0, list(ts), s, eps), block)
+
+
+@pytest.mark.parametrize("ts, match", [
+    (np.array([2, 3, 1]) == 2, r"timestep (np\.)?True.* of row 0 is not an integer in 1\.\.5"),
+    ([2, True, 1], r"timestep True of row 1 is not an integer in 1\.\.5"),
+    (np.array([2.0, 3.0, 1.0]), r"timestep (np\.float64\()?2\.0\)? of row 0 is not an integer"),
+    ([2, 3, 1.5], r"timestep 1\.5 of row 2 is not an integer"),
+    (np.array([2, 0, 1]), r"timestep (np\.int64\()?0\)? of row 1 is not an integer in 1\.\.5"),
+    (np.array([2, 3, 6]), r"timestep (np\.int64\()?6\)? of row 2 is not an integer in 1\.\.5"),
+    (np.array([2, 3]), r"one per row.*shape \(2,\).*\(3, 4\)"),
+    (np.array([[2, 3, 1]]), r"one per row.*shape \(1, 3\)"),
+])
+def test_forward_sample_block_refuses_bad_timesteps_naming_the_row(ts, match):
+    s = linear_schedule(5, 1e-4, 0.02)
+    with pytest.raises(ValueError, match=match):
+        forward_sample(np.zeros((3, 4)), ts, s, np.zeros((3, 4)))
+
+
 def test_forward_sample_extremes():
     x0 = np.ones(4)
     tight = NoiseSchedule(np.array([1e-8]))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qdiff.circuit import effective_angles, run_block, run_circuit, unit_daggers
 from qdiff.data import SyntheticSpec
-from qdiff.diffusion import linear_schedule
+from qdiff.diffusion import forward_sample, linear_schedule
 from qdiff.measure import adjoint_gradient, ano_features, hadamard_test, probe_hermitian_part
 from qdiff.model import (
     ADAM_CHUNK,
@@ -21,6 +21,7 @@ from qdiff.model import (
     TrainConfig,
     _encode,
     _group_view,
+    _non_finite,
     adam_step,
     backward,
     checkpoint_bytes,
@@ -296,7 +297,7 @@ def test_adam_step_matches_reference_formula():
 
 
 def test_chunked_adam_is_bitwise_the_per_tensor_update():
-    # the textbook update, tensor by tensor, in adam_step's order of operations; the
+    # Adam's update, tensor by tensor, in adam_step's order of operations; the
     # small model spans more than one ADAM_CHUNK and ends on a partial one
     m = small_model(2)
     assert m.params.size > ADAM_CHUNK and m.params.size % ADAM_CHUNK
@@ -307,17 +308,100 @@ def test_chunked_adam_is_bitwise_the_per_tensor_update():
     for step in range(1, 4):
         grad = rng.standard_normal(m.params.size)
         adam_step(m, grad, opt, lr=0.01)
-        bc1, bc2 = 1.0 - 0.9**step, 1.0 - 0.999**step
+        # both bias corrections folded into one step size and one scaled eps
+        root_bc2 = np.sqrt(1.0 - 0.999**step)
+        size, eps_t = 0.01 * root_bc2 / (1.0 - 0.9**step), 1e-8 * root_bc2
         for (_, g), p, m1, m2 in zip(param_tensors(m, grad), ref, ref_m, ref_v):
             m1 *= 0.9
             m1 += (1.0 - 0.9) * g
             m2 *= 0.999
             m2 += (1.0 - 0.999) * g * g
-            p -= 0.01 * (m1 / bc1) / (np.sqrt(m2 / bc2) + 1e-8)
+            p -= size * m1 / (np.sqrt(m2) + eps_t)
     for (name, now), want in zip(param_tensors(m), ref):
         assert np.array_equal(now, want), name
     assert np.array_equal(opt.m, np.concatenate([a.ravel() for a in ref_m]))
     assert np.array_equal(opt.v, np.concatenate([a.ravel() for a in ref_v]))
+
+
+def test_folded_adam_follows_the_textbook_update_over_many_steps():
+    # m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t), p -= lr m_hat / (sqrt(v_hat) + eps),
+    # over the first 12 steps, where 1 - b2^t is 0.001..0.012; gradients down to 1e-10
+    # make eps weigh as much as sqrt(v_hat), so a wrongly scaled eps shows. Each step
+    # starts from zero parameters, so -params is the step's update with no rounding
+    m = init_model(0, k=2, hidden_enc=2, hidden_dec=2)
+    opt = init_adam(m)
+    m1, m2 = np.zeros_like(m.params), np.zeros_like(m.params)
+    rng = np.random.default_rng(31)
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+    for t in range(1, 13):
+        grad = rng.standard_normal(m.params.size) * 10.0 ** rng.uniform(-10.0, 0.0, m.params.size)
+        m.params[:] = 0.0
+        adam_step(m, grad, opt, lr)
+        m1 = b1 * m1 + (1 - b1) * grad
+        m2 = b2 * m2 + (1 - b2) * grad * grad
+        update = lr * (m1 / (1 - b1**t)) / (np.sqrt(m2 / (1 - b2**t)) + eps)
+        assert np.max(np.abs(-m.params - update) / np.abs(update)) < 1e-12, t
+        assert np.max(np.abs(opt.m - m1) / np.abs(m1)) < 1e-12, t
+    assert opt.step == 12
+
+
+def test_adam_step_refuses_a_misshapen_gradient_or_moment_before_moving_its_state():
+    # it raised numpy's broadcast error with the step counted and every m scaled by b1
+    m = init_model(0, k=2, hidden_enc=2, hidden_dec=2)
+    opt = init_adam(m)
+    opt.m[:] = 1.0
+    before = m.params.copy()
+    with pytest.raises(ValueError, match=rf"gradient shape \(10,\).*\({m.params.size},\)"):
+        adam_step(m, np.zeros(10), opt, 1e-3)
+    assert opt.step == 0 and np.all(opt.m == 1.0) and np.all(opt.v == 0.0)
+    assert np.array_equal(m.params, before)
+    # moments of another model's layout, which also failed inside numpy after moving
+    other = init_adam(init_model(0, k=1, hidden_enc=2, hidden_dec=2))
+    other.m[:] = 1.0
+    size = other.m.size
+    with pytest.raises(ValueError, match=rf"first moment shape \({size},\).*\({m.params.size},\)"):
+        adam_step(m, np.zeros_like(m.params), other, 1e-3)
+    assert other.step == 0 and np.all(other.m == 1.0)
+    other = AdamState(0, np.zeros_like(m.params), np.zeros(size))
+    with pytest.raises(ValueError, match=rf"second moment shape \({size},\)"):
+        adam_step(m, np.zeros_like(m.params), other, 1e-3)
+    assert other.step == 0 and np.array_equal(m.params, before)
+
+
+def per_row_train_step(m, config, data, opt, rng):
+    """One step of train as its loop once read: each row draws t and eps, then noises
+    its own x_t and target, x0 itself being the x_prev target at t = 1."""
+    t_steps = m.hyper["t_steps"]
+    sched = linear_schedule(t_steps, config.beta_start, config.beta_end)
+    idx = rng.choice(len(data), size=min(config.batch_size, len(data)), replace=False)
+    batch = []
+    for i in idx:
+        x0 = data[i]
+        t = int(rng.integers(1, t_steps + 1))
+        eps = rng.standard_normal(INPUT_DIM)
+        if config.target_mode == "eps":
+            target = eps
+        elif config.target_mode == "x0" or t == 1:
+            target = x0
+        else:
+            target = forward_sample(x0, t - 1, sched, eps)
+        batch.append((forward_sample(x0, t, sched, eps), t, target))
+    loss_val, grad = backward(m, batch, config.lam)
+    adam_step(m, grad, opt, config.lr)
+    return loss_val, [t for _, t, _ in batch]
+
+
+@pytest.mark.parametrize("mode", ["x_prev", "eps", "x0"])
+def test_train_noises_its_batch_as_the_per_row_loop_did(mode):
+    data = np.random.default_rng(32).uniform(0, 1, (10, INPUT_DIM))
+    config = TrainConfig(batch_size=6, seed=4, target_mode=mode, max_steps=1)
+    got, want = small_model(6), small_model(6)
+    log, _, _ = train(got, config, data)
+    loss_val, ts = per_row_train_step(want, config, data, init_adam(want),
+                                      np.random.default_rng(config.seed))
+    assert 1 in ts and len(set(ts)) > 2
+    assert log[0][1] == loss_val
+    assert np.array_equal(got.params, want.params)
 
 
 def test_train_is_deterministic_and_lr_zero_is_identity():
@@ -945,6 +1029,62 @@ def test_backward_names_the_tensor_of_a_non_finite_gradient(monkeypatch):
     monkeypatch.setattr("qdiff.model.adjoint_gradient", nan_probe_sweep)
     with pytest.raises(RuntimeError, match="non-finite gradient in parameter probe$"):
         backward(m, small_batch(np.random.default_rng(27)), 0.25)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_backward_names_an_infinite_or_nan_probe_gradient(monkeypatch, bad):
+    m = small_model()
+
+    def poisoned_probe_sweep(c, params, phi_out, bra_out, coeff):
+        grad, pulled = adjoint_gradient(c, params, phi_out, bra_out, coeff)
+        if c is m.probe:
+            grad[-1] = bad
+        return grad, pulled
+
+    monkeypatch.setattr("qdiff.model.adjoint_gradient", poisoned_probe_sweep)
+    with pytest.raises(RuntimeError, match="non-finite gradient in parameter probe$"):
+        backward(m, small_batch(np.random.default_rng(27)), 0.25)
+
+
+def test_a_finite_gradient_whose_sum_of_squares_overflows_is_not_reported(monkeypatch):
+    # the one-pass test, grad @ grad, overflows; the scan over the tensors clears it
+    m = small_model()
+
+    def huge_probe_sweep(c, params, phi_out, bra_out, coeff):
+        grad, pulled = adjoint_gradient(c, params, phi_out, bra_out, coeff)
+        return (np.full_like(grad, 1e200) if c is m.probe else grad), pulled
+
+    monkeypatch.setattr("qdiff.model.adjoint_gradient", huge_probe_sweep)
+    _, grad = backward(m, small_batch(np.random.default_rng(27)), 0.25)
+    assert np.all(dict(param_tensors(m, grad))["probe"] == 1e200)
+    with np.errstate(over="ignore"):
+        assert grad @ grad == np.inf
+    assert _non_finite(m, grad) is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_entry_in_the_last_tensor_is_named(tmp_path, bad):
+    m = small_model(5)
+    vec = np.full_like(m.params, 1e200)
+    vec[-1] = bad
+    assert _non_finite(m, vec) == "decoder.1.b"
+    m.params[-1] = bad
+    path = tmp_path / "ck.qdc"
+    path.write_bytes(checkpoint_bytes(m))
+    with pytest.raises(ValueError, match=r"checkpoint tensor decoder\.1\.b holds non-finite"):
+        load_checkpoint(path)
+
+
+def test_a_checkpoint_whose_sum_of_squares_overflows_loads(tmp_path):
+    m = small_model(5)
+    m.params[:] = 1e200
+    opt = init_adam(m)
+    opt.m[:], opt.v[:] = -1e200, 1e300
+    path = tmp_path / "ck.qdc"
+    path.write_bytes(checkpoint_bytes(m, opt))
+    ck = load_checkpoint(path)
+    assert np.all(ck["model"].params == 1e200)
+    assert np.all(ck["opt"].m == -1e200) and np.all(ck["opt"].v == 1e300)
 
 
 def test_backward_rejects_misshapen_input_naming_its_row():
