@@ -268,7 +268,7 @@ def cmd_grad_check(cfg: dict, seed: int, out: str) -> int:
         target = rng.uniform(0.0, 1.0, model.INPUT_DIM)
         batch.append((x_t, t, target))
     report = model.gradient_audit(
-        m, batch, lam=cfg["lam"], n_probe=cfg["n_probe"], seed=seed + 2,
+        m, batch, n_probe=cfg["n_probe"], seed=seed + 2,
         fd_eps=cfg["fd_eps"], fault_group=cfg["fault_group"] or None)
     ok = all(err < PASS_THRESHOLD for err in report.values())
     for group in model.PARAM_GROUPS:

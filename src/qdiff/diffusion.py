@@ -7,7 +7,8 @@ on the same schedule, step s mixing with probability p_s = beta_s. Both are
 running products of (1 - rate), so the t-fold channel keeps the share
 alpha-bar_t of the state and mixes in the rest. Timesteps are 1-based: t runs over 1..T.
 forward_sample noises one array at one t, or a (B, D) block with one t per row
-(a training batch in one call), each row's bits those of its own call.
+(a training batch in one call), each row's bits those of its own call. The
+model's forward (t in 0..T) and loss (1..T) check their timesteps with check_timesteps too.
 """
 from __future__ import annotations
 
@@ -18,10 +19,19 @@ import numpy as np
 from .qcore import DensityMatrix, _check_int, _is_int
 
 
-def _check_timestep(t, t_max: int, where: str = "") -> None:
-    """Timesteps are integers in 1..t_max; a bool or a float such as 1.5 is refused."""
-    if not _is_int(t) or not 1 <= t <= t_max:
-        raise ValueError(f"timestep {t!r}{where} is not an integer in 1..{t_max}")
+def _check_timestep(t, t_min: int, t_max: int, where: str = "") -> None:
+    """Timesteps are integers in t_min..t_max; a bool or a float such as 1.5 is refused."""
+    if not _is_int(t) or not t_min <= t <= t_max:
+        raise ValueError(f"timestep {t!r}{where} is not an integer in {t_min}..{t_max}")
+
+
+def check_timesteps(ts, n_rows: int, t_min: int, t_max: int) -> np.ndarray:
+    """ts as an int array of n_rows timesteps, each checked by _check_timestep naming its row."""
+    if np.shape(ts) != (n_rows,):
+        raise ValueError(f"expected {n_rows} timesteps, got shape {np.shape(ts)}")
+    for row, t in enumerate(ts):
+        _check_timestep(t, t_min, t_max, f" of row {row}")
+    return np.asarray(ts, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -45,11 +55,11 @@ class NoiseSchedule:
         return len(self.betas)
 
     def beta(self, t: int) -> float:
-        _check_timestep(t, self.t_max)
+        _check_timestep(t, 1, self.t_max)
         return float(self.betas[t - 1])
 
     def alpha_bar(self, t: int) -> float:
-        _check_timestep(t, self.t_max)
+        _check_timestep(t, 1, self.t_max)
         return float(self.alpha_bars[t - 1])
 
 
@@ -77,9 +87,7 @@ def forward_sample(x0, t, sched: NoiseSchedule, eps) -> np.ndarray:
         if x0.ndim != 2 or np.shape(t) != (len(x0),):
             raise ValueError(f"a block of timesteps needs one per row of a (B, D) x0: got "
                              f"shape {np.shape(t)} for x0 of shape {x0.shape}")
-        for row, step in enumerate(t):
-            _check_timestep(step, sched.t_max, f" of row {row}")
-        ab = sched.alpha_bars[np.asarray(t) - 1][:, None]
+        ab = sched.alpha_bars[check_timesteps(t, len(x0), 1, sched.t_max) - 1][:, None]
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 

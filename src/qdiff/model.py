@@ -14,6 +14,8 @@ reference.
 
 Training minimizes (1-lam) * MSE(prediction, target) + lam * infidelity
 between the post-ansatz state and the amplitude-encoded latent of the target.
+lam, lr and the target mode are read from model.hyper alone, whose training
+settings _build_model checks by TrainConfig's rule for fresh and loaded models.
 Gradients are exact: (B, .) matmuls through the classical stacks and the
 amplitude normalization, one adjoint gradient each for the ansatz (it also
 pulls the encoder's cotangent back) and the probe angles, and the linear rule
@@ -24,6 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import os
 import struct
 import time
@@ -34,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import ParamCircuit, build_ansatz, unit_daggers, unit_suffixes
-from .diffusion import NoiseSchedule, forward_sample, linear_schedule
+from .diffusion import NoiseSchedule, check_timesteps, forward_sample, linear_schedule
 from .measure import REAL_TOL, adjoint_gradient
 from .qcore import _check_int, _is_int
 # unused here; perfbench/spans.py's tracer wraps these names
@@ -91,12 +94,6 @@ class HybridModel:
     layout: tuple  # _layout's rows, which place each named tensor in params
 
 
-def _check_lam(lam: float) -> None:
-    """TrainConfig's rule for the loss mix, also checked on every loss evaluation."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("loss mix lam must lie in [0, 1]")
-
-
 @dataclass
 class TrainConfig:
     epochs: int = 1
@@ -112,11 +109,17 @@ class TrainConfig:
     def __post_init__(self):
         _check_int("epochs", self.epochs, 0)
         _check_int("batch_size", self.batch_size, 1)
+        _check_int("seed", self.seed, 0)
         if self.max_steps is not None:
             _check_int("max_steps", self.max_steps, 0)
+        for key in ("lr", "lam", "beta_start", "beta_end"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{key} must be a real number, got {value!r}")
         if not 0.0 <= self.lr < math.inf:
             raise ValueError(f"lr must be a finite number >= 0, got {self.lr!r}")
-        _check_lam(self.lam)
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValueError("loss mix lam must lie in [0, 1]")
         if self.target_mode not in TARGET_MODES:
             raise ValueError(f"unknown target mode {self.target_mode!r}")
         if not 0.0 < self.beta_start <= self.beta_end < 1.0:
@@ -149,10 +152,12 @@ def _layout(hyper: dict, n_theta: int, n_probe: int) -> tuple:
 def _build_model(hyper: dict) -> HybridModel:
     """The model's structure from its hyper dict alone, with every weight zero: each
     layout tensor is a view of its slice of one float64 vector, model.params, and
-    model.tensors maps its name to it (_layout gives each stack two layers)."""
+    model.tensors maps its name to it (_layout gives each stack two layers). Fresh and
+    loaded models alike have their training settings checked by TrainConfig first."""
     for key in STRUCTURE_DEFAULTS:
         if type(hyper[key]) is not int or hyper[key] < 1:
             raise ValueError(f"{key} must be an integer >= 1, got {hyper[key]!r}")
+    TrainConfig(**{key: hyper[key] for key in _TRAINED_KEYS})
     ansatz = build_ansatz(N_QUBITS, hyper["ansatz_layers"])
     probe = build_ansatz(N_QUBITS, 1)
     layout = _layout(hyper, ansatz.n_params, probe.n_params)
@@ -186,6 +191,7 @@ def init_model(seed: int, lam: float = TrainConfig.lam, **structure) -> HybridMo
     training settings are lam and TrainConfig's others until train() records its own;
     one walk over the layout fills each tensor from rng.uniform on its row's range, so
     a seed pins every weight."""
+    _check_int("seed", seed, 0)
     for key in structure:
         if key not in STRUCTURE_DEFAULTS:
             raise TypeError(f"init_model() got an unexpected keyword argument {key!r}")
@@ -199,19 +205,6 @@ def init_model(seed: int, lam: float = TrainConfig.lam, **structure) -> HybridMo
     for (_, shape, bounds), arr in zip(model.layout, _views(model.params, model.layout)):
         arr[...] = rng.uniform(*bounds, shape)
     return model
-
-
-def _timesteps(ts, n_rows: int, t_min: int, t_steps: int) -> np.ndarray:
-    """ts as n_rows floats, each an integer (not a bool) in t_min..t_steps; errors name the row."""
-    steps = np.asarray(ts)
-    if steps.shape != (n_rows,):
-        raise ValueError(f"expected {n_rows} timesteps, got shape {steps.shape}")
-    bools = np.array([isinstance(t, (bool, np.bool_)) for t in ts], dtype=bool)
-    bad = np.flatnonzero(bools | (steps != np.round(steps)) | (steps < t_min) | (steps > t_steps))
-    if bad.size:
-        raise ValueError(f"timestep {ts[bad[0]]} is not an integer in {t_min}..{t_steps} "
-                         f"(batch index {bad[0]})")
-    return steps.astype(float)
 
 
 def _rows(a, what: str) -> np.ndarray:
@@ -253,7 +246,7 @@ def forward_trace(model: HybridModel, X, ts):
     (_trace gives the part after the encoder)."""
     X = _rows(X, "input")
     t_steps = model.hyper["t_steps"]
-    ts = _timesteps(ts, len(X), 0, t_steps)
+    ts = check_timesteps(ts, len(X), 0, t_steps)
     return _trace(model, X, *_encode(model, X, ts / t_steps))
 
 
@@ -303,19 +296,20 @@ def forward(model: HybridModel, x_t, t: int) -> np.ndarray:
     return out[0]
 
 
-def _batch_loss(model: HybridModel, X, ts, targets, lam: float):
+def _batch_loss(model: HybridModel, X, ts, targets):
     """The mixed objective, mean over rows of (1-lam) * MSE + lam * infidelity.
 
-    Timesteps are integers in 1..T; the infidelity compares the ansatz output with
-    the encoded target at time (t-1)/T and is skipped at lam = 0, else the inputs
-    and targets share one per-row encoder pass over 2B rows. Returns (loss, mse
-    rows, infidelity rows, forward trace, target trace or None), the target
-    trace's z, r and enc_inputs holding all 2B rows, inputs first.
+    lam is model.hyper["lam"] and timesteps are integers in 1..T; the infidelity
+    compares the ansatz output with the encoded target at time (t-1)/T and is
+    skipped at lam = 0, else the inputs and targets share one per-row encoder pass
+    over 2B rows. Returns (loss, mse rows, infidelity rows, forward trace, target
+    trace or None), the target trace's z, r and enc_inputs holding all 2B rows,
+    inputs first.
     """
-    _check_lam(lam)
+    lam = model.hyper["lam"]
     X = _rows(X, "input")
     t_steps = model.hyper["t_steps"]
-    ts = _timesteps(ts, len(X), 1, t_steps)
+    ts = check_timesteps(ts, len(X), 1, t_steps)
     targets = _rows(targets, "target")
     b = len(X)
     rows, steps = ((X, ts) if lam == 0.0
@@ -334,8 +328,8 @@ def _batch_loss(model: HybridModel, X, ts, targets, lam: float):
     return total, mse, infid, tr, tgt
 
 
-def loss(model: HybridModel, x_t, t: int, target, lam: float) -> float:
-    return _batch_loss(model, *_stack_batch([(x_t, t, target)]), lam)[0]
+def loss(model: HybridModel, x_t, t: int, target) -> float:
+    return _batch_loss(model, *_stack_batch([(x_t, t, target)]))[0]
 
 
 def param_tensors(model: HybridModel, vec: np.ndarray | None = None):
@@ -373,9 +367,9 @@ def _non_finite(model: HybridModel, vec: np.ndarray) -> str | None:
                 None)
 
 
-def backward(model: HybridModel, batch, lam: float | None = None):
+def backward(model: HybridModel, batch):
     """Mean loss over the batch and its flat gradient, laid out like model.params
-    (param_tensors(model, grad) names its slices).
+    (param_tensors(model, grad) names its slices); lam is model.hyper["lam"].
 
     batch rows are (x_t, t, target) triples with t in 1..T. One forward pass covers
     the batch, and the classical stacks backpropagate as whole-batch matrix products.
@@ -385,10 +379,9 @@ def backward(model: HybridModel, batch, lam: float | None = None):
     U_p psi_b with the probe unitary U_p, gives the probe gradient. Both read the
     suffix stacks the forward built, and each gradient tensor is written once.
     """
-    if lam is None:
-        lam = model.hyper["lam"]
+    lam = model.hyper["lam"]
     X, ts, targets = _stack_batch(batch)
-    total, _, _, tr, tgt = _batch_loss(model, X, ts, targets, lam)
+    total, _, _, tr, tgt = _batch_loss(model, X, ts, targets)
     k, t = len(model.bank), model.tensors
     # every named view of the one flat vector is written once, below
     grad = np.empty_like(model.params)
@@ -460,22 +453,22 @@ def init_adam(model: HybridModel) -> AdamState:
     return AdamState(0, np.zeros_like(model.params), np.zeros_like(model.params))
 
 
-def adam_step(model: HybridModel, grad: np.ndarray, state: AdamState, lr: float):
+def adam_step(model: HybridModel, grad: np.ndarray, state: AdamState):
     """Adam on model.params in place, ADAM_CHUNK entries at a time through two scratch
-    vectors: m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g, then
-    p -= size * m / (sqrt(v) + eps_t), b1, b2 and eps the _ADAM_ constants. Both bias
-    corrections are folded into size = lr sqrt(1-b2^t) / (1-b1^t) and
-    eps_t = eps sqrt(1-b2^t) (Kingma & Ba, end of section 2): in exact arithmetic the
-    textbook lr m_hat / (sqrt(v_hat) + eps), in two fewer passes per chunk. A grad or
-    moment not shaped like model.params is refused before the step count or a moment
-    moves."""
+    vectors: m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g, then p -= size * m /
+    (sqrt(v) + eps_t), lr being model.hyper["lr"] and b1, b2 and eps the _ADAM_
+    constants. Both bias corrections are folded into size = lr sqrt(1-b2^t) / (1-b1^t)
+    and eps_t = eps sqrt(1-b2^t) (Kingma & Ba, end of section 2): in exact arithmetic
+    the textbook lr m_hat / (sqrt(v_hat) + eps), in two fewer passes per chunk. A grad
+    or moment not shaped like model.params is refused before the step count or a
+    moment moves."""
     for what, vec in (("gradient", grad), ("first moment", state.m), ("second moment", state.v)):
         if np.shape(vec) != model.params.shape:
             raise ValueError(f"{what} shape {np.shape(vec)} is not the parameters' "
                              f"{model.params.shape}")
     state.step += 1
     root_bc2 = math.sqrt(1.0 - _ADAM_BETA2**state.step)
-    size = lr * root_bc2 / (1.0 - _ADAM_BETA1**state.step)
+    size = model.hyper["lr"] * root_bc2 / (1.0 - _ADAM_BETA1**state.step)
     eps_t = _ADAM_EPS * root_bc2
     a, b = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
     for start in range(0, model.params.size, ADAM_CHUNK):
@@ -495,8 +488,8 @@ def train(model: HybridModel, config: TrainConfig, dataset,
           step_offset: int = 0):
     """Adam training over noised (x_t, target) pairs drawn from the dataset.
 
-    The config's lr, lam, target_mode and betas are recorded in model.hyper, so
-    a checkpoint carries the rule sample_block steps by. Returns (log, opt, rng):
+    The config's lr, lam, target_mode and betas are recorded in model.hyper, which
+    each step and a checkpoint's sample_block read. Returns (log, opt, rng):
     log rows are (step, loss, wall_ms); passing the returned opt and rng back in
     (with step_offset) continues a run exactly as if it had never stopped.
     wall_ms is the single nondeterministic field; everything else is pinned by
@@ -509,7 +502,7 @@ def train(model: HybridModel, config: TrainConfig, dataset,
     if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] != INPUT_DIM:
         raise ValueError(f"dataset must be (n, {INPUT_DIM}), got {data.shape}")
     model.hyper.update({key: getattr(config, key) for key in _TRAINED_KEYS})
-    t_steps = model.hyper["t_steps"]
+    t_steps, mode = model.hyper["t_steps"], model.hyper["target_mode"]
     sched = _noise_schedule(model)
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -532,17 +525,17 @@ def train(model: HybridModel, config: TrainConfig, dataset,
             rng.standard_normal(out=eps[row])
         x0 = data[idx]
         x_t = forward_sample(x0, ts, sched, eps)
-        if config.target_mode == "eps":
+        if mode == "eps":
             targets = eps
-        elif config.target_mode == "x0":
+        elif mode == "x0":
             targets = x0
         else:  # x_{t-1}, which is x0 itself at t = 1
             targets = np.where(ts[:, None] == 1, x0,
                                forward_sample(x0, np.maximum(ts - 1, 1), sched, eps))
-        loss_val, grad = backward(model, list(zip(x_t, ts.tolist(), targets)), config.lam)
+        loss_val, grad = backward(model, list(zip(x_t, ts.tolist(), targets)))
         if not np.isfinite(loss_val):
             raise RuntimeError(f"training diverged at step {step_offset + step}")
-        adam_step(model, grad, opt, config.lr)
+        adam_step(model, grad, opt)
         wall_ms = (time.perf_counter() - t0) * 1e3
         log.append((step_offset + step, loss_val, wall_ms))
     return log, opt, rng
@@ -687,7 +680,6 @@ def load_checkpoint(path):
                 raise ValueError(f"step {step!r} and adam_step {adam_step!r} must be ints >= 0")
             if rng_state is not None:
                 np.random.PCG64(0).state = rng_state  # numpy's own check of a PCG64 state
-            TrainConfig(**{key: hyper[key] for key in _TRAINED_KEYS})  # the recorded rule
             model = _build_model(hyper)
         except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
                 RecursionError) as e:  # json.loads recurses once per nesting level
@@ -712,10 +704,9 @@ def load_checkpoint(path):
     }
 
 
-def gradient_audit(model: HybridModel, batch, lam: float | None = None,
-                   n_probe: int = 20, seed: int = 0, fd_eps: float = 1e-6,
-                   fault_group: str | None = None):
-    """Max relative error per parameter group: analytic vs central FD.
+def gradient_audit(model: HybridModel, batch, n_probe: int = 20, seed: int = 0,
+                   fd_eps: float = 1e-6, fault_group: str | None = None):
+    """Max relative error per parameter group: analytic vs central FD, at model.hyper's lam.
 
     The analytic side is one backward() pass; the finite-difference side
     re-evaluates the mean batch loss, one batched call per nudge, with single
@@ -725,14 +716,12 @@ def gradient_audit(model: HybridModel, batch, lam: float | None = None,
     fault_group flips the sign of one group's analytic gradient; it exists
     so the audit itself can be shown to catch a broken gradient.
     """
-    if lam is None:
-        lam = model.hyper["lam"]
     _check_int("n_probe", n_probe, 1)
     if not 0.0 < fd_eps < np.inf:
         raise ValueError("fd_eps must be a finite number > 0")
     if fault_group is not None and fault_group not in PARAM_GROUPS:
         raise ValueError(f"unknown parameter group {fault_group!r}")
-    _, grad = backward(model, batch, lam)
+    _, grad = backward(model, batch)
     rng = np.random.default_rng(seed)
     X, ts, targets = _stack_batch(batch)
     positions = np.arange(model.params.size)
@@ -748,9 +737,9 @@ def gradient_audit(model: HybridModel, batch, lam: float | None = None,
                 a = -a
             orig = model.params[pos]
             model.params[pos] = orig + fd_eps
-            hi = _batch_loss(model, X, ts, targets, lam)[0]
+            hi = _batch_loss(model, X, ts, targets)[0]
             model.params[pos] = orig - fd_eps
-            lo = _batch_loss(model, X, ts, targets, lam)[0]
+            lo = _batch_loss(model, X, ts, targets)[0]
             model.params[pos] = orig
             fd = (hi - lo) / (2.0 * fd_eps)
             worst = max(worst, abs(a - fd) / max(abs(fd), 1e-3))

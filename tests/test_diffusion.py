@@ -9,6 +9,7 @@ from qdiff.diffusion import (
     forward_sample,
     linear_schedule,
 )
+from qdiff.model import INPUT_DIM, backward, forward_trace, init_model
 from qdiff.qcore import DensityMatrix, StateVector
 
 
@@ -104,20 +105,38 @@ def test_forward_sample_block_rows_are_their_own_calls_bit_for_bit():
     assert np.array_equal(forward_sample(x0, list(ts), s, eps), block)
 
 
-@pytest.mark.parametrize("ts, match", [
+_ZERO_STEP = np.array([2, 0, 1])
+# blocks of three timesteps that a 5-step schedule and the loss refuse
+_BAD_STEPS = [
     (np.array([2, 3, 1]) == 2, r"timestep (np\.)?True.* of row 0 is not an integer in 1\.\.5"),
     ([2, True, 1], r"timestep True of row 1 is not an integer in 1\.\.5"),
     (np.array([2.0, 3.0, 1.0]), r"timestep (np\.float64\()?2\.0\)? of row 0 is not an integer"),
     ([2, 3, 1.5], r"timestep 1\.5 of row 2 is not an integer"),
-    (np.array([2, 0, 1]), r"timestep (np\.int64\()?0\)? of row 1 is not an integer in 1\.\.5"),
+    (_ZERO_STEP, r"timestep (np\.int64\()?0\)? of row 1 is not an integer in 1\.\.5"),
     (np.array([2, 3, 6]), r"timestep (np\.int64\()?6\)? of row 2 is not an integer in 1\.\.5"),
-    (np.array([2, 3]), r"one per row.*shape \(2,\).*\(3, 4\)"),
-    (np.array([[2, 3, 1]]), r"one per row.*shape \(1, 3\)"),
-])
-def test_forward_sample_block_refuses_bad_timesteps_naming_the_row(ts, match):
-    s = linear_schedule(5, 1e-4, 0.02)
+]
+# the model reads the same rule (check_timesteps): backward's steps run over 1..T and
+# forward_trace's over 0..T, t = 0 being the clean input
+_BLOCK_READS = (
+    [(ts, match, "forward_sample") for ts, match in _BAD_STEPS]
+    + [(np.array([2, 3]), r"one per row.*shape \(2,\).*\(3, 4\)", "forward_sample"),
+       (np.array([[2, 3, 1]]), r"one per row.*shape \(1, 3\)", "forward_sample")]
+    + [(ts, match, "backward") for ts, match in _BAD_STEPS]
+    + [(ts, match.replace(r"1\.\.5", r"0\.\.5"), "forward_trace") for ts, match in _BAD_STEPS
+       if ts is not _ZERO_STEP])
+
+
+@pytest.mark.parametrize("ts, match, reader", _BLOCK_READS)
+def test_forward_sample_block_refuses_bad_timesteps_naming_the_row(ts, match, reader):
+    m = init_model(0, k=2, t_steps=5, hidden_enc=2, hidden_dec=2, ansatz_layers=1)
+    X = np.random.default_rng(0).uniform(0.0, 1.0, (3, INPUT_DIM))
     with pytest.raises(ValueError, match=match):
-        forward_sample(np.zeros((3, 4)), ts, s, np.zeros((3, 4)))
+        if reader == "forward_sample":
+            forward_sample(np.zeros((3, 4)), ts, linear_schedule(5, 1e-4, 0.02), np.zeros((3, 4)))
+        elif reader == "forward_trace":
+            forward_trace(m, X, ts)
+        else:
+            backward(m, list(zip(X, ts, X)))
 
 
 def test_forward_sample_extremes():
